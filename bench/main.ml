@@ -915,113 +915,6 @@ let cache_ablation_report ~fast () =
   Fmt.pr " disabled every operation recomputes from scratch.)@."
 
 (* ------------------------------------------------------------------ *)
-(* Symbolic-tier ablation: the fig12 solve workload plus an eve-corpus
-   scan with the derivative tier of the query front-end answering
-   where it can (arm "on") and with --no-symbolic dispatch (arm
-   "off").  Verdicts must be byte-identical across arms — the tier is
-   an optimization, never a semantics change — and the store.tier.*
-   counter diffs record how many yes/no language queries each tier
-   answered.  The on arm hard-fails if the symbolic answer rate drops
-   below 30% on this workload: that is the floor the tier pays for
-   its dispatch overhead with.                                        *)
-
-let tier_count diff name =
-  List.fold_left
-    (fun acc (n, _, v) -> if n = name then acc + v else acc)
-    0
-    (Snapshot.counters diff)
-
-let verdict_fingerprint verdicts =
-  Digest.to_hex
-    (Digest.string
-       (String.concat ";"
-          (List.map (fun (n, v) -> Printf.sprintf "%s=%b" n v) verdicts)))
-
-let symbolic_tier_arm ~symbolic ~fast files =
-  Automata.Query.set_symbolic_enabled symbolic;
-  Fun.protect ~finally:(fun () -> Automata.Query.set_symbolic_enabled true)
-  @@ fun () ->
-  Store.clear ();
-  let before = Snapshot.of_default () in
-  let t0 = now_s () in
-  let fig12 =
-    List.filter_map
-      (fun row ->
-        if fast && row.Corpus.Fig12.name = "secure" then None
-        else
-          let _, assignment = solve_row row in
-          Some (row.Corpus.Fig12.name, assignment <> None))
-      Corpus.Fig12.rows
-  in
-  let eve =
-    List.map
-      (fun (name, program) ->
-        let { Webapp.Symexec.candidates; _ } =
-          Webapp.Symexec.analyze ~max_paths:256 ~attack:Corpus.Fig12.attack
-            program
-        in
-        let vulnerable =
-          List.exists
-            (fun q ->
-              (Webapp.Symexec.solve q).Webapp.Symexec.assignment <> None)
-            candidates
-        in
-        (name, vulnerable))
-      files
-  in
-  let seconds = now_s () -. t0 in
-  let diff = Snapshot.diff ~after:(Snapshot.of_default ()) ~before in
-  let sym = tier_count diff "store.tier.symbolic" in
-  let auto = tier_count diff "store.tier.automata" in
-  let fallback = tier_count diff "store.tier.fallback" in
-  (fig12 @ eve, seconds, sym, auto, fallback)
-
-let symbolic_tier_report ~fast () =
-  hr "Symbolic-tier ablation — derivative queries vs --no-symbolic";
-  let files = Corpus.Fig11.generate (List.hd Corpus.Fig11.apps) in
-  Fmt.pr "fig12 rows + eve corpus (%d files) per arm@." (List.length files);
-  let arm name symbolic =
-    let verdicts, seconds, sym, auto, fallback =
-      symbolic_tier_arm ~symbolic ~fast files
-    in
-    let queries = sym + auto in
-    let rate =
-      if queries = 0 then 0.0 else float_of_int sym /. float_of_int queries
-    in
-    Fmt.pr "%-4s %8.3f s  %6d symbolic  %6d automata  %5d fallback  rate %.2f@."
-      name seconds sym auto fallback rate;
-    json_results :=
-      Json.Obj
-        [
-          ("name", Json.String ("symbolic_tier/" ^ name));
-          ("seconds", Json.Float seconds);
-          ("queries", Json.Int queries);
-          ("symbolic_answered", Json.Int sym);
-          ("automata_answered", Json.Int auto);
-          ("fallback", Json.Int fallback);
-          ("answer_rate", Json.Float rate);
-          ("verdict_fingerprint", Json.String (verdict_fingerprint verdicts));
-        ]
-      :: !json_results;
-    (verdicts, rate)
-  in
-  (* one discarded warm-up pass: the first arm otherwise pays the
-     process's page-fault and GC ramp-up and the on/off wall ratio
-     reads as dispatch overhead that isn't there *)
-  ignore (symbolic_tier_arm ~symbolic:true ~fast files);
-  let on_verdicts, on_rate = arm "on" true in
-  let off_verdicts, _ = arm "off" false in
-  if on_verdicts <> off_verdicts then
-    failwith "symbolic_tier: verdicts differ across arms";
-  if on_rate < 0.30 then
-    failwith
-      (Fmt.str "symbolic_tier: answer rate %.2f below the 0.30 floor" on_rate);
-  Fmt.pr "verdicts identical across arms: true@.";
-  Fmt.pr "(the derivative tier answers subset/equal/emptiness queries whose@.";
-  Fmt.pr " operands carry regex ASTs without building any product machine;@.";
-  Fmt.pr " --no-symbolic must move counters, never a verdict.)@."
-
-(* ------------------------------------------------------------------ *)
 (* Observability overhead: the fig12 solve workload with the timer
    registry recording (the default) vs globally disabled via
    [Metrics.set_timing_enabled false].  The two wall clocks land in
@@ -1418,7 +1311,6 @@ let run_experiments () =
   experiment "analyze/ablation" (analyze_report ~fast);
   experiment "extension/sanitizers" sanitizers_report;
   experiment "cache_ablation" (cache_ablation_report ~fast);
-  experiment "symbolic_tier/ablation" (symbolic_tier_report ~fast);
   experiment "observability" (observability_report ~fast);
   (* wrapper entry "serve/harness"; the three arms record themselves
      as serve/cold, serve/warm, serve/concurrent *)

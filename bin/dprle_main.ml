@@ -132,11 +132,10 @@ let obs_fields diff =
   ]
 
 let solve_cmd path first max_solutions combination_limit budget_ms budget_states
-    witnesses_only dot smtlib stats trace trace_tree no_cache no_symbolic
+    witnesses_only dot smtlib stats trace trace_tree no_cache
     analyze metrics events verbose =
   setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
-  if no_symbolic then Automata.Query.set_symbolic_enabled false;
   with_observability ~metrics ~events @@ fun () ->
   match read_system path with
   | Error msg ->
@@ -204,11 +203,10 @@ let solve_cmd path first max_solutions combination_limit budget_ms budget_states
                 solutions;
               0))
 
-let check_cmd path budget_ms budget_states no_cache no_symbolic analyze
+let check_cmd path budget_ms budget_states no_cache analyze
     metrics events verbose =
   setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
-  if no_symbolic then Automata.Query.set_symbolic_enabled false;
   with_observability ~metrics ~events @@ fun () ->
   match read_system path with
   | Error msg ->
@@ -234,9 +232,8 @@ let check_cmd path budget_ms budget_states no_cache no_symbolic analyze
 (* Static lint: every check in [Dprle.Static], not just the empty-rhs
    warning [Solver.run] emits on its own. No solving happens — the
    heaviest work is one depgraph build plus memoized inclusions. *)
-let lint_cmd path dot no_symbolic verbose =
+let lint_cmd path dot verbose =
   setup_logs verbose;
-  if no_symbolic then Automata.Query.set_symbolic_enabled false;
   match read_system path with
   | Error msg ->
       Fmt.epr "error: %s@." msg;
@@ -261,9 +258,8 @@ let lint_cmd path dot no_symbolic verbose =
    did, without ever invoking the solver proper. The blame a bare
    "unsat" cannot give lives here: a refuted system reports its
    1-minimal core. *)
-let analyze_cmd path goals dot no_symbolic verbose =
+let analyze_cmd path goals dot verbose =
   setup_logs verbose;
-  if no_symbolic then Automata.Query.set_symbolic_enabled false;
   match read_system path with
   | Error msg ->
       Fmt.epr "error: %s@." msg;
@@ -432,11 +428,10 @@ let profile_files path () =
           ignore (Dprle.Solver.run Dprle.Solver.Config.default system))
     files
 
-let profile_cmd target corpus top metrics events no_cache no_symbolic
+let profile_cmd target corpus top metrics events no_cache
     verbose =
   setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
-  if no_symbolic then Automata.Query.set_symbolic_enabled false;
   with_observability ~metrics ~events @@ fun () ->
   let workload =
     match (corpus, target) with
@@ -501,11 +496,10 @@ let run_wire source =
    matter how many workers ran, so the output is byte-identical for
    any --jobs value; timing goes to stderr. *)
 let batch_cmd dir wire jobs budget_ms budget_states max_solutions
-    combination_limit trace trace_tree no_cache no_symbolic analyze metrics
+    combination_limit trace trace_tree no_cache analyze metrics
     events verbose =
   setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
-  if no_symbolic then Automata.Query.set_symbolic_enabled false;
   with_observability ~metrics ~events @@ fun () ->
   if wire then run_wire dir
   else if not (Sys.file_exists dir && Sys.is_directory dir) then begin
@@ -698,15 +692,6 @@ let no_cache_arg =
           "Disable the interned language store and all memoized automata \
            operations (cache ablation; identical output, more work).")
 
-let no_symbolic_arg =
-  Arg.(
-    value & flag
-    & info [ "no-symbolic" ]
-        ~doc:
-          "Disable the symbolic derivative tier of the query front-end: \
-           every language query is answered by the automata kernels \
-           (ablation; identical verdicts, different tier counters).")
-
 let analyze_flag_arg =
   Arg.(
     value
@@ -769,7 +754,7 @@ let solve_term =
     const solve_cmd $ path_arg $ first $ max_solutions_arg
     $ combination_limit_arg $ budget_ms_arg $ budget_states_arg
     $ witnesses_only $ dot $ smtlib $ stats $ trace_arg $ trace_tree_arg
-    $ no_cache_arg $ no_symbolic_arg $ analyze_flag_arg $ metrics_arg
+    $ no_cache_arg $ analyze_flag_arg $ metrics_arg
     $ events_arg $ verbose_arg)
 
 let batch_term =
@@ -803,7 +788,7 @@ let batch_term =
   Term.(
     const batch_cmd $ dir_arg $ wire_arg $ jobs $ budget_ms_arg
     $ budget_states_arg $ max_solutions_arg $ combination_limit_arg
-    $ trace_arg $ trace_tree_arg $ no_cache_arg $ no_symbolic_arg
+    $ trace_arg $ trace_tree_arg $ no_cache_arg
     $ analyze_flag_arg $ metrics_arg $ events_arg $ verbose_arg)
 
 let profile_term =
@@ -831,7 +816,7 @@ let profile_term =
   in
   Term.(
     const profile_cmd $ target $ corpus $ top $ metrics_arg $ events_arg
-    $ no_cache_arg $ no_symbolic_arg $ verbose_arg)
+    $ no_cache_arg $ verbose_arg)
 
 let solve_exits =
   [
@@ -904,7 +889,7 @@ let analyze_term =
              still see) filled.")
   in
   Term.(
-    const analyze_cmd $ path_arg $ goals $ dot $ no_symbolic_arg
+    const analyze_cmd $ path_arg $ goals $ dot
     $ verbose_arg)
 
 let analyze_cmd_info =
@@ -1012,12 +997,12 @@ let () =
             Cmd.v check_cmd_info
               Term.(
                 const check_cmd $ path_arg $ budget_ms_arg $ budget_states_arg
-                $ no_cache_arg $ no_symbolic_arg $ analyze_flag_arg
+                $ no_cache_arg $ analyze_flag_arg
                 $ metrics_arg $ events_arg $ verbose_arg);
             Cmd.v batch_cmd_info batch_term;
             Cmd.v lint_cmd_info
               Term.(
-                const lint_cmd $ path_arg $ lint_dot_arg $ no_symbolic_arg
+                const lint_cmd $ path_arg $ lint_dot_arg
                 $ verbose_arg);
             Cmd.v analyze_cmd_info analyze_term;
             Cmd.v profile_cmd_info profile_term;

@@ -391,11 +391,10 @@ let with_trace ~trace ~trace_tree f =
   end
 
 let check_cmd path attack all structural max_paths static_prune prepass_paths
-    jobs budget_ms budget_states trace trace_tree no_cache no_symbolic metrics
+    jobs budget_ms budget_states trace trace_tree no_cache metrics
     events verbose =
   setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
-  if no_symbolic then Automata.Query.set_symbolic_enabled false;
   let config =
     Dprle.Solver.Config.make
       ~budget:(Automata.Budget.make ?wall_ms:budget_ms ?max_states:budget_states ())
@@ -490,14 +489,6 @@ let () =
             "Disable the interned language store and all memoized automata \
              operations (cache ablation; identical output, more work).")
   in
-  let no_symbolic_arg =
-    Arg.(
-      value & flag
-      & info [ "no-symbolic" ]
-          ~doc:
-            "Disable the symbolic derivative tier of the query front-end \
-             (ablation; identical verdicts, different tier counters).")
-  in
   let metrics_arg =
     Arg.(
       value & flag
@@ -547,7 +538,7 @@ let () =
       const check_cmd $ path_arg $ attack_arg $ all_arg $ structural_arg
       $ max_paths_arg $ static_prune_arg $ prepass_paths_arg $ jobs_arg
       $ budget_ms_arg $ budget_states_arg $ trace_arg $ trace_tree_arg
-      $ no_cache_arg $ no_symbolic_arg $ metrics_arg $ events_arg
+      $ no_cache_arg $ metrics_arg $ events_arg
       $ verbose_arg)
   in
   let exits =

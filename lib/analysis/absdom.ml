@@ -1,7 +1,6 @@
 module Ast = Webapp.Ast
 module Nfa = Automata.Nfa
 module Store = Automata.Store
-module Query = Automata.Query
 module SMap = Map.Make (String)
 
 type value = Store.handle
@@ -70,7 +69,7 @@ let join a b =
 
 let leq a b =
   let sub amap bmap =
-    SMap.for_all (fun k vb -> Query.subset (lookup amap k) vb) bmap
+    SMap.for_all (fun k vb -> Store.subset (lookup amap k) vb) bmap
   in
   sub a.vars b.vars && sub a.inputs b.inputs
 
@@ -89,9 +88,7 @@ let alphabet_closure h =
     Nfa.fold_char_transitions (Store.minimized h) ~init:Charset.empty
       ~f:(fun acc _ cs _ -> Charset.union acc cs)
   in
-  let h = Store.intern (Automata.Ops.star (Nfa.of_charset a)) in
-  Regex.Symbolic.attach h (Regex.Ast.star (Regex.Ast.chars a));
-  h
+  Store.intern (Automata.Ops.star (Nfa.of_charset a))
 
 (* [widen ~max_states ~force prev next] returns an upper bound of both
    arguments, per key: the stable previous value when nothing grew, the
@@ -104,7 +101,7 @@ let widen ~max_states ~force prev next =
   let merge _ x y =
     match (x, y) with
     | Some p, Some n ->
-        if Query.subset n p then Some p
+        if Store.subset n p then Some p
         else
           let u = compact (Store.union_lang p n) in
           if (not force) && Nfa.num_states (Store.nfa u) <= max_states then
@@ -193,16 +190,16 @@ and refine_expr st e lang =
   match e with
   | Ast.Var v ->
       let h = Store.inter_lang (lookup_var st v) lang in
-      if Query.is_empty h then None
+      if Store.is_empty h then None
       else if Nfa.num_states (Store.nfa h) > narrow_limit then Some st
       else Some { st with vars = SMap.add v (compact h) st.vars }
   | Ast.Input n ->
       let h = Store.inter_lang (lookup_input st n) lang in
-      if Query.is_empty h then None
+      if Store.is_empty h then None
       else if Nfa.num_states (Store.nfa h) > narrow_limit then Some st
       else Some { st with inputs = SMap.add n h st.inputs }
   | _ ->
-      if Query.disjoint (eval st e) lang then None else Some st
+      if Store.disjoint (eval st e) lang then None else Some st
 
 let bindings st =
   ( SMap.bindings st.vars |> List.map (fun (k, v) -> (k, Store.nfa v)),

@@ -1,5 +1,4 @@
 module Store = Automata.Store
-module Query = Automata.Query
 module Metrics = Telemetry.Metrics
 module Span = Telemetry.Span
 
@@ -171,7 +170,7 @@ let analyze ?(widen_states = 64) ?(widen_delay = 3) ~attack program =
           | Some l -> l
           | None -> Store.intern Automata.Nfa.empty_lang (* unreachable sink *)
         in
-        let safe = Query.disjoint lang attack in
+        let safe = Store.disjoint lang attack in
         Metrics.Counter.incr (if safe then c_prune_hit else c_prune_miss) 1;
         { sink_id; lang; safe })
   in

@@ -27,8 +27,8 @@ module Request : sig
     combination_limit : int;  (** default 4096 *)
     witnesses : bool;
         (** include per-variable shortest witness strings (default
-            false — witness extraction forces automata work the
-            symbolic tier would otherwise skip) *)
+            false — extracting a witness is a search per variable on
+            top of the solve) *)
   }
 
   type webcheck_params = {

@@ -3,8 +3,7 @@
    {!Telemetry.Metrics} registry. The underlying counters are
    cumulative and process-wide; scoping is done by diffing snapshots
    ({!absolute} + {!diff}), so nested measurements cannot corrupt each
-   other. [reset]/[snapshot] keep the historical bracketing API by
-   moving a baseline instead of zeroing anything. *)
+   other. *)
 
 module Metrics = Telemetry.Metrics
 
@@ -35,10 +34,6 @@ let diff after before =
     products = after.products - before.products;
     concats = after.concats - before.concats;
   }
-
-let baseline = ref { visited = 0; products = 0; concats = 0 }
-let reset () = baseline := absolute ()
-let snapshot () = diff (absolute ()) !baseline
 
 let pp ppf s =
   Fmt.pf ppf "visited=%d products=%d concats=%d" s.visited s.products s.concats

@@ -10,10 +10,7 @@
     [automata.concats_built]) and only ever grow. Measurement is
     diff-based — take {!absolute} before and after the region of
     interest and subtract with {!diff}; nested measurements are then
-    independent. The historical {!reset}/{!snapshot} bracketing is
-    kept for convenience (it moves a private baseline, it does not
-    zero the counters), but note that nested [reset] brackets still
-    share that one baseline — new code should use {!absolute}. *)
+    independent. *)
 
 (** Record [n] NFA states visited (called by {!Ops}). *)
 val visit_states : int -> unit
@@ -35,11 +32,5 @@ val absolute : unit -> snapshot
 
 (** [diff after before] is the pointwise difference. *)
 val diff : snapshot -> snapshot -> snapshot
-
-(** Move the baseline used by {!snapshot} to "now". *)
-val reset : unit -> unit
-
-(** Counts accumulated since the last {!reset}. *)
-val snapshot : unit -> snapshot
 
 val pp : snapshot Fmt.t

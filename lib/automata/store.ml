@@ -31,101 +31,28 @@ let enabled () = Atomic.get enabled_flag
 (* Cost gate *)
 
 (* The ledger (below) prices every cache; this is the policy end that
-   acts on the price. Two mechanisms, per the memo-discipline lesson
-   that caching only pays above a work threshold:
-
-   - size gate: machines below [min_states] skip canonical keying
-     (interning a 2-state machine costs more to serialize than to
-     rebuild), and op pairs below it skip the memo tables; machines
-     above [max_states] skip it from the other side — the key is a
-     full serialization of the trimmed machine, so on a 500-state
-     sanitizer preimage it costs ~30 us while the memo hit it enables
-     saves ~15 us of recompute. Too big to key is priced like too
-     small to matter; pointer identity (the physeq MRU) still shares
-     repeated interns of the same physical machine;
-   - auto-disable: per domain and per op class, a running net-saved
-     estimate (hits x avg miss cost - total key cost, the ledger
-     formula) is evaluated every 64 events once [min_samples] events
-     were seen; an op that stays below [-trip_saved_ns] has its cache
-     switched off for the rest of the domain's life (sticky, surfaced
-     by the [store.gate.tripped] counter).
-
-   The trip thresholds are deliberately high-hysteresis: bench diffs
-   and cram tests hard-gate counter values, so a decision that flips
-   with scheduler noise would make deterministic workloads flaky. A
-   cache must be unambiguously parasitic (net below -5 ms) before the
-   gate acts; [set_auto_gate false] is the ablation override. *)
+   acts on the price, per the memo-discipline lesson that caching only
+   pays above a work threshold. Machines below [min_states] skip
+   canonical keying (interning a 2-state machine costs more to
+   serialize than to rebuild), and op pairs below it skip the memo
+   tables; machines above [max_states] skip it from the other side —
+   the key is a full serialization of the trimmed machine, so on a
+   500-state sanitizer preimage it costs ~30 us while the memo hit it
+   enables saves ~15 us of recompute. Too big to key is priced like too
+   small to matter; pointer identity (the physeq MRU) still shares
+   repeated interns of the same physical machine. Both thresholds are
+   sizes, never timings, so every counter the store emits is a function
+   of the workload alone. *)
 module Gate = struct
-  let auto = Atomic.make true
   let min_states = Atomic.make 4
   let max_states = Atomic.make 256
-  let min_samples = Atomic.make 512
-  let trip_saved_ns = Atomic.make 5_000_000
-  let tripped_c = Metrics.Counter.make "store.gate.tripped"
   let skip_c = Metrics.Counter.make "store.gate.skip"
-
-  type acc = {
-    mutable hits : int;
-    mutable misses : int;
-    mutable key_ns : int64;
-    mutable miss_ns : int64;
-    mutable disabled : bool;
-  }
-
-  let make_acc () =
-    { hits = 0; misses = 0; key_ns = 0L; miss_ns = 0L; disabled = false }
-
-  let reset_acc a =
-    a.hits <- 0;
-    a.misses <- 0;
-    a.key_ns <- 0L;
-    a.miss_ns <- 0L;
-    a.disabled <- false
-
   let skip op = Metrics.Counter.incr ~labels:[ ("op", op) ] skip_c 1
-
-  (* [can_trip:false] for intern: its ledger row prices a hit at the
-     allocation it avoids (~100 ns), but the real value of handle
-     identity is the per-handle memo state downstream (min-DFA,
-     emptiness) that only shared handles accumulate — disabling
-     interning from its own row is a false economy that measurably
-     blows up minimization (3x on the eve fixpoint). The memo ops
-     have a sound valuation (a hit avoids exactly the measured miss
-     compute), so they may trip. *)
-  let note op a ~can_trip ~hit ~key_ns ~miss_ns =
-    if hit then a.hits <- a.hits + 1 else a.misses <- a.misses + 1;
-    a.key_ns <- Int64.add a.key_ns key_ns;
-    a.miss_ns <- Int64.add a.miss_ns miss_ns;
-    let samples = a.hits + a.misses in
-    if
-      can_trip && Atomic.get auto && (not a.disabled)
-      && samples land 63 = 0
-      && samples >= Atomic.get min_samples
-    then begin
-      let avg_miss =
-        if a.misses = 0 then 0.
-        else Int64.to_float a.miss_ns /. float_of_int a.misses
-      in
-      let net = (float_of_int a.hits *. avg_miss) -. Int64.to_float a.key_ns in
-      if net < -.float_of_int (Atomic.get trip_saved_ns) then begin
-        a.disabled <- true;
-        Metrics.Counter.incr ~labels:[ ("op", op) ] tripped_c 1
-      end
-    end
 end
-
-(* AST provenance: an extensible tag a higher layer (the regex
-   compiler) attaches to a handle, recording which expression the
-   machine was built from so the tiered query front-end ({!Query}) can
-   answer inclusion questions symbolically without touching the
-   machine. Extensible because the store sits below the regex layer
-   and cannot mention [Ast.t]. *)
-type prov = ..
 
 type handle = {
   id : int;
   nfa : Nfa.t;
-  mutable prov : prov option;
   (* [keyed] = this handle's id is stable for its language in this
      domain (it came out of the intern/word table), so it is usable as
      a memo key. A gated or disabled-store handle is not: its id never
@@ -265,7 +192,6 @@ let fresh_handle m =
   {
     id;
     nfa = m;
-    prov = None;
     keyed = false;
     dfa_memo = None;
     min_dfa_memo = None;
@@ -273,9 +199,6 @@ let fresh_handle m =
     empty_memo = None;
     compact_memo = None;
   }
-
-let intern_gate_key : Gate.acc Domain.DLS.key =
-  Domain.DLS.new_key Gate.make_acc
 
 (* Physical-identity fast path: callers that hold one machine value
    across many solves (a corpus-wide attack language, a compiled
@@ -301,97 +224,14 @@ let physeq_add m h =
   let rest = List.filter (fun (m', _) -> m' != m) !r in
   r := (m, h) :: List.filteri (fun i _ -> i < physeq_limit - 1) rest
 
-(* ------------------------------------------------------------------ *)
-(* AST provenance plumbing *)
-
-(* Cost-gated and disabled-store interns return fresh, unshared
-   handles, so provenance must survive handle identity: a side table
-   keyed by *physical* machine identity recovers the tag for any
-   handle wrapping the same immutable [Nfa.t]. Per-domain, bounded,
-   reset by [clear]. *)
-module ProvTbl = Hashtbl.Make (struct
-  type t = Nfa.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let prov_table_key : prov ProvTbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ProvTbl.create 64)
-
-let prov_table_cap = 8192
-
-let record_machine_prov m p =
-  let t = Domain.DLS.get prov_table_key in
-  if ProvTbl.mem t m || ProvTbl.length t < prov_table_cap then
-    ProvTbl.replace t m p
-
-let set_provenance h p =
-  h.prov <- Some p;
-  record_machine_prov h.nfa p
-
-let provenance h =
-  match h.prov with
-  | Some _ as p -> p
-  | None -> (
-      match ProvTbl.find_opt (Domain.DLS.get prov_table_key) h.nfa with
-      | Some p ->
-          h.prov <- Some p;
-          Some p
-      | None -> None)
-
-(* Hooks the regex layer installs at module-init time (single-domain,
-   before any worker spawns; read-only afterwards): provenance for
-   word literals and Σ*, and composition of provenance across the
-   AST-expressible binary ops. *)
-let prov_of_word : (string -> prov) option ref = ref None
-let set_prov_of_word f = prov_of_word := Some f
-let prov_of_top : prov option ref = ref None
-let set_prov_of_top p = prov_of_top := Some p
-
-let prov_combiner :
-    (op:[ `Concat | `Union ] -> prov -> prov -> prov option) option ref =
-  ref None
-
-let set_prov_combiner f = prov_combiner := Some f
-
-(* Attach composed provenance to a binary-op result when both operands
-   carry one and the combiner accepts (it refuses oversized ASTs). A
-   memo hit may return a handle that is already tagged — leave it. *)
-let combined_prov ~op h1 h2 res =
-  (match !prov_combiner with
-  | Some f when provenance res = None -> (
-      match (provenance h1, provenance h2) with
-      | Some p1, Some p2 -> (
-          match f ~op p1 p2 with
-          | Some p -> set_provenance res p
-          | None -> ())
-      | _ -> ())
-  | _ -> ());
-  res
-
-let attach_word_prov w h =
-  (match !prov_of_word with
-  | Some f when provenance h = None -> set_provenance h (f w)
-  | _ -> ());
-  h
-
-let attach_top_prov h =
-  (match !prov_of_top with
-  | Some p when provenance h = None -> set_provenance h p
-  | _ -> ());
-  h
-
 (* Interning pays the canonical key — that serialization is the
    "key-hash tax" the cache-effectiveness ledger prices, because the
    key cost scales with machine size while a hit saves the rebuild the
    caller already did plus the memo state attached to the shared
    handle. The cost gate keeps the tax off machines too small to ever
-   repay it ([Gate.min_states]) and off a domain whose ledger shows
-   keying losing outright (auto-disable).
+   repay it ([Gate.min_states]).
 
-   [~force] bypasses the size floor and the auto-disable (not the
-   [max_states] ceiling): a long-lived handle that seeds downstream
+   [~force] bypasses the size floor (not the [max_states] ceiling): a long-lived handle that seeds downstream
    memos — a system constant, an analyzer bound — must have a stable
    id even when its machine is tiny, because an unkeyed fresh handle
    turns every memo keyed on it into a permanent miss. *)
@@ -403,12 +243,8 @@ let intern_gated ~force m =
         Metrics.Counter.incr intern_hit 1;
         h
     | None ->
-        let a = Domain.DLS.get intern_gate_key in
         let n = Nfa.num_states m in
-        if
-          (not force)
-          && (a.Gate.disabled || n < Atomic.get Gate.min_states)
-        then begin
+        if (not force) && n < Atomic.get Gate.min_states then begin
           Gate.skip "intern";
           fresh_handle m
         end
@@ -424,33 +260,27 @@ let intern_gated ~force m =
         end
         else begin
           let table = intern_table () in
-          let t0 = Telemetry.Clock.now_ns () in
           let key =
             Metrics.Timer.time ledger_key
               ~labels:[ ("op", "intern") ]
               (fun () -> canonical_key m)
           in
-          let key_ns = Int64.sub (Telemetry.Clock.now_ns ()) t0 in
           match Hashtbl.find_opt table key with
           | Some h ->
               Metrics.Counter.incr intern_hit 1;
-              Gate.note "intern" a ~can_trip:false ~hit:true ~key_ns ~miss_ns:0L;
               physeq_add m h;
               h
           | None ->
               Metrics.Counter.incr intern_miss 1;
               Metrics.Histogram.observe machine_states
                 (float_of_int (Nfa.num_states m));
-              let t1 = Telemetry.Clock.now_ns () in
               let h =
                 Metrics.Timer.time ledger_miss
                   ~labels:[ ("op", "intern") ]
                   (fun () -> fresh_handle m)
               in
-              let miss_ns = Int64.sub (Telemetry.Clock.now_ns ()) t1 in
               h.keyed <- true;
               Hashtbl.replace table key h;
-              Gate.note "intern" a ~can_trip:false ~hit:false ~key_ns ~miss_ns;
               physeq_add m h;
               h
         end
@@ -474,7 +304,7 @@ let word_table_key : (string, handle) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
 let of_word w =
-  if not (enabled ()) then attach_word_prov w (fresh_handle (Nfa.of_word w))
+  if not (enabled ()) then fresh_handle (Nfa.of_word w)
   else
     let table = Domain.DLS.get word_table_key in
     match Hashtbl.find_opt table w with
@@ -488,13 +318,13 @@ let of_word w =
         let h = intern (Nfa.of_word w) in
         h.keyed <- true;
         Hashtbl.replace table w h;
-        attach_word_prov w h
+        h
 
 let top_handle_key : handle option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let top () =
-  if not (enabled ()) then attach_top_prov (fresh_handle Nfa.sigma_star)
+  if not (enabled ()) then fresh_handle Nfa.sigma_star
   else
     let r = Domain.DLS.get top_handle_key in
     match !r with
@@ -505,7 +335,7 @@ let top () =
         let h = intern Nfa.sigma_star in
         h.keyed <- true;
         r := Some h;
-        attach_top_prov h
+        h
 
 (* ------------------------------------------------------------------ *)
 (* Per-handle memo slots *)
@@ -531,19 +361,12 @@ let min_dfa h =
         d
 
 let minimized h =
-  let record m =
-    (* compaction preserves the language, so the minimized machine
-       inherits the handle's provenance via the side table — a later
-       intern of it yields a symbolically answerable handle *)
-    (match provenance h with Some p -> record_machine_prov m p | None -> ());
-    m
-  in
-  if not (enabled ()) then record (Lang.compact h.nfa)
+  if not (enabled ()) then Lang.compact h.nfa
   else
     match h.minimized_memo with
     | Some m -> m
     | None ->
-        let m = record (Lang.compact h.nfa) in
+        let m = Lang.compact h.nfa in
         h.minimized_memo <- Some m;
         m
 
@@ -558,18 +381,12 @@ let is_empty h =
         b
 
 let compacted h =
-  let inherit_prov c =
-    (match provenance h with
-    | Some p when provenance c = None -> set_provenance c p
-    | _ -> ());
-    c
-  in
-  if not (enabled ()) then inherit_prov (fresh_handle (Dfa.to_nfa (min_dfa h)))
+  if not (enabled ()) then fresh_handle (Dfa.to_nfa (min_dfa h))
   else
     match h.compact_memo with
     | Some c -> c
     | None ->
-        let c = inherit_prov (intern (Dfa.to_nfa (min_dfa h))) in
+        let c = intern (Dfa.to_nfa (min_dfa h)) in
         h.compact_memo <- Some c;
         (* compaction is idempotent: re-minimizing a machine that is
            already a minimal DFA yields an isomorphic machine, hence
@@ -586,7 +403,6 @@ module Memo = struct
   type 'v state = {
     table : (int list, 'v entry) Hashtbl.t;
     mutable tick : int;
-    gate : Gate.acc;
   }
 
   (* A memo names a per-domain table: [create] allocates a DLS key and
@@ -610,15 +426,14 @@ module Memo = struct
   let create ~op =
     let key =
       Domain.DLS.new_key (fun () ->
-          { table = Hashtbl.create 64; tick = 0; gate = Gate.make_acc () })
+          { table = Hashtbl.create 64; tick = 0 })
     in
     let t = { op; key } in
     clearers :=
       (fun () ->
         let s = Domain.DLS.get key in
         Hashtbl.reset s.table;
-        s.tick <- 0;
-        Gate.reset_acc s.gate)
+        s.tick <- 0)
       :: !clearers;
     t
 
@@ -647,35 +462,23 @@ module Memo = struct
     if not (enabled ()) then f ()
     else begin
       let s = Domain.DLS.get t.key in
-      if s.gate.Gate.disabled then begin
-        Gate.skip t.op;
-        f ()
-      end
-      else begin
-        s.tick <- s.tick + 1;
-        let labels = [ ("op", t.op) ] in
-        let t0 = Telemetry.Clock.now_ns () in
-        let found =
-          Metrics.Timer.time ledger_key ~labels (fun () ->
-              Hashtbl.find_opt s.table key)
-        in
-        let key_ns = Int64.sub (Telemetry.Clock.now_ns ()) t0 in
-        match found with
-        | Some e ->
-            e.stamp <- s.tick;
-            Metrics.Counter.incr ~labels opcache_hit 1;
-            Gate.note t.op s.gate ~can_trip:true ~hit:true ~key_ns ~miss_ns:0L;
-            e.value
-        | None ->
-            Metrics.Counter.incr ~labels opcache_miss 1;
-            let t1 = Telemetry.Clock.now_ns () in
-            let v = Metrics.Timer.time ledger_miss ~labels f in
-            let miss_ns = Int64.sub (Telemetry.Clock.now_ns ()) t1 in
-            if Hashtbl.length s.table >= !capacity then evict_half t.op s;
-            Hashtbl.replace s.table key { value = v; stamp = s.tick };
-            Gate.note t.op s.gate ~can_trip:true ~hit:false ~key_ns ~miss_ns;
-            v
-      end
+      s.tick <- s.tick + 1;
+      let labels = [ ("op", t.op) ] in
+      let found =
+        Metrics.Timer.time ledger_key ~labels (fun () ->
+            Hashtbl.find_opt s.table key)
+      in
+      match found with
+      | Some e ->
+          e.stamp <- s.tick;
+          Metrics.Counter.incr ~labels opcache_hit 1;
+          e.value
+      | None ->
+          Metrics.Counter.incr ~labels opcache_miss 1;
+          let v = Metrics.Timer.time ledger_miss ~labels f in
+          if Hashtbl.length s.table >= !capacity then evict_half t.op s;
+          Hashtbl.replace s.table key { value = v; stamp = s.tick };
+          v
     end
 end
 
@@ -728,20 +531,18 @@ let inter_lang h1 h2 =
       h1 h2
 
 let concat_lang h1 h2 =
-  combined_prov ~op:`Concat h1 h2
-    (cached_binop concat_memo "concat_lang"
-       (fun () -> intern (Ops.concat_lang h1.nfa h2.nfa))
-       h1 h2)
+  cached_binop concat_memo "concat_lang"
+    (fun () -> intern (Ops.concat_lang h1.nfa h2.nfa))
+    h1 h2
 
 let union_lang h1 h2 =
   if h1 == h2 then h1
   else if is_top h1 then h1
   else if is_top h2 then h2
   else
-    combined_prov ~op:`Union h1 h2
-      (cached_binop union_memo "union_lang"
-         (fun () -> intern (Ops.union_lang h1.nfa h2.nfa))
-         h1 h2)
+    cached_binop union_memo "union_lang"
+      (fun () -> intern (Ops.union_lang h1.nfa h2.nfa))
+      h1 h2
 
 let counterexample h1 h2 =
   if h1 == h2 then None
@@ -753,6 +554,7 @@ let counterexample h1 h2 =
 
 let subset h1 h2 = counterexample h1 h2 = None
 let equal h1 h2 = subset h1 h2 && subset h2 h1
+let disjoint h1 h2 = is_empty (inter_lang h1 h2)
 
 (* ------------------------------------------------------------------ *)
 (* Cache-effectiveness ledger *)
@@ -860,10 +662,8 @@ end
 let clear () =
   Hashtbl.reset (intern_table ());
   Hashtbl.reset (Domain.DLS.get word_table_key);
-  ProvTbl.reset (Domain.DLS.get prov_table_key);
   Domain.DLS.get top_handle_key := None;
   Domain.DLS.get physeq_key := [];
-  Gate.reset_acc (Domain.DLS.get intern_gate_key);
   List.iter (fun f -> f ()) !Memo.clearers
 
 let on_clear f = Memo.clearers := f :: !Memo.clearers
@@ -878,13 +678,3 @@ let set_memo_min_states n = Atomic.set Gate.min_states (max 0 n)
 let memo_min_states () = Atomic.get Gate.min_states
 let set_memo_max_states n = Atomic.set Gate.max_states (max 1 n)
 let memo_max_states () = Atomic.get Gate.max_states
-let set_auto_gate b = Atomic.set Gate.auto b
-let auto_gate () = Atomic.get Gate.auto
-
-let set_gate_thresholds ?min_samples ?trip_saved_ns () =
-  Option.iter
-    (fun n -> Atomic.set Gate.min_samples (max 64 n))
-    min_samples;
-  Option.iter
-    (fun n -> Atomic.set Gate.trip_saved_ns (max 0 n))
-    trip_saved_ns

@@ -54,16 +54,13 @@ type handle
     memo hits it enables do not, so a 500-state preimage pays more to
     key than any hit saves. Repeated interns of the same physical
     machine still share a handle via a small pointer-equality MRU
-    (sound because {!Nfa.t} is immutable). Finally, a domain whose
-    running ledger shows keying losing outright stops paying it
-    altogether ({!set_auto_gate}). All decisions are observable via
-    the [store.gate.skip{op=...}] and [store.gate.tripped{op=...}]
-    counters. *)
+    (sound because {!Nfa.t} is immutable). Every skip is observable
+    via the [store.gate.skip{op=...}] counter. *)
 val intern : Nfa.t -> handle
 
 (** [intern_keyed m] interns like {!intern} but bypasses the
-    [min_states] size floor and the ledger auto-disable (the
-    [max_states] ceiling still applies). For long-lived machines that
+    [min_states] size floor (the [max_states] ceiling still
+    applies). For long-lived machines that
     seed downstream memos — system constants, analyzer bounds — where
     a stable id matters more than the (tiny) canonical-key tax: an
     unkeyed fresh handle turns every memo entry keyed on it into a
@@ -117,44 +114,6 @@ val is_empty : handle -> bool
     visit even when {!min_dfa} hits. *)
 val compacted : handle -> handle
 
-(** {1 AST provenance}
-
-    An extensible tag a higher layer attaches to a handle recording
-    which expression the machine was built from — the regex compiler
-    registers [Regex.Symbolic.Regex_ast] so the tiered query
-    front-end ({!Query}) can answer inclusion/emptiness symbolically.
-    Provenance is also recorded against the *physical* machine in a
-    per-domain side table, so cost-gated fresh handles wrapping the
-    same immutable [Nfa.t] recover the tag; both the field and the
-    side table die with {!clear} (and with the domain), exactly like
-    the handles themselves. *)
-
-type prov = ..
-
-(** Tag a handle (and its underlying machine) with its origin. *)
-val set_provenance : handle -> prov -> unit
-
-(** The tag, if this handle or its physical machine carries one. *)
-val provenance : handle -> prov option
-
-(** {2 Provenance hooks}
-
-    Installed once by the regex layer at module-init time (before any
-    worker domain spawns); the store itself never constructs a
-    [prov]. *)
-
-(** Provenance for {!of_word} handles. *)
-val set_prov_of_word : (string -> prov) -> unit
-
-(** Provenance for the implicit-top Σ* handle. *)
-val set_prov_of_top : prov -> unit
-
-(** Compose provenance across {!concat_lang}/{!union_lang}; return
-    [None] to refuse (e.g. when the combined AST would be too big to
-    ever answer symbolically). *)
-val set_prov_combiner :
-  (op:[ `Concat | `Union ] -> prov -> prov -> prov option) -> unit
-
 (** {1 Cached binary operations}
 
     Results are themselves interned, so algebraically convergent
@@ -164,9 +123,12 @@ val set_prov_combiner :
     handles are stable (interned, not size-gated fresh handles — a
     never-repeating id fills the table with unreachable entries) and
     their combined size is at least {!set_memo_min_states}; below
-    that, recomputing is cheaper than the table traffic. An op class
-    whose running ledger stays parasitic is auto-disabled per domain
-    ({!set_auto_gate}). *)
+    that, recomputing is cheaper than the table traffic.
+
+    These are the language queries of the whole codebase: every
+    inclusion, equality, emptiness and disjointness question is
+    answered here, by the automata kernels, as in the paper's
+    procedure. *)
 
 val inter_lang : handle -> handle -> handle
 
@@ -181,6 +143,9 @@ val counterexample : handle -> handle -> string option
 val subset : handle -> handle -> bool
 
 val equal : handle -> handle -> bool
+
+(** [L(a) ∩ L(b) = ∅]: emptiness of the (cached) product. *)
+val disjoint : handle -> handle -> bool
 
 (** {1 Generic memoization}
 
@@ -246,8 +211,7 @@ val set_enabled : bool -> unit
 
 (** Drop the calling domain's intern table and every op-cache
     (outstanding handles stay valid; their memo slots are
-    unaffected), and reset the cost gate's accumulators. Benchmarks
-    call this between arms. *)
+    unaffected). Benchmarks call this between arms. *)
 val clear : unit -> unit
 
 (** Register an external cache-reset hook to run on every {!clear} —
@@ -264,7 +228,8 @@ val set_capacity : int -> unit
 
 (** {1 Cost gate}
 
-    Policy end of the ledger: memoize only where it pays. *)
+    Policy end of the ledger: memoize only where it pays, decided by
+    machine size alone so that no counter depends on timing. *)
 
 (** Size threshold (states; default 4, 0 disables the size gate):
     machines below it are not interned, and op pairs whose combined
@@ -284,23 +249,3 @@ val memo_min_states : unit -> int
 val set_memo_max_states : int -> unit
 
 val memo_max_states : unit -> int
-
-(** Ledger-driven auto-disable (default on): per domain and per op
-    class, once enough events were seen ([min_samples], default 512)
-    and the running net-saved estimate stays below [-trip_saved_ns]
-    (default 5 ms), that cache is switched off for the rest of the
-    domain's life — sticky, counted by [store.gate.tripped{op=...}].
-    The thresholds are high-hysteresis on purpose: bench diffs
-    hard-gate counters, so only an unambiguously parasitic cache may
-    trip on a deterministic workload. [set_auto_gate false] is the
-    ablation override for bench arms that need timing-independent
-    counter streams. *)
-val set_auto_gate : bool -> unit
-
-val auto_gate : unit -> bool
-
-(** Tighten or relax the auto-disable hysteresis ([min_samples]
-    clamps at 64, [trip_saved_ns] at 0). Tests use this to trip the
-    gate on synthetic workloads without waiting for 5 ms of waste. *)
-val set_gate_thresholds :
-  ?min_samples:int -> ?trip_saved_ns:int -> unit -> unit

@@ -1,5 +1,4 @@
 module Nfa = Automata.Nfa
-module Query = Automata.Query
 module Store = Automata.Store
 module Budget = Automata.Budget
 
@@ -114,9 +113,8 @@ let minimize_core ~check core =
 (* Pass 1 — normalization: alias collapse, constant-run folding,
    duplicate-constraint dedup.                                        *)
 
-(* Constants with equal languages (decided by the query front-end, so
-   the symbolic tier answers regex-carrying constants without touching
-   automata) all rewrite to the earliest-declared representative. *)
+(* Constants with equal languages (decided by the store's memoized
+   equality) all rewrite to the earliest-declared representative. *)
 let alias_cap = 64
 
 let alias_map system =
@@ -143,7 +141,7 @@ let alias_map system =
       (fun (name, _) ->
         Budget.tick ();
         let h = System.const_handle system name in
-        match List.find_opt (fun (_, rh) -> Query.equal h rh) !reps with
+        match List.find_opt (fun (_, rh) -> Store.equal h rh) !reps with
         | Some (rep, _) -> Hashtbl.replace map name rep
         | None -> reps := !reps @ [ (name, h) ])
       names
@@ -318,7 +316,7 @@ let collect system constrs : contribs * (int * System.expr list * Store.handle) 
           let ls = leaves alt in
           match alt_vars ls with
           | [] ->
-              if not (Query.subset (run_handle system
+              if not (Store.subset (run_handle system
                                       (List.filter_map
                                          (function
                                            | System.Const c -> Some c
@@ -397,14 +395,14 @@ let bounds_refute system constrs =
         match contributions contribs v with
         | [] -> ()
         | cs ->
-            if Query.is_empty (var_bound contribs v) then
+            if Store.is_empty (var_bound contribs v) then
               raise (Refuted (Empty_var v, List.map fst cs)))
       (vars_of_constrs constrs);
     List.iter
       (fun (i, ls, rhs_h) ->
         Budget.tick ();
         match eval_leaves system contribs ls with
-        | Some h when Query.disjoint h rhs_h ->
+        | Some h when Store.disjoint h rhs_h ->
             let blame =
               i
               :: List.concat_map
@@ -457,7 +455,7 @@ let discharge system contribs constrs =
                 true
               else
                 match eval_leaves ~exclude system contribs ls with
-                | Some h -> Query.subset h rhs_h
+                | Some h -> Store.subset h rhs_h
                 | None -> false)
             (System.expand_unions c.System.lhs)
         in
@@ -498,7 +496,7 @@ let witness_ok system comp_constrs witness_of =
               (Store.of_word "")
               (leaves alt)
           in
-          Query.subset h rhs_h)
+          Store.subset h rhs_h)
         (System.expand_unions lhs))
     comp_constrs
 

@@ -7,8 +7,7 @@
 
     + {b normalization} — constants denoting equal languages collapse
       to one representative (union-find flavoured, decided by
-      {!Automata.Query.equal} so the symbolic derivative tier answers
-      first), maximal runs of ≥2 constant leaves in an alternative
+      {!Automata.Store.equal}), maximal runs of ≥2 constant leaves in an alternative
       fold into one fresh constant, and structurally duplicate
       constraints dedup;
     + {b bounds propagation} — a worklist fixpoint computes a regular
@@ -42,8 +41,7 @@
     When a pass refutes, the explaining constraint subset is shrunk
     delta-debugging style ({!minimize_core}) to a 1-minimal core.
 
-    All language queries go through {!Automata.Query} /
-    {!Automata.Store}, and the loops tick the ambient
+    All language queries go through {!Automata.Store}, and the loops tick the ambient
     {!Automata.Budget}, so analysis of pathological systems degrades
     to [Budget.Exceeded] exactly like the solver proper. *)
 

@@ -24,7 +24,7 @@ let subsumes a b =
       match SMap.find_opt v a with
       | None -> false
       | Some lang_a ->
-          Automata.Query.subset
+          Automata.Store.subset
             (Automata.Store.intern lang_b)
             (Automata.Store.intern lang_a))
     b

@@ -48,7 +48,7 @@ let constraint_holds system bound { System.lhs; rhs } =
     | System.Concat (a, b) -> Automata.Ops.concat_lang (lang_of a) (lang_of b)
     | System.Union (a, b) -> Automata.Ops.union_lang (lang_of a) (lang_of b)
   in
-  Automata.Query.subset
+  Automata.Store.subset
     (Automata.Store.intern (lang_of lhs))
     (System.const_handle system rhs)
 

@@ -67,8 +67,7 @@ let solve_with_report ?(config = Solver.Config.default) (g : Depgraph.t) =
     in
     (* Diff-based scoping: nested [solve_with_report] calls (or any
        concurrent bracketing) each hold their own [before] snapshot, so
-       they report independent counts — unlike the historical global
-       [Stats.reset] bracketing, which a nested call would clobber. *)
+       they report independent counts. *)
     let before = Automata.Stats.absolute () in
     (* The whole measured pass (census + solve) already runs under
        [config.budget] via [with_budget] below; pass the solver an

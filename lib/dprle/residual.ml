@@ -2,7 +2,6 @@ module Nfa = Automata.Nfa
 module Dfa = Automata.Dfa
 module Ops = Automata.Ops
 module Store = Automata.Store
-module Query = Automata.Query
 
 module IS = Set.Make (Int)
 
@@ -197,7 +196,7 @@ let satisfies system a =
   in
   List.for_all
     (fun { System.lhs; rhs } ->
-      Query.subset (expr_handle lhs) (System.const_handle system rhs))
+      Store.subset (expr_handle lhs) (System.const_handle system rhs))
     (System.constraints system)
 
 let maximize system a =
@@ -208,7 +207,7 @@ let maximize system a =
         (fun (a, grew) v ->
           let current = Assignment.find a v in
           let bigger = maximize_var system a v in
-          if Query.subset (Store.intern bigger) (Store.intern current) then
+          if Store.subset (Store.intern bigger) (Store.intern current) then
             (a, grew)
           else begin
             let candidate =

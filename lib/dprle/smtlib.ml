@@ -55,7 +55,7 @@ let symbol v =
 let singleton_word lang =
   match Automata.Nfa.shortest_word lang with
   | Some w when
-      Automata.Query.equal (Automata.Store.intern lang) (Automata.Store.of_word w)
+      Automata.Store.equal (Automata.Store.intern lang) (Automata.Store.of_word w)
     -> Some w
   | _ -> None
 

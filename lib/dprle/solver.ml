@@ -1,5 +1,4 @@
 module Nfa = Automata.Nfa
-module Query = Automata.Query
 module Ops = Automata.Ops
 module Store = Automata.Store
 module Budget = Automata.Budget
@@ -161,7 +160,7 @@ let is_singleton_handle h =
       | None -> false
       (* [w] is drawn from the language, so {w} ⊆ L always holds; one
          inclusion check decides equality. *)
-      | Some w -> Query.subset h (Store.of_word w))
+      | Some w -> Store.subset h (Store.of_word w))
 
 let leaves expr =
   let rec go acc = function
@@ -219,7 +218,7 @@ let preprocess system =
         let mid = List.rev mid_rev in
         if mid = [] then begin
           (* constant-only alternative: decide inclusion now *)
-          if not (Query.subset (run_lang pre_run) (const_handle rhs)) then
+          if not (Store.subset (run_lang pre_run) (const_handle rhs)) then
             unsat Const_expr_violation;
           None
         end
@@ -294,7 +293,7 @@ let base_languages (g : Depgraph.t) =
             (* constant-vs-constant constraints are decided here *)
             List.iter
               (fun upper ->
-                if not (Query.subset own upper) then
+                if not (Store.subset own upper) then
                   unsat (Const_violation (Fmt.str "%a" Depgraph.pp_node n)))
               (inbound n);
             own
@@ -533,7 +532,7 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
                       List.fold_left Store.inter_lang (Store.intern first)
                         (List.map Store.intern rest)
                 in
-                if Query.is_empty h then raise Dead
+                if Store.is_empty h then raise Dead
                 else if match n with Depgraph.Var _ -> true | _ -> false then
                   (n, h) :: acc
                 else acc)
@@ -601,7 +600,7 @@ let solve_graph ~max_solutions ~combination_limit (g : Depgraph.t) =
           | [ Depgraph.Const _ ] -> None (* handled in base_languages *)
           | [ (Depgraph.Var v as n) ] ->
               let h = NMap.find n base in
-              if Query.is_empty h then unsat (Empty_variable v)
+              if Store.is_empty h then unsat (Empty_variable v)
               else Some [ Assignment.of_list [ (v, Store.minimized h) ] ]
           | members ->
               let member_set = NSet.of_list members in

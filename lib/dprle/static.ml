@@ -1,5 +1,4 @@
 module Store = Automata.Store
-module Query = Automata.Query
 
 type severity = Warning | Info
 
@@ -40,7 +39,7 @@ let alternative_handle system leaves =
 let empty_rhs system =
   List.filter_map
     (fun { System.lhs = _; rhs } ->
-      if Query.is_empty (System.const_handle system rhs) then
+      if Store.is_empty (System.const_handle system rhs) then
         Some
           {
             severity = Warning;
@@ -54,9 +53,7 @@ let empty_rhs system =
       else None)
     (System.constraints system)
 
-(* Constant-only alternatives decide by one language query — answered
-   by the symbolic derivative tier when the constants carry their
-   regex ASTs, automata otherwise; the finding records which. If it
+(* Constant-only alternatives decide by one memoized inclusion. If it
    fails, the whole system is unsatisfiable before any solve. *)
 let contradictions system =
   List.concat_map
@@ -68,21 +65,19 @@ let contradictions system =
           | Some leaves -> (
               match alternative_handle system leaves with
               | None -> None
-              | Some h -> (
-                  match Query.subset_tier h (System.const_handle system rhs) with
-                  | true, _ -> None
-                  | false, tier ->
-                      Some
-                        {
-                          severity = Warning;
-                          check = "const-contradiction";
-                          message =
-                            Fmt.str
-                              "constant-only constraint %a ⊆ %s does not \
-                               hold: the system is unsatisfiable \
-                               (tier=%a)"
-                              System.pp_expr alt rhs Query.pp_tier tier;
-                        })))
+              | Some h ->
+                  if Store.subset h (System.const_handle system rhs) then None
+                  else
+                    Some
+                      {
+                        severity = Warning;
+                        check = "const-contradiction";
+                        message =
+                          Fmt.str
+                            "constant-only constraint %a ⊆ %s does not \
+                             hold: the system is unsatisfiable"
+                            System.pp_expr alt rhs;
+                      }))
         (System.expand_unions lhs))
     (System.constraints system)
 
@@ -177,8 +172,8 @@ let unsat_core system =
         };
       ]
 
-(* Both checks decide by memoized store queries (the symbolic tier
-   first), so auto-emitting them before every solve stays cheap. *)
+(* Both checks decide by memoized store queries, so auto-emitting
+   them before every solve stays cheap. *)
 let quick system = empty_rhs system @ contradictions system
 
 let lint ?graph system =

@@ -42,5 +42,5 @@ val lint : ?graph:Depgraph.t -> System.t -> finding list
 
 (** The [empty-rhs] and [const-contradiction] checks — what
     {!Solver.run} emits; O(number of alternatives) memoized
-    emptiness/inclusion queries, the symbolic tier answering first. *)
+    emptiness/inclusion queries. *)
 val quick : System.t -> finding list

@@ -177,8 +177,8 @@ let parse_const_value st =
       | Error e -> fail_at st.lx (Fmt.str "bad pattern: %a" Regex.Parser.pp_error e))
   | Tstring s ->
       bump st;
-      (* via the store's word path so the constant carries AST
-         provenance and answers symbolically *)
+      (* via the store's word path so repeated literals share one
+         keyed handle *)
       Automata.Store.nfa (Automata.Store.of_word s)
   | _ -> fail_at st.lx "expected /pattern/ or \"string\""
 

@@ -100,8 +100,8 @@ let const_of_regex s = Regex.Compile.to_nfa (Regex.Parser.parse_exn s)
 let const_of_pattern s =
   Regex.Compile.pattern_to_nfa (Regex.Parser.parse_pattern_exn s)
 
-(* Via the store's word fast path so the machine carries AST
-   provenance and word-literal constants answer symbolically. *)
+(* Via the store's word fast path so repeated literals share one
+   keyed handle without paying the canonical key again. *)
 let const_of_word w = Automata.Store.nfa (Automata.Store.of_word w)
 
 let constants t = List.map (fun name -> (name, SMap.find name t.consts)) t.order

@@ -1,7 +1,6 @@
 module Nfa = Automata.Nfa
 module Ops = Automata.Ops
 module Store = Automata.Store
-module Query = Automata.Query
 module Lang = Automata.Lang
 
 (* Constraint checking goes through the store: the group-verification
@@ -18,13 +17,13 @@ let rec expr_handle system a : System.expr -> Store.handle = function
 let expr_lang system a expr = Store.nfa (expr_handle system a expr)
 
 let constraint_holds system a { System.lhs; rhs } =
-  Query.subset (expr_handle system a lhs) (System.const_handle system rhs)
+  Store.subset (expr_handle system a lhs) (System.const_handle system rhs)
 
 let satisfying system a =
   List.for_all (constraint_holds system a) (System.constraints system)
 
 let ci_satisfying ~c1 ~c2 ~c3 { Ci.v1; v2; _ } =
-  let subset m1 m2 = Query.subset (Store.intern m1) (Store.intern m2) in
+  let subset m1 m2 = Store.subset (Store.intern m1) (Store.intern m2) in
   subset v1 c1 && subset v2 c2 && subset (Ops.concat_lang v1 v2) c3
 
 let ci_all_solutions ~c1 ~c2 ~c3 solutions =
@@ -34,7 +33,7 @@ let ci_all_solutions ~c1 ~c2 ~c3 solutions =
       (fun acc { Ci.v1; v2; _ } -> Ops.union_lang acc (Ops.concat_lang v1 v2))
       Nfa.empty_lang solutions
   in
-  Query.equal (Store.intern covered) (Store.intern target)
+  Store.equal (Store.intern covered) (Store.intern target)
 
 (* Candidate extension strings for a variable: strings allowed by some
    constraint constant but missing from the assigned language. These

@@ -16,22 +16,10 @@ let rec compile : Ast.t -> Nfa.t = function
 (* Compiled constants are interned: textually repeated regexes across
    constraint files, Fig. 12 rows, and symexec paths collapse to one
    handle, so every downstream memo (determinization, subset, ci) hits
-   across those repetitions. The interned handle is tagged with the
-   originating AST ({!Symbolic.attach}), which is what lets the tiered
-   query front-end answer questions about compiled constants without
-   re-touching the machine. *)
-let to_nfa ast =
-  let h = Store.intern (compile ast) in
-  Symbolic.attach h ast;
-  Store.nfa h
+   across those repetitions. *)
+let to_nfa ast = Store.canon (compile ast)
 
-(* The substring-semantics padding, mirrored on the AST so the padded
-   machine's provenance matches its language exactly. *)
-let pattern_ast { Ast.re; anchored_start; anchored_end } =
-  let re = if anchored_end then re else Ast.seq re (Ast.star Ast.any) in
-  if anchored_start then re else Ast.seq (Ast.star Ast.any) re
-
-let pattern_to_nfa ({ Ast.re; anchored_start; anchored_end } as pattern) =
+let pattern_to_nfa { Ast.re; anchored_start; anchored_end } =
   let core = compile re in
   let with_prefix =
     if anchored_start then core else Ops.concat_lang Nfa.sigma_star core
@@ -39,9 +27,7 @@ let pattern_to_nfa ({ Ast.re; anchored_start; anchored_end } as pattern) =
   let padded =
     if anchored_end then with_prefix else Ops.concat_lang with_prefix Nfa.sigma_star
   in
-  let h = Store.intern padded in
-  Symbolic.attach h (pattern_ast pattern);
-  Store.nfa h
+  Store.canon padded
 
 let pattern_reject_nfa pattern =
   let h = Store.intern (pattern_to_nfa pattern) in

@@ -6,17 +6,9 @@
     so repeated compilations of the same (or structurally equivalent)
     regex yield physically shared machines and downstream memoized
     operations hit across them. With the store disabled ([--no-cache])
-    compilation returns the raw Thompson machine unchanged.
-
-    Compiled machines carry AST provenance ({!Symbolic.attach}), so
-    language queries between them are answered by the symbolic
-    derivative tier of {!Automata.Query} whenever it can. *)
+    compilation returns the raw Thompson machine unchanged. *)
 
 val to_nfa : Ast.t -> Automata.Nfa.t
-
-(** The Σ*-padded AST matching {!pattern_to_nfa}'s language — the
-    provenance attached to the padded machine. *)
-val pattern_ast : Ast.pattern -> Ast.t
 
 (** Language of inputs {e accepted by} a [preg_match]-style check: an
     unanchored side is padded with Σ*, so e.g. the paper's faulty

@@ -7,9 +7,9 @@ let rec nullable : Ast.t -> bool = function
   | Repeat (a, lo, _) -> lo = 0 || nullable a
 
 (* All construction is routed through [Simplify.norm] so every
-   derivative we hand out is already in rewrite normal form; the
-   coinductive loops below rely on that to quotient their visited
-   sets. *)
+   derivative we hand out is already in rewrite normal form, which
+   keeps repeated derivation (matching a long word) from growing the
+   term. *)
 
 let rec deriv_raw c : Ast.t -> Ast.t = function
   | Empty | Epsilon -> Empty
@@ -39,154 +39,3 @@ let pattern_matches { Ast.re; anchored_start; anchored_end } w =
   let re = if anchored_end then re else Ast.seq re (Ast.star Ast.any) in
   let re = if anchored_start then re else Ast.seq (Ast.star Ast.any) re in
   matches re w
-
-(* Emptiness is decidable syntactically for this operator set (no
-   complement or intersection in the AST): a term denotes ∅ iff an ∅
-   leaf survives under every alternative. *)
-let rec is_empty : Ast.t -> bool = function
-  | Empty -> true
-  | Epsilon | Star _ | Opt _ -> false
-  | Chars cs -> Charset.is_empty cs
-  | Seq (a, b) -> is_empty a || is_empty b
-  | Alt (a, b) -> is_empty a && is_empty b
-  | Plus a -> is_empty a
-  | Repeat (a, lo, _) -> lo > 0 && is_empty a
-
-(* Antimirov partial derivatives: [pd c r] is a set of terms whose
-   union of languages is the Brzozowski derivative of [r] by [c].
-   Working with term sets instead of one alternation keeps each term
-   small and makes the reachable state space of the inclusion check a
-   subset of a finite syntactic universe. *)
-let rec pd c : Ast.t -> Ast.t list = function
-  | Empty | Epsilon -> []
-  | Chars cs -> if Charset.mem c cs then [ Ast.Epsilon ] else []
-  | Seq (a, b) ->
-      let da = List.map (fun a' -> Ast.seq a' b) (pd c a) in
-      if nullable a then da @ pd c b else da
-  | Alt (a, b) -> pd c a @ pd c b
-  | Star a as star -> List.map (fun a' -> Ast.seq a' star) (pd c a)
-  | Plus a -> List.map (fun a' -> Ast.seq a' (Ast.star a)) (pd c a)
-  | Opt a -> pd c a
-  | Repeat (a, lo, hi) ->
-      let rest =
-        Ast.repeat a (max 0 (lo - 1)) (Option.map (fun h -> h - 1) hi)
-      in
-      List.map (fun a' -> Ast.seq a' rest) (pd c a)
-
-(* Derivative of a term set, normalized and deduplicated. *)
-let pd_set c terms =
-  List.sort_uniq Ast.compare
-    (List.concat_map (fun r -> List.map Simplify.norm (pd c r)) terms)
-
-(* Local mintermization (Keil & Thiemann): the character classes that
-   matter at a state are the refinement of the first-sets of its
-   terms. Within a refined block every character induces the same
-   partial derivatives, so we derive once per block using an arbitrary
-   representative. Characters outside every first-set derive all terms
-   to ∅ and need no exploration. *)
-let rec first_sets acc : Ast.t -> Charset.t list = function
-  | Empty | Epsilon -> acc
-  | Chars cs -> cs :: acc
-  | Seq (a, b) ->
-      if nullable a then first_sets (first_sets acc a) b else first_sets acc a
-  | Alt (a, b) -> first_sets (first_sets acc a) b
-  | Star a | Plus a | Opt a | Repeat (a, _, _) -> first_sets acc a
-
-let classes_of terms =
-  Charset.refine (List.fold_left first_sets [] terms)
-
-(* Bail thresholds: inputs above [max_ast_size] skip the symbolic tier
-   outright; explorations visiting more than [fuel] states abandon it.
-   Both bails return [None] — never a wrong answer. *)
-let max_ast_size = 256
-let default_fuel = 2048
-
-(* Inclusion L(r1) ⊆ L(r2) by coinduction over pairs (p, Q) of one
-   Antimirov term of r1 against the determinized term set of r2. A
-   state refutes inclusion iff p is nullable and no member of Q is;
-   if no reachable state refutes it, inclusion holds. *)
-let subset ?(fuel = default_fuel) r1 r2 =
-  if Ast.size r1 > max_ast_size || Ast.size r2 > max_ast_size then None
-  else begin
-    let r1 = Simplify.norm r1 and r2 = Simplify.norm r2 in
-    let exception Bail in
-    let exception Refuted in
-    let visited = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    let push p q =
-      let state = (p, q) in
-      if not (Hashtbl.mem visited state) then begin
-        if Hashtbl.length visited >= fuel then raise Bail;
-        Hashtbl.replace visited state ();
-        Queue.add state queue
-      end
-    in
-    try
-      push r1 [ r2 ];
-      while not (Queue.is_empty queue) do
-        Automata.Budget.tick ();
-        let p, q = Queue.pop queue in
-        if nullable p && not (List.exists nullable q) then raise Refuted;
-        List.iter
-          (fun cls ->
-            let c = Charset.choose cls in
-            match pd c p with
-            | [] -> ()
-            | ps ->
-                let q' = pd_set c q in
-                List.iter (fun p' -> push (Simplify.norm p') q') ps)
-          (classes_of (p :: q))
-      done;
-      Some true
-    with
-    | Refuted -> Some false
-    | Bail -> None
-  end
-
-let equal ?fuel r1 r2 =
-  match subset ?fuel r1 r2 with
-  | Some true -> subset ?fuel r2 r1
-  | other -> other
-
-(* Disjointness L(r1) ∩ L(r2) = ∅ by coinduction over pairs of
-   determinized term sets; a common word exists iff some reachable
-   pair is nullable on both sides. *)
-let disjoint ?(fuel = default_fuel) r1 r2 =
-  if Ast.size r1 > max_ast_size || Ast.size r2 > max_ast_size then None
-  else begin
-    let r1 = Simplify.norm r1 and r2 = Simplify.norm r2 in
-    if is_empty r1 || is_empty r2 then Some true
-    else begin
-      let exception Bail in
-      let exception Overlap in
-      let visited = Hashtbl.create 64 in
-      let queue = Queue.create () in
-      let push p q =
-        let state = (p, q) in
-        if not (Hashtbl.mem visited state) then begin
-          if Hashtbl.length visited >= fuel then raise Bail;
-          Hashtbl.replace visited state ();
-          Queue.add state queue
-        end
-      in
-      try
-        push [ r1 ] [ r2 ];
-        while not (Queue.is_empty queue) do
-          Automata.Budget.tick ();
-          let p, q = Queue.pop queue in
-          if List.exists nullable p && List.exists nullable q then
-            raise Overlap;
-          List.iter
-            (fun cls ->
-              let c = Charset.choose cls in
-              match (pd_set c p, pd_set c q) with
-              | [], _ | _, [] -> ()
-              | p', q' -> push p' q')
-            (classes_of (p @ q))
-        done;
-        Some true
-      with
-      | Overlap -> Some false
-      | Bail -> None
-    end
-  end

@@ -1,19 +1,11 @@
-(** Derivative-based symbolic language queries.
+(** Brzozowski-derivative matching.
 
-    An automaton-free implementation of matching and of the
-    yes/no language queries (inclusion, equivalence, emptiness,
-    disjointness), used both as the reference oracle against which the
-    Thompson compiler is property-tested and as the first tier of
-    {!Automata.Query}: Antimirov partial derivatives over {!Charset}
-    classes (local mintermization — derive once per class, not per
-    character, per Keil & Thiemann 2014) with a visited-set
-    coinduction quotiented by {!Simplify.norm} rewrite normal forms.
-
-    The decision procedures return [Some] only when the answer is
-    certain; [None] means the check bailed on input size or fuel and
-    the caller should fall back to the automata kernels. They tick
-    {!Automata.Budget} like the BFS loops, so a surrounding
-    [Budget.run] bounds them too. *)
+    An automaton-free membership test, used by the concrete evaluator
+    and symbolic execution to run [preg_match] checks on concrete
+    strings, and as the reference oracle against which the Thompson
+    compiler is property-tested. Language queries (inclusion,
+    equality, emptiness, disjointness) are not answered here: they go
+    to {!Automata.Store}'s automata kernels. *)
 
 (** Does the regex accept the empty string? *)
 val nullable : Ast.t -> bool
@@ -28,23 +20,3 @@ val matches : Ast.t -> string -> bool
 
 (** Pattern-level matching with [preg_match] substring semantics. *)
 val pattern_matches : Ast.pattern -> string -> bool
-
-(** [pd c r] is the Antimirov partial derivative: a set of terms whose
-    languages union to [L(deriv c r)]. Not normalized; the decision
-    procedures normalize via {!Simplify.norm} as they go. *)
-val pd : char -> Ast.t -> Ast.t list
-
-(** Syntactic emptiness — exact for this operator set (no complement
-    or intersection in the AST), so it always answers. *)
-val is_empty : Ast.t -> bool
-
-(** [subset r1 r2] decides [L(r1) ⊆ L(r2)]. [None] = bailed
-    (AST larger than 256 nodes, or more than [fuel] visited states;
-    default fuel 2048). *)
-val subset : ?fuel:int -> Ast.t -> Ast.t -> bool option
-
-(** [equal r1 r2] decides [L(r1) = L(r2)] by two-sided inclusion. *)
-val equal : ?fuel:int -> Ast.t -> Ast.t -> bool option
-
-(** [disjoint r1 r2] decides [L(r1) ∩ L(r2) = ∅]. *)
-val disjoint : ?fuel:int -> Ast.t -> Ast.t -> bool option

@@ -8,9 +8,7 @@ let build_alt = function
 
 (* Semantic pruning: drop an alternation branch whose language is
    contained in a sibling's. Quadratic in the number of branches, one
-   language query per comparison; queries go through the tiered
-   front-end, so most prunes are answered symbolically without
-   determinizing. *)
+   language query per comparison, each a memoized store inclusion. *)
 let prune_alternatives r =
   let rec go r =
     match r with
@@ -19,7 +17,7 @@ let prune_alternatives r =
         let compiled =
           List.map (fun b -> (b, Automata.Store.intern (Compile.to_nfa b))) branches
         in
-        let subset = Automata.Query.subset in
+        let subset = Automata.Store.subset in
         let keep =
           List.filteri
             (fun i (_, mi) ->

@@ -3,10 +3,8 @@
     {!Simplify} is purely syntactic; this module adds the
     oracle-backed step: [prune_alternatives] drops alternation
     branches whose language is subsumed by a sibling's
-    ([ab|a.* → a.*]). Each comparison is a language query through
-    {!Automata.Query}, so the symbolic derivative tier answers most of
-    them without determinizing; reserve it for user-facing output all
-    the same. *)
+    ([ab|a.* → a.*]). Each comparison is an automata inclusion check
+    through {!Automata.Store}; reserve it for user-facing output. *)
 
 val prune_alternatives : Ast.t -> Ast.t
 

@@ -19,9 +19,7 @@ val simplify : Ast.t -> Ast.t
 (** [norm r] is a single bottom-up canonicalization pass: flattening,
     branch sorting/dedup, charset merging, quantifier fusion and
     prefix/suffix factoring, all rebuilt through the smart
-    constructors. It is the normal form used by {!Derivative} to
-    quotient its coinductive visited set — every derivative term is
-    routed through [norm] so similar terms collapse to one
-    representative and the state space stays finite. Deterministic and
-    language-preserving; cheaper than the [simplify] fixpoint. *)
+    constructors. {!Derivative.deriv} routes every derivative through
+    it, so repeated derivation does not grow the term. Deterministic
+    and language-preserving; cheaper than the [simplify] fixpoint. *)
 val norm : Ast.t -> Ast.t

@@ -119,24 +119,8 @@ let compare_int_series ~experiment ~kind ~findings old_items new_items =
       | Some old_item ->
           let v = int_field "value" item and v' = int_field "value" old_item in
           if v <> v' then
-            let is_tier =
-              String.length key >= 11 && String.sub key 0 11 = "store.tier."
-            in
-            let detail =
-              (* a query-tier counter collapsing to zero is not mere
-                 drift: some call site stopped going through the query
-                 front-end (or the tier silently died) *)
-              match (v', v) with
-              | Some old_v, Some 0 when is_tier && old_v > 0 ->
-                  Printf.sprintf
-                    "%d -> 0: tier counter dropped to zero (call site \
-                     bypassing the query front-end?)"
-                    old_v
-              | _ ->
-                  Printf.sprintf "%s -> %s"
-                    (match v' with Some i -> string_of_int i | None -> "?")
-                    (match v with Some i -> string_of_int i | None -> "?")
-            in
+            let show = function Some i -> string_of_int i | None -> "?" in
+            let detail = Printf.sprintf "%s -> %s" (show v') (show v) in
             findings :=
               {
                 experiment;

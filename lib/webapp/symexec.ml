@@ -1,6 +1,5 @@
 module Nfa = Automata.Nfa
 module Store = Automata.Store
-module Query = Automata.Query
 module System = Dprle.System
 
 let t_analyze = Telemetry.Metrics.Timer.make "symexec.analyze"
@@ -395,7 +394,7 @@ let input_languages query assignment =
                       (fun acc l -> Store.inter_lang acc (Store.intern l))
                       (Store.intern first) rest
                   in
-                  if Query.is_empty h then raise Dead
+                  if Store.is_empty h then raise Dead
                   else Some (input, Store.nfa h))
             query.input_vars))
   with Dead -> None

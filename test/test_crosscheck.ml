@@ -210,109 +210,16 @@ let store_tests =
           if Store.subset h1 h2 <> Lang.subset_reference m1 m2 then
             Alcotest.failf "store subset diverged from reference on case %d" i;
           if
+            Store.disjoint h1 h2
+            <> Nfa.is_empty_lang_reference (Ops.inter_lang m1 m2)
+          then Alcotest.failf "store disjoint diverged on case %d" i;
+          if
             not
               (Lang.equal_reference
                  (Store.nfa (Store.inter_lang h1 h2))
                  (Ops.inter_lang m1 m2))
           then Alcotest.failf "store inter_lang diverged on case %d" i
         done);
-  ]
-
-(* Random regex ASTs built from the raw constructors (not the smart
-   ones) so [Simplify.norm] inside the derivative checker sees
-   unnormalized shapes: nested ∅/ε, duplicate alternatives, counted
-   repeats over empty bodies. Depth ≤ 4 keeps everything well inside
-   the symbolic tier's size and fuel bounds. *)
-let rand_regex rng =
-  let module Ast = Regex.Ast in
-  let rand_charset () =
-    let c = [| 'a'; 'b'; 'c' |].(Random.State.int rng 3) in
-    if Random.State.bool rng then Charset.singleton c
-    else Charset.range c (Char.chr (Char.code c + Random.State.int rng 2))
-  in
-  let rec go depth =
-    if depth = 0 then
-      match Random.State.int rng 6 with
-      | 0 -> Ast.Epsilon
-      | 1 -> Ast.Empty
-      | _ -> Ast.Chars (rand_charset ())
-    else
-      match Random.State.int rng 7 with
-      | 0 -> Ast.Seq (go (depth - 1), go (depth - 1))
-      | 1 -> Ast.Alt (go (depth - 1), go (depth - 1))
-      | 2 -> Ast.Star (go (depth - 1))
-      | 3 -> Ast.Plus (go (depth - 1))
-      | 4 -> Ast.Opt (go (depth - 1))
-      | 5 ->
-          let lo = Random.State.int rng 3 in
-          let hi =
-            if Random.State.bool rng then None
-            else Some (lo + Random.State.int rng 3)
-          in
-          Ast.Repeat (go (depth - 1), lo, hi)
-      | _ -> go 0
-  in
-  go (1 + Random.State.int rng 3)
-
-let derivative_tests =
-  let module Ast = Regex.Ast in
-  let module Derivative = Regex.Derivative in
-  [
-    test "symbolic subset/equal/disjoint agree with the compiled kernels"
-      (fun () ->
-        let rng = Random.State.make [| 0xd37; 0x5e7 |] in
-        let answered = ref 0 in
-        for i = 1 to cases do
-          let r1 = rand_regex rng and r2 = rand_regex rng in
-          let m1 = Regex.Compile.to_nfa r1 and m2 = Regex.Compile.to_nfa r2 in
-          (match Derivative.subset r1 r2 with
-          | Some v ->
-              incr answered;
-              if v <> Lang.subset_reference m1 m2 then
-                Alcotest.failf
-                  "Derivative.subset diverged on case %d: %s vs %s" i
-                  (Ast.to_string r1) (Ast.to_string r2)
-          | None -> () (* bailed: the automata tier owns the answer *));
-          (match Derivative.equal r1 r2 with
-          | Some v ->
-              if v <> Lang.equal_reference m1 m2 then
-                Alcotest.failf "Derivative.equal diverged on case %d" i
-          | None -> ());
-          (match Derivative.disjoint r1 r2 with
-          | Some v ->
-              if v <> Nfa.is_empty_lang_reference (Ops.inter_lang m1 m2) then
-                Alcotest.failf "Derivative.disjoint diverged on case %d" i
-          | None -> ());
-          check_bool "syntactic emptiness"
-            (Nfa.is_empty_lang_reference m1)
-            (Derivative.is_empty r1)
-        done;
-        (* depth-bounded regexes must essentially never hit the fuel
-           bail, else the tier would be dead weight on real queries *)
-        check_bool "answer rate above 90%" true (!answered * 10 > cases * 9));
-    test "directed: nullability at Σ*, ∅-class derivation, loop pair"
-      (fun () ->
-        let sigma_star = Ast.Star Ast.any in
-        check_bool "Σ* is nullable" true (Derivative.nullable sigma_star);
-        check_bool "Σ* ⊆ Σ*" true
-          (Derivative.subset sigma_star sigma_star = Some true);
-        (* deriving through an empty class yields no Antimirov terms:
-           the frontier dies instead of looping on ∅ *)
-        let none = Ast.Chars Charset.empty in
-        check_bool "pd across ∅-class" true (Derivative.pd 'a' none = []);
-        check_bool "∅-class is empty" true (Derivative.is_empty none);
-        check_bool "∅ ⊆ Σ*" true (Derivative.subset none sigma_star = Some true);
-        check_bool "a ⊈ ∅" true (Derivative.subset (Ast.str "a") none = Some false);
-        (* the classic visited-set termination pair: both sides unfold
-           forever without the coinductive cache *)
-        let a = Ast.Chars (Charset.singleton 'a')
-        and b = Ast.Chars (Charset.singleton 'b') in
-        let lhs = Ast.Star (Ast.Alt (a, b)) in
-        let rhs = Ast.Star (Ast.Seq (Ast.Star a, Ast.Star b)) in
-        check_bool "(a|b)* ⊆ (a*b*)*" true (Derivative.subset lhs rhs = Some true);
-        check_bool "(a*b*)* ⊆ (a|b)*" true (Derivative.subset rhs lhs = Some true);
-        check_bool "equal by double inclusion" true
-          (Derivative.equal lhs rhs = Some true));
   ]
 
 let suite =
@@ -322,5 +229,4 @@ let suite =
     ("crosscheck:intersect", intersect_tests);
     ("crosscheck:repeat", repeat_tests);
     ("crosscheck:store", store_tests);
-    ("crosscheck:derivative", derivative_tests);
   ]

@@ -126,7 +126,9 @@ let derivative_tests =
         check_bool "star" true (Derivative.nullable (parse "a*"));
         check_bool "plus" false (Derivative.nullable (parse "a+"));
         check_bool "a{0,3}" true (Derivative.nullable (parse "a{0,3}"));
-        check_bool "alt" true (Derivative.nullable (parse "a|")));
+        check_bool "alt" true (Derivative.nullable (parse "a|"));
+        check_bool "Σ* is nullable" true
+          (Derivative.nullable (Ast.Star Ast.any)));
     test "deriv of char" (fun () ->
         check_bool "match" true (Derivative.matches (parse "abc") "abc");
         check_bool "no match" false (Derivative.matches (parse "abc") "abd"));

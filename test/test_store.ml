@@ -18,8 +18,6 @@ let with_store_reset f =
       Store.set_capacity 4096;
       Store.set_memo_min_states 4;
       Store.set_memo_max_states 256;
-      Store.set_auto_gate true;
-      Store.set_gate_thresholds ~min_samples:512 ~trip_saved_ns:5_000_000 ();
       Store.clear ())
     f
 
@@ -269,58 +267,6 @@ let gate_tests =
           (timer_count diff "store.ledger.key" [ ("op", "intern") ]);
         check_int "counted as an intern hit" 1
           (Metrics.Snapshot.counter_value diff "store.intern.hit"));
-    test "auto gate trips a parasitic op memo" (fun () ->
-        with_store_reset @@ fun () ->
-        (* all-miss traffic (never-repeating keys) has zero savings, so
-           with the hysteresis floored the gate must trip and stop
-           paying for lookups *)
-        Store.set_gate_thresholds ~min_samples:64 ~trip_saved_ns:0 ();
-        let memo : int Store.Memo.t = Store.Memo.create ~op:"test.parasite" in
-        let runs = ref 0 in
-        let get k =
-          Store.Memo.find_or_compute memo ~key:[ k ] (fun () ->
-              incr runs;
-              k)
-        in
-        let before = Metrics.Snapshot.of_default () in
-        for k = 1 to 128 do
-          ignore (get k)
-        done;
-        let diff =
-          Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before
-        in
-        check_bool "gate tripped" true
-          (Metrics.Snapshot.counter_value
-             ~labels:[ ("op", "test.parasite") ]
-             diff "store.gate.tripped"
-          > 0);
-        (* disabled: repeats of a cached key recompute from now on *)
-        let r = !runs in
-        ignore (get 1);
-        check_int "memo no longer consulted" (r + 1) !runs;
-        (* clear resets the accumulators and re-arms the gate *)
-        Store.clear ();
-        let r = !runs in
-        ignore (get 1);
-        ignore (get 1);
-        check_int "re-armed after clear" (r + 1) !runs);
-    test "auto gate off: parasitic memo keeps memoizing" (fun () ->
-        with_store_reset @@ fun () ->
-        Store.set_gate_thresholds ~min_samples:64 ~trip_saved_ns:0 ();
-        Store.set_auto_gate false;
-        let memo : int Store.Memo.t = Store.Memo.create ~op:"test.ablation" in
-        let runs = ref 0 in
-        let get k =
-          Store.Memo.find_or_compute memo ~key:[ k ] (fun () ->
-              incr runs;
-              k)
-        in
-        for k = 1 to 128 do
-          ignore (get k)
-        done;
-        let r = !runs in
-        ignore (get 1);
-        check_int "still cached" r !runs);
   ]
 
 (* ------------------------------------------------------------------ *)

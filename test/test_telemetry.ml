@@ -337,16 +337,16 @@ let stats_tests =
   [
     test "nested solve reports are independent" (fun () ->
         let g = Dprle.Depgraph.of_system fig1 in
-        (* outer bracketing, with some construction work of its own *)
-        Stats.reset ();
+        (* outer bracket, with some construction work of its own *)
+        let before = Stats.absolute () in
         Stats.visit_states 7;
         let _, inner = Result.get_ok (Dprle.Report.solve_with_report g) in
-        let outer = Stats.snapshot () in
+        let outer = Stats.diff (Stats.absolute ()) before in
         check_bool "inner counted its solve" true (inner.automata.visited > 0);
-        (* with reset-bracketed globals the nested report would zero
-           the outer bracket's counts and report only the inner solve;
-           diff-based scoping keeps the outer work (the 7 synthetic
-           visits, plus the report's own census pass) on the books *)
+        (* the nested report scopes itself by its own diff and never
+           moves anything the outer bracket reads, so the outer work
+           (the 7 synthetic visits, plus the report's own census pass)
+           stays on the books *)
         check_bool "outer keeps its own work plus the nested solve" true
           (outer.visited >= 7 + inner.automata.visited));
     test "back-to-back reports count only their own work" (fun () ->
