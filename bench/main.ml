@@ -5,8 +5,7 @@
    table/figure — paper value next to measured value — and (b) a
    Bechamel micro-benchmark of its computational kernel.
 
-   Run with:       dune exec bench/main.exe
-   Skip the slow secure row with:  dune exec bench/main.exe -- --fast *)
+   Run with:       dune exec bench/main.exe *)
 
 module Nfa = Automata.Nfa
 module Ops = Automata.Ops
@@ -221,7 +220,7 @@ let solve_row row =
   | qs ->
       failwith (Printf.sprintf "expected one candidate, got %d" (List.length qs))
 
-let fig12_report ~fast () =
+let fig12_report () =
   hr "Fig. 12 — per-vulnerability constraint solving";
   Fmt.pr "%-8s %-10s | %5s %5s %9s | %5s %5s %9s@." "app" "name" "|FG|" "|C|"
     "TS(s)" "|FG|'" "|C|'" "TS'(s)";
@@ -230,18 +229,13 @@ let fig12_report ~fast () =
   let measured = ref [] in
   List.iter
     (fun ({ Corpus.Fig12.app; name; fg; c; paper_ts } as row) ->
-      if fast && name = "secure" then
-        Fmt.pr "%-8s %-10s | %5d %5d %9.3f | %21s@." app name fg c paper_ts
-          "skipped (--fast)"
-      else begin
-        let program = Corpus.Fig12.program row in
-        let fg' = Webapp.Ast.basic_blocks program in
-        let (q, solved), ts = time_once (fun () -> solve_row row) in
-        let status = match solved with Some _ -> "" | None -> " UNSAT?" in
-        measured := (name, paper_ts, ts) :: !measured;
-        Fmt.pr "%-8s %-10s | %5d %5d %9.3f | %5d %5d %9.3f%s@." app name fg c
-          paper_ts fg' q.Webapp.Symexec.constraint_count ts status
-      end)
+      let program = Corpus.Fig12.program row in
+      let fg' = Webapp.Ast.basic_blocks program in
+      let (q, solved), ts = time_once (fun () -> solve_row row) in
+      let status = match solved with Some _ -> "" | None -> " UNSAT?" in
+      measured := (name, paper_ts, ts) :: !measured;
+      Fmt.pr "%-8s %-10s | %5d %5d %9.3f | %5d %5d %9.3f%s@." app name fg c
+        paper_ts fg' q.Webapp.Symexec.constraint_count ts status)
     Corpus.Fig12.rows;
   (* shape check: how many rows solve in under a second, and is the
      secure row the outlier, as in the paper (16 of 17 < 1 s)? *)
@@ -772,14 +766,11 @@ let analyze_arm ~analyze ~passes files =
     failwith "analyze: solves not constant across passes";
   (List.hd !verdicts, seconds, total_solves / passes)
 
-let analyze_report ~fast () =
+let analyze_report () =
   hr "Analyze ablation — pre-solve static pipeline vs solver alone";
   let fig12 =
-    List.filter_map
-      (fun row ->
-        if fast && row.Corpus.Fig12.name = "secure" then None
-        else
-          Some ("fig12/" ^ row.Corpus.Fig12.name, Corpus.Fig12.program row))
+    List.map
+      (fun row -> ("fig12/" ^ row.Corpus.Fig12.name, Corpus.Fig12.program row))
       Corpus.Fig12.rows
   in
   let eve = Corpus.Fig11.generate (List.hd Corpus.Fig11.apps) in
@@ -891,17 +882,13 @@ let cache_ablation name workload =
       ]
     :: !json_results
 
-let cache_ablation_report ~fast () =
+let cache_ablation_report () =
   hr "Cache ablation — interned language store vs --no-cache";
   Fmt.pr "answers are identical either way; only the work differs.@.@.";
   Fmt.pr "%-22s %22s | %s@." "workload" "---- cached ----"
     "--- uncached ---";
   cache_ablation "fig12_main" (fun () ->
-      List.iter
-        (fun row ->
-          if not (fast && row.Corpus.Fig12.name = "secure") then
-            ignore (solve_row row))
-        Corpus.Fig12.rows);
+      List.iter (fun row -> ignore (solve_row row)) Corpus.Fig12.rows);
   cache_ablation "extension_sanitizers" (fun () ->
       List.iter
         (fun (_, source) -> ignore (sanitizer_solve source))
@@ -921,14 +908,10 @@ let cache_ablation_report ~fast () =
    the JSON so a timer added on a hot path shows up as a growing gap
    between the arms — the acceptance bound is ±10% on this workload. *)
 
-let observability_report ~fast () =
+let observability_report () =
   hr "Observability — timer overhead on the Fig. 12 workload";
   let workload () =
-    List.iter
-      (fun row ->
-        if not (fast && row.Corpus.Fig12.name = "secure") then
-          ignore (solve_row row))
-      Corpus.Fig12.rows
+    List.iter (fun row -> ignore (solve_row row)) Corpus.Fig12.rows
   in
   let arm () =
     Store.clear ();
@@ -1291,15 +1274,13 @@ let diff_main args =
   | Ok _ | Error () -> usage ()
 
 let run_experiments () =
-  let fast = Array.exists (( = ) "--fast") Sys.argv in
   let json = json_path () in
   Fmt.pr "DPRLE benchmark harness — every table and figure of the paper@.";
-  if fast then Fmt.pr "(--fast: skipping the secure row)@.";
   experiment "fig1/motivating" fig1_report;
   experiment "fig4/concat_intersect" fig4_report;
   experiment "fig9/cigroup" fig9_report;
   experiment "fig11/corpus" fig11_report;
-  experiment "fig12/solving" (fig12_report ~fast);
+  experiment "fig12/solving" fig12_report;
   experiment "sec35/complexity" sec35_report;
   experiment "ablation/minimization" ablation_report;
   experiment "hotpath/kernels" hotpath_report;
@@ -1308,10 +1289,10 @@ let run_experiments () =
      recorded as "parallel/pool_reuse" (same split as static_prune) *)
   experiment "parallel/pool" pool_reuse_report;
   experiment "static_prune/ablation" static_prune_report;
-  experiment "analyze/ablation" (analyze_report ~fast);
+  experiment "analyze/ablation" analyze_report;
   experiment "extension/sanitizers" sanitizers_report;
-  experiment "cache_ablation" (cache_ablation_report ~fast);
-  experiment "observability" (observability_report ~fast);
+  experiment "cache_ablation" cache_ablation_report;
+  experiment "observability" observability_report;
   (* wrapper entry "serve/harness"; the three arms record themselves
      as serve/cold, serve/warm, serve/concurrent *)
   experiment "serve/harness" serve_report;

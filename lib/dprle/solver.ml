@@ -12,6 +12,10 @@ module Span = Telemetry.Span
    {!Automata.Stats} in the default registry. *)
 let c_solves = Telemetry.Metrics.Counter.make "solver.solves"
 
+(* gci's per-group cache of compacted slices: a miss builds a slice's
+   minimal DFA, a hit reuses it for another ε-cut combination *)
+let c_slices = Telemetry.Metrics.Counter.make "solver.gci.slices"
+
 let h_group_combinations =
   Telemetry.Metrics.Histogram.make "solver.group_combinations"
 
@@ -451,9 +455,11 @@ let resolve_endpoint (nfa : Nfa.t) choice = function
   | Cut_source tid -> fst (List.assoc tid choice)
   | Cut_target tid -> snd (List.assoc tid choice)
 
-let slice_language (r : record) choice { entry; exit_ } =
-  let m = Nfa.induce_from_start r.nfa (resolve_endpoint r.nfa choice entry) in
-  Nfa.induce_from_final m (resolve_endpoint r.nfa choice exit_)
+let endpoints (r : record) choice { entry; exit_ } =
+  (resolve_endpoint r.nfa choice entry, resolve_endpoint r.nfa choice exit_)
+
+let slice_language (r : record) (entry, exit_) =
+  Nfa.induce_from_final (Nfa.induce_from_start r.nfa entry) exit_
 
 (* Lazy cartesian product of the per-concatenation cut candidates; the
    paper's §3.5 notes that the first solution can be produced without
@@ -496,6 +502,51 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
           "exploring %d of %d ε-cut combinations (the exponential worst case \
            of §3.5); the solution list may be incomplete"
           combination_limit total);
+  (* Each member's slices, in root order; a root is identified by its
+     position in [roots]. *)
+  let member_slices =
+    List.filter_map
+      (fun n ->
+        match n with
+        | Depgraph.Const _ -> None
+        | Depgraph.Var _ | Depgraph.Tmp _ ->
+            let slices =
+              List.concat
+                (List.mapi
+                   (fun i r ->
+                     List.filter_map
+                       (fun (n', s) ->
+                         if Depgraph.node_equal n n' then Some (i, r, s) else None)
+                       r.slices)
+                   roots)
+            in
+            Some (n, slices))
+      (NSet.elements members)
+  in
+  (* A node met by several slices is their intersection. Each slice
+     enters it as its minimal DFA, built once per group: slices of
+     distinct combinations often share their resolved endpoints, and a
+     raw slice of a large root is over the store's key ceiling, so
+     neither its determinization nor any product of it would be reused.
+     The compacted handles are small and keyed, so the intersections
+     and emptiness checks of later combinations answer from the store's
+     memos. A single slice is left raw: it is the whole root for a Tmp,
+     and minimizing a long literal chain costs more than the solve. *)
+  let compacted : (int * (Nfa.state * Nfa.state), Store.handle) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let compacted_slice choice (i, r, s) =
+    let ends = endpoints r choice s in
+    match Hashtbl.find_opt compacted (i, ends) with
+    | Some h ->
+        Telemetry.Metrics.Counter.incr c_slices ~labels:[ ("outcome", "hit") ] 1;
+        h
+    | None ->
+        Telemetry.Metrics.Counter.incr c_slices ~labels:[ ("outcome", "miss") ] 1;
+        let h = Store.compacted (Store.intern (slice_language r ends)) in
+        Hashtbl.add compacted (i, ends) h;
+        h
+  in
   let solutions = ref [] in
   let found = ref 0 in
   Seq.iter
@@ -505,38 +556,22 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
          full choice list *)
       let exception Dead in
       match
-        NSet.fold
-          (fun n acc ->
-            let slices =
-              List.concat_map
-                (fun r ->
-                  List.filter_map
-                    (fun (n', s) ->
-                      if Depgraph.node_equal n n' then
-                        Some (slice_language r choice s)
-                      else None)
-                    r.slices)
-                roots
+        List.fold_left
+          (fun acc (n, slices) ->
+            let h =
+              match slices with
+              | [] -> NMap.find n base
+              | [ (_, r, s) ] -> Store.intern (slice_language r (endpoints r choice s))
+              | first :: rest ->
+                  List.fold_left
+                    (fun h slice -> Store.inter_lang h (compacted_slice choice slice))
+                    (compacted_slice choice first) rest
             in
-            match n with
-            | Depgraph.Const _ -> acc
-            | Depgraph.Var _ | Depgraph.Tmp _ ->
-                (* slices are interned: distinct ε-cut combinations
-                   often induce identical slice languages, so their
-                   intersections, emptiness checks, and compactions
-                   all answer from cache after the first one *)
-                let h =
-                  match slices with
-                  | [] -> NMap.find n base
-                  | first :: rest ->
-                      List.fold_left Store.inter_lang (Store.intern first)
-                        (List.map Store.intern rest)
-                in
-                if Store.is_empty h then raise Dead
-                else if match n with Depgraph.Var _ -> true | _ -> false then
-                  (n, h) :: acc
-                else acc)
-          members []
+            if Store.is_empty h then raise Dead
+            else if match n with Depgraph.Var _ -> true | _ -> false then
+              (n, h) :: acc
+            else acc)
+          [] member_slices
       with
       | bindings ->
           let assignment =
@@ -558,6 +593,7 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
       | exception Dead -> ())
     (Seq.take combination_limit
        (Seq.take_while (fun _ -> !found < raw_cap) (cartesian cut_menu)));
+  Span.add_attr "slices_distinct" (`Int (Hashtbl.length compacted));
   (* Early pruning: drop assignments pointwise contained in another
      (the final Maximal filter runs after maximalization in [solve]). *)
   let unsubsumed = Assignment.prune_subsumed (List.rev !solutions) in

@@ -497,6 +497,81 @@ let solver_tests =
         | Some a ->
             check_bool "satisfying" true (Validate.satisfying fig6_system a)
         | None -> Alcotest.fail "expected a solution");
+    test "gci compacts each distinct slice once per group" (fun () ->
+        (* The Fig. 12 secure row, scaled down: one variable behind a
+           long literal in three concatenations, each under an
+           unanchored keyword constant, so the variable is the
+           intersection of one slice per root in every ε-cut
+           combination. *)
+        let lit =
+          String.make 167 'x' ^ " SELECT * FROM news WHERE id=nid_"
+        in
+        let s =
+          System.make_exn
+            ~consts:
+              [
+                ("lit", Nfa.of_word lit);
+                ("digit", re ".*[0-9]");
+                ("from", re ".*FROM.*");
+                ("where", re ".*WHERE.*");
+                ("quote", re ".*'.*");
+              ]
+            ~constraints:
+              [
+                { lhs = Var "v"; rhs = "digit" };
+                { lhs = Concat (Const "lit", Var "v"); rhs = "from" };
+                { lhs = Concat (Const "lit", Var "v"); rhs = "where" };
+                { lhs = Concat (Const "lit", Var "v"); rhs = "quote" };
+              ]
+        in
+        (* a fresh domain has its own metrics registry and store, so
+           the histogram maxima below cover this system alone *)
+        Domain.join
+        @@ Domain.spawn
+        @@ fun () ->
+        let module Snapshot = Telemetry.Metrics.Snapshot in
+        let largest_product () =
+          List.fold_left
+            (fun acc (name, labels, (h : Snapshot.histogram_stat)) ->
+              if name = "automata.product.states" && labels = [ ("dir", "out") ]
+              then max acc h.max
+              else acc)
+            0.0
+            (Snapshot.histograms (Snapshot.of_default ()))
+        in
+        let census = Solver.cut_census (Depgraph.of_system s) in
+        let largest_root = largest_product () in
+        let before = Snapshot.of_default () in
+        (* without the analyzer: it would discharge the two keyword
+           constraints the literal already meets, leaving one root *)
+        let sols =
+          match Solver.run (Solver.Config.make ~analyze:false ()) s with
+          | Ok (Solver.Sat sols) -> sols
+          | Ok (Solver.Unsat { reason; _ }) ->
+              Alcotest.failf "unexpected unsat: %s" (Solver.unsat_message reason)
+          | Error e -> Alcotest.failf "%s" (Solver.Error.to_string e)
+        in
+        let diff = Snapshot.diff ~after:(Snapshot.of_default ()) ~before in
+        let slices outcome =
+          Snapshot.counter_value ~labels:[ ("outcome", outcome) ] diff
+            "solver.gci.slices"
+        in
+        check_bool "solutions" true (sols <> []);
+        List.iter
+          (fun a -> check_bool "satisfying" true (Validate.satisfying s a))
+          sols;
+        (* each concatenation's candidates have distinct targets, and
+           the variable's slice runs from a target to the root's final *)
+        let combinations = List.fold_left (fun acc (_, n) -> acc * n) 1 census in
+        check_bool "several combinations" true (combinations > 1);
+        check_int "one miss per distinct slice"
+          (List.fold_left (fun acc (_, n) -> acc + n) 0 census)
+          (slices "miss");
+        check_int "every other lookup hits"
+          (combinations * List.length census)
+          (slices "miss" + slices "hit");
+        check_bool "no gci product outgrows the largest root" true
+          (largest_product () <= largest_root));
   ]
 
 (* ------------------------------------------------------------------ *)
