@@ -419,24 +419,6 @@ let hotpath_machines =
          done;
          Nfa.Builder.finish b ~start:first ~final:(first + 1)))
 
-(* Dense operands (few states, many overlapping labels) drive the
-   product cells past the sparse cutoff into the minterm path. *)
-let hotpath_dense_machines =
-  lazy
-    (let rng = Random.State.make [| 0xde; 0x5e7 |] in
-     List.init 40 (fun _ ->
-         let n = 2 + Random.State.int rng 2 in
-         let b = Nfa.Builder.create () in
-         let first = Nfa.Builder.add_states b n in
-         for _ = 1 to 20 + Random.State.int rng 12 do
-           let src = Random.State.int rng n and dst = Random.State.int rng n in
-           let c = Char.chr (Random.State.int rng 120) in
-           Nfa.Builder.add_trans b (first + src)
-             (Charset.range c (Char.chr (Char.code c + Random.State.int rng 40)))
-             (first + dst)
-         done;
-         Nfa.Builder.finish b ~start:first ~final:(first + 1)))
-
 let rec hotpath_pairs = function
   | a :: b :: rest -> (a, b) :: hotpath_pairs rest
   | _ -> []
@@ -475,12 +457,6 @@ let hotpath_report () =
       List.iter
         (fun m -> ignore (Nfa.reachable_from_reference m (Nfa.start m)))
         machines);
-  let dense_pairs = hotpath_pairs (Lazy.force hotpath_dense_machines) in
-  row "ops.intersect(dense)"
-    (fun () ->
-      List.iter (fun (a, b) -> ignore (Ops.intersect a b)) dense_pairs)
-    (fun () ->
-      List.iter (fun (a, b) -> ignore (Ops.intersect_reference a b)) dense_pairs);
   let rep = Nfa.of_word "ab" in
   row "ops.repeat"
     (fun () ->

@@ -67,4 +67,4 @@ let () =
     (Nfa.accepts pre "SeLeCT");
   Fmt.pr "first witnesses: %a@."
     Fmt.(list ~sep:comma (fmt "%S"))
-    (Automata.Witness.take 3 pre)
+    (Nfa.sample_words pre ~max_len:6 ~max_count:3)

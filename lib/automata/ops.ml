@@ -88,76 +88,16 @@ let intersect_untimed m1 m2 =
       (fun q' -> Nfa.Builder.add_eps b src (materialize (p, q')))
       (Nfa.eps_transitions_from m2 q);
     (* Character moves require both components to advance on a common
-       label. On dense cells, rather than intersecting all |δ1|·|δ2|
-       label pairs, the incident charsets are refined into minterms
-       once and each minterm block is routed to the transitions that
-       carry it; an (i, j) cell accumulates the union of its shared
-       blocks, which is exactly [inter cs_i cs_j] (charsets are
-       canonical interval lists), so the resulting machine is
-       identical — same states in the same order, same labels — to
-       the pairwise construction retained in
-       {!intersect_reference}. *)
-    let t1 = Array.of_list (Nfa.char_transitions m1 p) in
-    let t2 = Array.of_list (Nfa.char_transitions m2 q) in
-    let n1 = Array.length t1 and n2 = Array.length t2 in
-    if n1 * n2 <= 16 then
-      (* Sparse cell: the refine bookkeeping costs more than the few
-         pairwise intersections it would save. *)
-      Array.iter
-        (fun (cs1, p') ->
-          Array.iter
-            (fun (cs2, q') ->
-              let label = Charset.inter cs1 cs2 in
-              if not (Charset.is_empty label) then
-                Nfa.Builder.add_trans b src label (materialize (p', q')))
-            t2)
-        t1
-    else begin
-      (* cells hold reversed interval lists; [refine] yields blocks in
-         ascending order, so appending with a coalesce-on-touch check
-         reproduces the canonical form [Charset.inter] would build,
-         without re-normalizing the cell at every block. *)
-      let cells : (int * int) list array = Array.make (n1 * n2) [] in
-      let blocks =
-        Charset.refine
-          (Array.fold_left (fun acc (cs, _) -> cs :: acc)
-             (Array.fold_left (fun acc (cs, _) -> cs :: acc) [] t2)
-             t1)
-      in
-      List.iter
-        (fun block ->
-          let c = Charset.choose block in
-          let lefts = ref [] and rights = ref [] in
-          Array.iteri (fun i (cs, _) -> if Charset.mem c cs then lefts := i :: !lefts) t1;
-          Array.iteri (fun j (cs, _) -> if Charset.mem c cs then rights := j :: !rights) t2;
-          let br = Charset.ranges block in
-          List.iter
-            (fun i ->
-              List.iter
-                (fun j ->
-                  let k = (i * n2) + j in
-                  List.iter
-                    (fun (lo, hi) ->
-                      cells.(k) <-
-                        (match cells.(k) with
-                        | (plo, phi) :: rest when phi + 1 >= lo ->
-                            (plo, max phi hi) :: rest
-                        | acc -> (lo, hi) :: acc))
-                    br)
-                !rights)
-            !lefts)
-        blocks;
-      for i = 0 to n1 - 1 do
-        for j = 0 to n2 - 1 do
-          match cells.((i * n2) + j) with
-          | [] -> ()
-          | acc ->
-              let label = Charset.of_ranges (List.rev acc) in
-              let _, p' = t1.(i) and _, q' = t2.(j) in
-              Nfa.Builder.add_trans b src label (materialize (p', q'))
-        done
-      done
-    end
+       label. *)
+    List.iter
+      (fun (cs1, p') ->
+        List.iter
+          (fun (cs2, q') ->
+            let label = Charset.inter cs1 cs2 in
+            if not (Charset.is_empty label) then
+              Nfa.Builder.add_trans b src label (materialize (p', q')))
+          (Nfa.char_transitions m2 q))
+      (Nfa.char_transitions m1 p)
   done;
   let machine = Nfa.Builder.finish b ~start:start_q ~final:final_q in
   Telemetry.Metrics.Histogram.observe h_product_states
@@ -173,57 +113,6 @@ let intersect_untimed m1 m2 =
 
 let intersect m1 m2 =
   Telemetry.Metrics.Timer.time t_intersect (fun () -> intersect_untimed m1 m2)
-
-(* The original pairwise-intersection product, kept as the oracle for
-   the randomized cross-check suite ([test/test_crosscheck.ml]): the
-   minterm version above must produce a structurally identical
-   machine. *)
-let intersect_reference m1 m2 =
-  Stats.count_product ();
-  let b = Nfa.Builder.create () in
-  let table : (Nfa.state * Nfa.state, Nfa.state) Hashtbl.t = Hashtbl.create 64 in
-  let pairs = ref [] in
-  let worklist = Queue.create () in
-  let materialize pair =
-    match Hashtbl.find_opt table pair with
-    | Some q -> q
-    | None ->
-        Stats.visit_states 1;
-        let q = Nfa.Builder.add_state b in
-        Hashtbl.add table pair q;
-        pairs := (q, pair) :: !pairs;
-        Queue.add pair worklist;
-        q
-  in
-  let start_q = materialize (Nfa.start m1, Nfa.start m2) in
-  let final_q = materialize (Nfa.final m1, Nfa.final m2) in
-  while not (Queue.is_empty worklist) do
-    let ((p, q) as pair) = Queue.take worklist in
-    let src = Hashtbl.find table pair in
-    List.iter
-      (fun p' -> Nfa.Builder.add_eps b src (materialize (p', q)))
-      (Nfa.eps_transitions_from m1 p);
-    List.iter
-      (fun q' -> Nfa.Builder.add_eps b src (materialize (p, q')))
-      (Nfa.eps_transitions_from m2 q);
-    List.iter
-      (fun (cs1, p') ->
-        List.iter
-          (fun (cs2, q') ->
-            let label = Charset.inter cs1 cs2 in
-            if not (Charset.is_empty label) then
-              Nfa.Builder.add_trans b src label (materialize (p', q')))
-          (Nfa.char_transitions m2 q))
-      (Nfa.char_transitions m1 p)
-  done;
-  let machine = Nfa.Builder.finish b ~start:start_q ~final:final_q in
-  let pair_array = Array.make (Nfa.num_states machine) (0, 0) in
-  List.iter (fun (q, pair) -> pair_array.(q) <- pair) !pairs;
-  {
-    machine;
-    pair_of = (fun q -> pair_array.(q));
-    state_of_pair = (fun pair -> Hashtbl.find_opt table pair);
-  }
 
 let inter_lang m1 m2 = (intersect m1 m2).machine
 

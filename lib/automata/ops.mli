@@ -39,13 +39,6 @@ val intersect : Nfa.t -> Nfa.t -> product_result
 (** Like {!intersect} but discards provenance. *)
 val inter_lang : Nfa.t -> Nfa.t -> Nfa.t
 
-(** The original pairwise-label product construction. On dense product
-    cells {!intersect} refines the incident charsets into minterms
-    instead of intersecting all label pairs, but produces a
-    structurally identical machine; this oracle backs that claim in
-    the randomized cross-check suite. *)
-val intersect_reference : Nfa.t -> Nfa.t -> product_result
-
 (** Thompson constructions. *)
 
 val union_lang : Nfa.t -> Nfa.t -> Nfa.t

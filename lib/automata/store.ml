@@ -30,22 +30,16 @@ let enabled () = Atomic.get enabled_flag
 (* ------------------------------------------------------------------ *)
 (* Cost gate *)
 
-(* The ledger (below) prices every cache; this is the policy end that
-   acts on the price, per the memo-discipline lesson that caching only
-   pays above a work threshold. Machines below [min_states] skip
-   canonical keying (interning a 2-state machine costs more to
-   serialize than to rebuild), and op pairs below it skip the memo
-   tables; machines above [max_states] skip it from the other side —
-   the key is a full serialization of the trimmed machine, so on a
-   500-state sanitizer preimage it costs ~30 us while the memo hit it
-   enables saves ~15 us of recompute. Too big to key is priced like too
-   small to matter; pointer identity (the physeq MRU) still shares
-   repeated interns of the same physical machine. Both thresholds are
-   sizes, never timings, so every counter the store emits is a function
-   of the workload alone. *)
+(* One keying rule, decided by machine size alone so that every
+   counter the store emits is a function of the workload, never of
+   timing. A machine of at most [max_states] states is keyed by its
+   canonical form. A larger one is shared only by physical identity
+   (the MRU below): the key is a full serialization of the trimmed
+   machine, so its cost grows with the machine while a memo hit's value
+   does not. Without the ceiling the Fig. 12 [secure] workload runs at
+   less than half its throughput (DESIGN §9). *)
 module Gate = struct
-  let min_states = Atomic.make 4
-  let max_states = Atomic.make 256
+  let max_states = 256
   let skip_c = Metrics.Counter.make "store.gate.skip"
   let skip op = Metrics.Counter.incr ~labels:[ ("op", op) ] skip_c 1
 end
@@ -55,8 +49,9 @@ type handle = {
   nfa : Nfa.t;
   (* [keyed] = this handle's id is stable for its language in this
      domain (it came out of the intern/word table), so it is usable as
-     a memo key. A gated or disabled-store handle is not: its id never
-     repeats, and memoizing on it would only fill tables with garbage. *)
+     a memo key. An over-ceiling or disabled-store handle is not: its
+     id never repeats, and memoizing on it would only fill tables with
+     garbage. *)
   mutable keyed : bool;
   mutable dfa_memo : Dfa.t option;
   mutable min_dfa_memo : Dfa.t option;
@@ -228,14 +223,8 @@ let physeq_add m h =
    "key-hash tax" the cache-effectiveness ledger prices, because the
    key cost scales with machine size while a hit saves the rebuild the
    caller already did plus the memo state attached to the shared
-   handle. The cost gate keeps the tax off machines too small to ever
-   repay it ([Gate.min_states]).
-
-   [~force] bypasses the size floor (not the [max_states] ceiling): a long-lived handle that seeds downstream
-   memos — a system constant, an analyzer bound — must have a stable
-   id even when its machine is tiny, because an unkeyed fresh handle
-   turns every memo keyed on it into a permanent miss. *)
-let intern_gated ~force m =
+   handle. *)
+let intern m =
   if not (enabled ()) then fresh_handle m
   else
     match physeq_find m with
@@ -243,16 +232,9 @@ let intern_gated ~force m =
         Metrics.Counter.incr intern_hit 1;
         h
     | None ->
-        let n = Nfa.num_states m in
-        if (not force) && n < Atomic.get Gate.min_states then begin
-          Gate.skip "intern";
-          fresh_handle m
-        end
-        else if n > Atomic.get Gate.max_states then begin
-          (* above the ceiling the canonical serialization costs more
-             than any downstream memo hit repays; share by pointer
-             identity only, so a caller holding one big machine across
-             solves still gets one handle *)
+        if Nfa.num_states m > Gate.max_states then begin
+          (* share by pointer identity only, so a caller holding one big
+             machine across solves still gets one handle *)
           Gate.skip "intern";
           let h = fresh_handle m in
           physeq_add m h;
@@ -285,8 +267,6 @@ let intern_gated ~force m =
               h
         end
 
-let intern m = intern_gated ~force:false m
-let intern_keyed m = intern_gated ~force:true m
 let canon m = if not (enabled ()) then m else (intern m).nfa
 
 (* ------------------------------------------------------------------ *)
@@ -312,7 +292,7 @@ let of_word w =
         Metrics.Counter.incr intern_hit 1;
         h
     | None ->
-        (* one canonical-key toll (unless size-gated) so an equal
+        (* one canonical-key toll (unless over the ceiling) so an equal
            machine arriving via another construction path still shares
            the handle; every later ask for this word is a string hash *)
         let h = intern (Nfa.of_word w) in
@@ -333,7 +313,6 @@ let top () =
         h
     | None ->
         let h = intern Nfa.sigma_star in
-        h.keyed <- true;
         r := Some h;
         h
 
@@ -419,9 +398,9 @@ module Memo = struct
      domain exits. *)
   let clearers : (unit -> unit) list ref = ref []
 
-  (* Written from the main domain before workers spawn ([Domain.spawn]
-     publishes it); racy mid-flight writes would only skew eviction. *)
-  let capacity = ref 4096
+  (* Per-table entry cap; a full table evicts its least-recently-used
+     half in one batch. *)
+  let capacity = 4096
 
   let create ~op =
     let key =
@@ -476,7 +455,7 @@ module Memo = struct
       | None ->
           Metrics.Counter.incr ~labels opcache_miss 1;
           let v = Metrics.Timer.time ledger_miss ~labels f in
-          if Hashtbl.length s.table >= !capacity then evict_half t.op s;
+          if Hashtbl.length s.table >= capacity then evict_half t.op s;
           Hashtbl.replace s.table key { value = v; stamp = s.tick };
           v
     end
@@ -490,14 +469,10 @@ let concat_memo : handle Memo.t = Memo.create ~op:"concat_lang"
 let union_memo : handle Memo.t = Memo.create ~op:"union_lang"
 let cex_memo : string option Memo.t = Memo.create ~op:"counterexample"
 
-(* A pair is worth memoizing only when both ids are stable (a gated
-   handle's id never repeats — caching on it fills the table with
-   entries no lookup can ever hit) and the operands carry enough
-   states for a recompute to cost more than the table traffic. *)
-let memoizable h1 h2 =
-  h1.keyed && h2.keyed
-  && Nfa.num_states h1.nfa + Nfa.num_states h2.nfa
-     >= Atomic.get Gate.min_states
+(* A pair is worth memoizing only when both ids are stable: an
+   over-ceiling handle's id never repeats, so caching on it fills the
+   table with entries no lookup can ever hit. *)
+let memoizable h1 h2 = h1.keyed && h2.keyed
 
 let cached_binop memo op f h1 h2 =
   if (not (enabled ())) || memoizable h1 h2 then
@@ -672,9 +647,3 @@ let set_enabled b =
   let was = Atomic.get enabled_flag in
   Atomic.set enabled_flag b;
   if was && not b then clear ()
-
-let set_capacity n = Memo.capacity := max 16 n
-let set_memo_min_states n = Atomic.set Gate.min_states (max 0 n)
-let memo_min_states () = Atomic.get Gate.min_states
-let set_memo_max_states n = Atomic.set Gate.max_states (max 1 n)
-let memo_max_states () = Atomic.get Gate.max_states

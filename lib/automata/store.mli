@@ -34,8 +34,8 @@
     tables (no locks on the solve hot path; a worker's caches die with
     its domain). Handles must therefore never cross a domain boundary
     — each job interns what it needs inside its worker. Handle ids
-    remain globally unique, and the enable switch and capacity apply
-    process-wide (set them before spawning workers). *)
+    remain globally unique, and the enable switch applies process-wide
+    (set it before spawning workers). *)
 
 type handle
 
@@ -45,28 +45,14 @@ type handle
     disabled this is a fresh passthrough handle wrapping [m] itself
     (no key is computed).
 
-    Interning is {e cost-gated}: machines below the size threshold
-    ({!set_memo_min_states}) skip the canonical key and come back as
-    fresh unshared handles (serializing a 2-state machine costs more
-    than rebuilding it); machines above the ceiling
-    ({!set_memo_max_states}) skip it from the other side — the key is
-    a full serialization whose cost scales with the machine while the
-    memo hits it enables do not, so a 500-state preimage pays more to
-    key than any hit saves. Repeated interns of the same physical
-    machine still share a handle via a small pointer-equality MRU
-    (sound because {!Nfa.t} is immutable). Every skip is observable
-    via the [store.gate.skip{op=...}] counter. *)
+    Interning follows one size rule (see {!section-gate}): a machine
+    of at most 256 states is canonically keyed, so every structurally
+    equal build of it shares one handle; a larger one comes back as a
+    fresh handle that is shared only with repeated interns of the same
+    physical machine, through a small pointer-equality MRU (sound
+    because {!Nfa.t} is immutable). Each over-ceiling intern counts
+    [store.gate.skip{op=intern}]. *)
 val intern : Nfa.t -> handle
-
-(** [intern_keyed m] interns like {!intern} but bypasses the
-    [min_states] size floor (the [max_states] ceiling still
-    applies). For long-lived machines that
-    seed downstream memos — system constants, analyzer bounds — where
-    a stable id matters more than the (tiny) canonical-key tax: an
-    unkeyed fresh handle turns every memo entry keyed on it into a
-    permanent miss, recomputing the memoized operation on every
-    pass. *)
-val intern_keyed : Nfa.t -> handle
 
 (** [of_word w] = the interned handle of [Nfa.of_word w], served from
     a per-domain word table keyed by [w] itself — no machine rebuild,
@@ -119,11 +105,10 @@ val compacted : handle -> handle
     Results are themselves interned, so algebraically convergent
     expressions share handles across different operation paths.
 
-    Lookups are cost-gated: a pair is memoized only when both operand
-    handles are stable (interned, not size-gated fresh handles — a
-    never-repeating id fills the table with unreachable entries) and
-    their combined size is at least {!set_memo_min_states}; below
-    that, recomputing is cheaper than the table traffic.
+    A pair is memoized only when both operand handles are keyed (not
+    over-ceiling fresh handles — a never-repeating id fills the table
+    with unreachable entries); any other pair counts
+    [store.gate.skip{op=...}] and is recomputed.
 
     These are the language queries of the whole codebase: every
     inclusion, equality, emptiness and disjointness question is
@@ -149,9 +134,10 @@ val disjoint : handle -> handle -> bool
 
 (** {1 Generic memoization}
 
-    Bounded LRU tables keyed on handle-id lists, sharing the store's
-    enable switch, capacity, and [store.opcache.*] counters (labelled
-    with [op]). Higher layers (the solver's concat-intersect, the
+    Bounded LRU tables (4096 entries each; a full table evicts its
+    least-recently-used half in one batch) keyed on handle-id lists,
+    sharing the store's enable switch and [store.opcache.*] counters
+    (labelled with [op]). Higher layers (the solver's concat-intersect, the
     residual construction) register their own caches here without the
     store needing to know their value types. *)
 
@@ -221,31 +207,12 @@ val clear : unit -> unit
     domain exists. *)
 val on_clear : (unit -> unit) -> unit
 
-(** Per-table entry cap for the LRU op-caches (default 4096; at least
-    16). When a table fills, the least-recently-used half is evicted
-    in one batch. *)
-val set_capacity : int -> unit
+(** {1:gate Cost gate}
 
-(** {1 Cost gate}
-
-    Policy end of the ledger: memoize only where it pays, decided by
-    machine size alone so that no counter depends on timing. *)
-
-(** Size threshold (states; default 4, 0 disables the size gate):
-    machines below it are not interned, and op pairs whose combined
-    operand size is below it are not memoized. Process-wide; set
-    before spawning workers. *)
-val set_memo_min_states : int -> unit
-
-val memo_min_states : unit -> int
-
-(** Size ceiling (states; default 256, clamps at 1): machines above
-    it are not canonically keyed — they come back as fresh handles
-    shared only by pointer identity. The canonical key serializes the
-    whole trimmed machine, so its cost grows with the machine while a
-    memo hit's value does not; past the ceiling the key is the most
-    expensive thing the store does. Process-wide; set before spawning
-    workers. *)
-val set_memo_max_states : int -> unit
-
-val memo_max_states : unit -> int
+    The store keys a machine by its canonical form only when it has at
+    most 256 states. The canonical key serializes the whole trimmed
+    machine, so its cost grows with the machine while a memo hit's
+    value does not; past the ceiling the key would be the most expensive
+    thing the store does. The rule is a size, never a timing, so every
+    counter the store emits is a function of the workload alone. There
+    are no tuning knobs: {!set_enabled} is the store's only setter. *)

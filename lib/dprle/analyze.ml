@@ -291,7 +291,7 @@ let residual_handle system ~pre ~post ~upper =
       (Store.Memo.find_or_compute residual_memo
          ~key:[ Store.id pre_h; Store.id post_h; Store.id upper ]
          (fun () ->
-           Store.intern_keyed
+           Store.intern
              (Residual.max_middle ~pre:(Store.nfa pre_h)
                 ~post:(Store.nfa post_h) ~upper:(Store.nfa upper))))
 

@@ -111,12 +111,9 @@ let max_middle_memo : Nfa.t Store.Memo.t =
 let max_middle ~pre ~post ~upper =
   if not (Store.enabled ()) then max_middle_uncached ~pre ~post ~upper
   else
-    (* force-keyed: tiny operands (a one-char prefix, a 2-state
-       attack language) would otherwise come back unkeyed with a
-       fresh id per call, turning this memo into permanent misses *)
-    let hp = Store.intern_keyed pre
-    and hq = Store.intern_keyed post
-    and hu = Store.intern_keyed upper in
+    let hp = Store.intern pre
+    and hq = Store.intern post
+    and hu = Store.intern upper in
     Store.Memo.find_or_compute max_middle_memo
       ~key:[ Store.id hp; Store.id hq; Store.id hu ]
       (fun () ->

@@ -64,10 +64,7 @@ let make ~consts ~constraints =
         Ok
           {
             consts = map;
-            (* force-keyed: constant handles seed every downstream memo
-               (residuals, meets, subset queries) and must carry stable
-               ids even for tiny machines — see Store.intern_keyed *)
-            handles = lazy (SMap.map Automata.Store.intern_keyed map);
+            handles = lazy (SMap.map Automata.Store.intern map);
             order;
             constrs = constraints;
             goals = [];

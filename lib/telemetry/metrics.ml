@@ -351,12 +351,16 @@ module Snapshot = struct
     (* gauges are instantaneous readings: the diff of a region is the
        value at its end, not a subtraction *)
     let gauges = after.gauges in
+    (* a histogram or timer series with no calls in the region would
+       carry nothing but its running max: drop it *)
     let histograms =
-      List.map
+      List.filter_map
         (fun ((key, h) : (string * labels) * histogram_stat) ->
           match List.assoc_opt key before.histograms with
-          | None -> (key, h)
+          | None -> Some (key, h)
+          | Some prior when prior.count = h.count -> None
           | Some prior ->
+              Some
               ( key,
                 {
                   count = h.count - prior.count;
@@ -372,11 +376,13 @@ module Snapshot = struct
         after.histograms
     in
     let timers =
-      List.map
+      List.filter_map
         (fun ((key, (t : timer_stat)) : (string * labels) * timer_stat) ->
           match List.assoc_opt key before.timers with
-          | None -> (key, t)
+          | None -> Some (key, t)
+          | Some (prior : timer_stat) when prior.count = t.count -> None
           | Some (prior : timer_stat) ->
+              Some
               ( key,
                 {
                   count = t.count - prior.count;

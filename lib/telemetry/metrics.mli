@@ -120,7 +120,9 @@ module Snapshot : sig
   (** Pointwise [after - before]; series absent from [before] pass
       through unchanged. Gauges report [after]'s reading; histogram
       and timer maxima are running maxima (a region's own max is not
-      recoverable from two cumulative readings). *)
+      recoverable from two cumulative readings). A histogram or timer
+      series that recorded nothing inside the region is dropped: only
+      its running maximum would survive the subtraction. *)
   val diff : after:t -> before:t -> t
 
   val counters : t -> (string * labels * int) list

@@ -1,8 +1,8 @@
 (* Randomized cross-checks for the hot-path automata rewrites: the
-   bitset BFS family, the on-the-fly subset check, the minterm
-   product, and the single-pass [repeat] are each compared against the
-   retained [*_reference] implementations on a deterministic, seeded
-   stream of random machines. QCheck is deliberately not used here —
+   bitset BFS family, the on-the-fly subset check, the provenance
+   product, and the single-pass [repeat] are each compared against
+   retained [*_reference] implementations or a DFA oracle on a
+   deterministic, seeded stream of random machines. QCheck is deliberately not used here —
    the stream must be identical on every run so a failure reproduces
    byte-for-byte. *)
 
@@ -10,6 +10,7 @@ open Helpers
 module Nfa = Automata.Nfa
 module Ops = Automata.Ops
 module Lang = Automata.Lang
+module Dfa = Automata.Dfa
 module SS = Nfa.StateSet
 
 let cases = 500
@@ -41,8 +42,8 @@ let rand_nfa rng =
   done;
   Nfa.Builder.finish b ~start:first ~final:(first + 1)
 
-(* Few states, many overlapping edges: product cells here exceed the
-   sparse cutoff in [Ops.intersect], forcing the minterm path. *)
+(* Few states, many overlapping edges: dense product cells, where
+   each state pair meets many label pairs. *)
 let rand_dense_nfa rng =
   let n = 2 + Random.State.int rng 2 in
   let b = Nfa.Builder.create () in
@@ -67,23 +68,6 @@ let rand_state_set rng n =
 let check_set_eq what i expected actual =
   if not (SS.equal expected actual) then
     Alcotest.failf "%s diverged from reference on case %d" what i
-
-(* Structural machine equality: same states in the same order, same
-   edges with equal labels. *)
-let same_structure m1 m2 =
-  Nfa.num_states m1 = Nfa.num_states m2
-  && Nfa.start m1 = Nfa.start m2
-  && Nfa.final m1 = Nfa.final m2
-  && List.for_all
-       (fun q ->
-         Nfa.eps_transitions_from m1 q = Nfa.eps_transitions_from m2 q
-         &&
-         let t1 = Nfa.char_transitions m1 q and t2 = Nfa.char_transitions m2 q in
-         List.length t1 = List.length t2
-         && List.for_all2
-              (fun (cs1, d1) (cs2, d2) -> d1 = d2 && Charset.equal cs1 cs2)
-              t1 t2)
-       (Nfa.states m1)
 
 let bfs_tests =
   [
@@ -147,24 +131,27 @@ let subset_tests =
 
 let intersect_tests =
   [
-    test "minterm product is structurally identical to the reference"
-      (fun () ->
+    test "product matches the DFA oracle and keeps provenance" (fun () ->
         let rng = Random.State.make [| 0x1a7; 0x5e7 |] in
         for i = 1 to cases do
-          (* alternate sparse and dense operands so both the pairwise
-             and the minterm paths of [Ops.intersect] are covered *)
+          (* alternate sparse and dense operands *)
           let gen = if i mod 2 = 0 then rand_dense_nfa else rand_nfa in
           let m1 = gen rng in
           let m2 = gen rng in
           let p = Ops.intersect m1 m2 in
-          let r = Ops.intersect_reference m1 m2 in
-          if not (same_structure p.Ops.machine r.Ops.machine) then
-            Alcotest.failf "intersect machine shape diverged on case %d" i;
+          let oracle = Dfa.inter (Dfa.of_nfa m1) (Dfa.of_nfa m2) in
+          if not (Dfa.equiv (Dfa.of_nfa p.Ops.machine) oracle) then
+            Alcotest.failf "intersect language diverged on case %d" i;
           List.iter
             (fun q ->
-              if p.Ops.pair_of q <> r.Ops.pair_of q then
+              if p.Ops.state_of_pair (p.Ops.pair_of q) <> Some q then
                 Alcotest.failf "intersect provenance diverged on case %d" i)
-            (Nfa.states p.Ops.machine)
+            (Nfa.states p.Ops.machine);
+          if
+            p.Ops.pair_of (Nfa.start p.Ops.machine) <> (Nfa.start m1, Nfa.start m2)
+            || p.Ops.pair_of (Nfa.final p.Ops.machine)
+               <> (Nfa.final m1, Nfa.final m2)
+          then Alcotest.failf "intersect endpoints diverged on case %d" i
         done);
   ]
 

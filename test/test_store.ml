@@ -15,9 +15,6 @@ let with_store_reset f =
   Fun.protect
     ~finally:(fun () ->
       Store.set_enabled true;
-      Store.set_capacity 4096;
-      Store.set_memo_min_states 4;
-      Store.set_memo_max_states 256;
       Store.clear ())
     f
 
@@ -93,8 +90,7 @@ let memo_tests =
     test "interning ignores state numbering and dead states" (fun () ->
         with_store_reset @@ fun () ->
         (* same machine built twice: once plainly, once with junk
-           states and a different allocation order — big enough to be
-           above the size gate, so both take the keyed path *)
+           states and a different allocation order *)
         let chain b s f =
           let m1 = Nfa.Builder.add_state b in
           let m2 = Nfa.Builder.add_state b in
@@ -120,9 +116,9 @@ let memo_tests =
         in
         check_int "same id" (Store.id (Store.intern plain))
           (Store.id (Store.intern noisy)));
-    test "LRU eviction under a small capacity" (fun () ->
+    test "LRU eviction past the fixed capacity" (fun () ->
         with_store_reset @@ fun () ->
-        Store.set_capacity 16;
+        let capacity = 4096 in
         let memo : int Store.Memo.t = Store.Memo.create ~op:"test.lru" in
         let runs = ref 0 in
         let get k =
@@ -131,20 +127,20 @@ let memo_tests =
               k)
         in
         let before = Metrics.Snapshot.of_default () in
-        for k = 1 to 40 do
+        for k = 1 to capacity + 40 do
           ignore (get k)
         done;
         let diff =
           Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before
         in
-        check_int "all computed" 40 !runs;
+        check_int "all computed" (capacity + 40) !runs;
         check_bool "evictions recorded" true
           (counter_total diff "store.opcache.evict" > 0);
         (* a hot key kept hot survives; ancient keys were dropped *)
-        ignore (get 40);
-        check_int "recent key cached" 40 !runs;
+        ignore (get (capacity + 40));
+        check_int "recent key cached" (capacity + 40) !runs;
         ignore (get 1);
-        check_int "old key recomputed" 41 !runs);
+        check_int "old key recomputed" (capacity + 41) !runs);
     test "disabled store is a passthrough" (fun () ->
         with_store_reset @@ fun () ->
         Store.set_enabled false;
@@ -174,69 +170,60 @@ let timer_count snap name labels =
 
 let gate_tests =
   [
-    test "size gate: tiny machines are not keyed" (fun () ->
+    test "size gate: tiny machines are keyed" (fun () ->
         with_store_reset @@ fun () ->
-        let mk () = Nfa.of_word "a" in
+        (* at most 256 states: keyed by the canonical form, so two
+           separate builds share an id and memos over them hit *)
+        let tiny () = Nfa.of_word "a" in
+        let h1 = Store.intern (tiny ()) and h2 = Store.intern (tiny ()) in
+        check_int "separate builds share" (Store.id h1) (Store.id h2);
+        let other = Store.intern (Nfa.of_word "b") in
+        ignore (Store.union_lang h1 other);
         let before = Metrics.Snapshot.of_default () in
-        let h1 = Store.intern (mk ()) and h2 = Store.intern (mk ()) in
+        ignore (Store.union_lang h2 (Store.intern (Nfa.of_word "b")));
         let diff =
           Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before
         in
-        check_bool "fresh unshared handles" true (Store.id h1 <> Store.id h2);
-        check_bool "skips counted" true
+        check_int "memo hits on the second call" 1
           (Metrics.Snapshot.counter_value
-             ~labels:[ ("op", "intern") ]
-             diff "store.gate.skip"
-          >= 2);
-        check_int "no canonical key paid" 0
-          (timer_count diff "store.ledger.key" [ ("op", "intern") ]);
-        (* threshold 0 turns the size gate off: same machine now shares *)
-        Store.set_memo_min_states 0;
-        let h3 = Store.intern (mk ()) and h4 = Store.intern (mk ()) in
-        check_int "shared once ungated" (Store.id h3) (Store.id h4));
-    test "size gate: huge machines are not keyed either" (fun () ->
+             ~labels:[ ("op", "union_lang") ]
+             diff "store.opcache.hit"));
+    test "size gate: huge machines are not keyed" (fun () ->
         with_store_reset @@ fun () ->
-        (* Above the ceiling the canonical key costs more than any
-           memo hit can return; the machine gets a fresh handle with
-           no key paid, but the physeq MRU still shares repeats of
-           the SAME physical machine. *)
-        Store.set_memo_max_states 8;
-        let m = Nfa.of_word "abcdefghijklmnop" (* > 8 states *) in
+        (* over 256 states: no canonical key; only the same physical
+           machine shares *)
+        let word = String.make 256 'w' in
+        let m = Nfa.of_word word in
+        check_bool "over the ceiling" true (Nfa.num_states m > 256);
         let before = Metrics.Snapshot.of_default () in
-        let h1 = Store.intern m in
-        let h2 = Store.intern m in
-        let h3 = Store.intern (Nfa.of_word "abcdefghijklmnop") in
+        let h3 = Store.intern m and h4 = Store.intern m in
+        let h5 = Store.intern (Nfa.of_word word) in
         let diff =
           Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before
         in
         check_int "no canonical key paid" 0
           (timer_count diff "store.ledger.key" [ ("op", "intern") ]);
-        check_int "physically equal repeat shares" (Store.id h1) (Store.id h2);
+        check_int "physically equal repeat shares" (Store.id h3) (Store.id h4);
         check_bool "structurally equal copy does not" true
-          (Store.id h1 <> Store.id h3);
-        check_bool "skip counted" true
+          (Store.id h3 <> Store.id h5);
+        check_int "skips counted" 2
           (Metrics.Snapshot.counter_value
              ~labels:[ ("op", "intern") ]
-             diff "store.gate.skip"
-          >= 1);
-        (* raising the ceiling back re-enables keyed sharing *)
-        Store.set_memo_max_states 256;
-        let h4 = Store.intern (Nfa.of_word "abcdefghijklmnop") in
-        let h5 = Store.intern (Nfa.of_word "abcdefghijklmnop") in
-        check_int "shared once under the ceiling" (Store.id h4) (Store.id h5));
+             diff "store.gate.skip"));
     test "of_word and top serve repeats without re-keying" (fun () ->
         with_store_reset @@ fun () ->
         let h1 = Store.of_word "engine_word" in
+        let t1 = Store.top () in
         let before = Metrics.Snapshot.of_default () in
         let h2 = Store.of_word "engine_word" in
-        let t1 = Store.top () and t2 = Store.top () in
+        let t2 = Store.top () in
         let diff =
           Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before
         in
         check_int "same word handle" (Store.id h1) (Store.id h2);
         check_int "same top handle" (Store.id t1) (Store.id t2);
-        (* the word repeat is a string-hash hit, and Σ* (one state) is
-           below the size gate: no canonical key on either path *)
+        (* the word repeat is a string-hash hit and the Σ* repeat a
+           slot hit: no canonical key on either path *)
         check_int "no keys paid" 0
           (timer_count diff "store.ledger.key" [ ("op", "intern") ]));
     test "compacted is memoized and idempotent" (fun () ->

@@ -305,6 +305,26 @@ let timer_tests =
         check_int "absorb adds counts" 2 s2.Metrics.Snapshot.count;
         check_bool "absorb adds totals" true
           (s2.total_ns = Int64.mul 2L s.total_ns));
+    test "a timer idle inside the region is not in the diff" (fun () ->
+        with_fake_clock @@ fun () ->
+        let r = Metrics.create_registry () in
+        let idle = Metrics.Timer.make ~registry:r "test.idle" in
+        let busy = Metrics.Timer.make ~registry:r "test.busy" in
+        let h = Metrics.Histogram.make ~registry:r "test.idle_hist" in
+        Metrics.Timer.time idle (fun () -> ());
+        Metrics.Histogram.observe h 3.;
+        let before = Metrics.Snapshot.take r in
+        Metrics.Timer.time busy (fun () -> ());
+        let d = Metrics.Snapshot.diff ~after:(Metrics.Snapshot.take r) ~before in
+        check_bool "idle timer dropped" true
+          (Metrics.Snapshot.timer_stat d "test.idle" = None);
+        check_bool "idle histogram dropped" true
+          (not
+             (List.exists
+                (fun (n, _, _) -> n = "test.idle_hist")
+                (Metrics.Snapshot.histograms d)));
+        check_bool "busy timer kept" true
+          (Metrics.Snapshot.timer_stat d "test.busy" <> None));
     test "gauges set, add, and absorb by max" (fun () ->
         let r = Metrics.create_registry () in
         let g = Metrics.Gauge.make ~registry:r "test.depth" in
