@@ -9,7 +9,6 @@
 
 module Nfa = Automata.Nfa
 module Ops = Automata.Ops
-module Stats = Automata.Stats
 module System = Dprle.System
 module Solver = Dprle.Solver
 module Ci = Dprle.Ci
@@ -38,6 +37,13 @@ module Json = Telemetry.Json
 module Snapshot = Telemetry.Metrics.Snapshot
 
 let json_results : Json.t list ref = ref []
+
+(* [f ()] together with the NFA states its constructions visited. *)
+let with_visited f =
+  let before = Snapshot.of_default () in
+  let result = f () in
+  let diff = Snapshot.diff ~after:(Snapshot.of_default ()) ~before in
+  (result, Snapshot.counter_value diff "automata.states_visited")
 
 let experiment name f =
   let before = Snapshot.of_default () in
@@ -274,10 +280,10 @@ let even_chain q =
 let sec35_single q =
   let c1 = chain q and c2 = chain q in
   let c3 = even_chain q in
-  let before = Stats.absolute () in
-  let { Ci.solutions; m5; _ } = Ci.concat_intersect c1 c2 c3 in
-  let s = Stats.diff (Stats.absolute ()) before in
-  (s.visited, Nfa.num_states m5, List.length solutions)
+  let { Ci.solutions; m5; _ }, visited =
+    with_visited (fun () -> Ci.concat_intersect c1 c2 c3)
+  in
+  (visited, Nfa.num_states m5, List.length solutions)
 
 (* (c1 ∘ c2) ∘ c3 intersected with c4 — the paper's two-level case.
    We build the machine exactly as the solver does and count, via the
@@ -288,11 +294,12 @@ let sec35_single q =
 let sec35_chained q =
   let c1 = chain q and c2 = chain q and c3 = chain q in
   let c4 = Ops.repeat (Nfa.of_word "aaa") ~min_count:0 ~max_count:(Some q) in
-  let before = Stats.absolute () in
-  let inner = Ops.concat c1 c2 in
-  let outer = Ops.concat inner.machine c3 in
-  let prod = Ops.intersect outer.machine c4 in
-  let visited = (Stats.diff (Stats.absolute ()) before).visited in
+  let (inner, outer, prod), visited =
+    with_visited (fun () ->
+        let inner = Ops.concat c1 c2 in
+        let outer = Ops.concat inner.machine c3 in
+        (inner, outer, Ops.intersect outer.machine c4))
+  in
   let count_cuts (src, dst) embed =
     List.length
       (List.filter
@@ -363,11 +370,10 @@ let ablation_inputs k =
   (c1, c2, bloated_attack k)
 
 let ablation_run c1 c2 c3 =
-  let before = Stats.absolute () in
-  let { Ci.solutions; m5; _ } = Ci.concat_intersect c1 c2 c3 in
-  ( (Stats.diff (Stats.absolute ()) before).visited,
-    Nfa.num_states m5,
-    List.length solutions )
+  let { Ci.solutions; m5; _ }, visited =
+    with_visited (fun () -> Ci.concat_intersect c1 c2 c3)
+  in
+  (visited, Nfa.num_states m5, List.length solutions)
 
 let ablation_report () =
   hr "Ablation — minimizing intermediate NFAs (paper section 4 remark)";
@@ -814,12 +820,28 @@ let sanitizers_report () =
   Fmt.pr "expected shape: raw exploitable; addslashes proved clean.@."
 
 (* ------------------------------------------------------------------ *)
+(* On/off ablations: one back-to-back pair of walls drifts with the
+   host's load, so each arm runs [ablation_trials] times, alternating
+   on and off, and the JSON records the per-arm median.               *)
+
+let ablation_trials = 5
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* [on] and [off] results of [ablation_trials] alternating runs *)
+let alternate ~on ~off =
+  List.split (List.init ablation_trials (fun _ -> let r = on () in (r, off ())))
+
+(* ------------------------------------------------------------------ *)
 (* Cache ablation: the interned language store on vs off.  Each
-   workload runs twice — once against a freshly cleared store (the
-   default configuration) and once with the store disabled, which is
-   exactly what the binaries' --no-cache flag does — and both the
-   wall clock and the store.opcache.hit diff land in the JSON so the
-   checked-in BENCH_dprle.json carries both arms.                     *)
+   workload runs against a freshly cleared store (the default
+   configuration) and with the store disabled, which is exactly what
+   the binaries' --no-cache flag does; the median walls and the
+   store.opcache.hit diff land in the JSON so the checked-in
+   BENCH_dprle.json carries both arms.                                *)
 
 module Store = Automata.Store
 
@@ -840,11 +862,20 @@ let cache_ablation name workload =
     let diff = Snapshot.diff ~after:(Snapshot.of_default ()) ~before in
     (seconds, store_hits diff)
   in
-  let seconds_cached, hit_cached = arm () in
-  Store.set_enabled false;
-  let seconds_uncached, hit_uncached =
+  let uncached () =
+    Store.set_enabled false;
     Fun.protect ~finally:(fun () -> Store.set_enabled true) arm
   in
+  let cached, uncached = alternate ~on:arm ~off:uncached in
+  (* a cleared store makes every trial do the same work *)
+  let hits runs =
+    match List.sort_uniq Int.compare (List.map snd runs) with
+    | [ h ] -> h
+    | _ -> failwith (name ^ ": op-cache hits differ across trials")
+  in
+  let seconds_cached = median (List.map fst cached)
+  and seconds_uncached = median (List.map fst uncached) in
+  let hit_cached = hits cached and hit_uncached = hits uncached in
   Fmt.pr "%-22s %8.4f s, %6d hits | %8.4f s, %d hits@." name seconds_cached
     hit_cached seconds_uncached hit_uncached;
   json_results :=
@@ -880,9 +911,10 @@ let cache_ablation_report () =
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the fig12 solve workload with the timer
    registry recording (the default) vs globally disabled via
-   [Metrics.set_timing_enabled false].  The two wall clocks land in
-   the JSON so a timer added on a hot path shows up as a growing gap
-   between the arms — the acceptance bound is ±10% on this workload. *)
+   [Metrics.set_timing_enabled false], medians of alternating trials.
+   The two wall clocks land in the JSON so a timer added on a hot path
+   shows up as a growing gap between the arms — the acceptance bound
+   is ±10% on this workload. *)
 
 let observability_report () =
   hr "Observability — timer overhead on the Fig. 12 workload";
@@ -895,13 +927,12 @@ let observability_report () =
     workload ();
     now_s () -. t0
   in
-  let seconds_timed = arm () in
-  Telemetry.Metrics.set_timing_enabled false;
-  let seconds_untimed =
-    Fun.protect
-      ~finally:(fun () -> Telemetry.Metrics.set_timing_enabled true)
-      arm
+  let untimed () =
+    Telemetry.Metrics.set_timing_enabled false;
+    Fun.protect ~finally:(fun () -> Telemetry.Metrics.set_timing_enabled true) arm
   in
+  let timed, untimed = alternate ~on:arm ~off:untimed in
+  let seconds_timed = median timed and seconds_untimed = median untimed in
   Fmt.pr "timers on:  %8.4f s@.timers off: %8.4f s@.overhead:   %+.1f%%@."
     seconds_timed seconds_untimed
     (100. *. ((seconds_timed -. seconds_untimed) /. seconds_untimed));

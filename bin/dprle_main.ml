@@ -162,12 +162,12 @@ let solve_cmd path first max_solutions combination_limit budget_ms budget_states
       in
       let solved =
         with_trace ~trace ~trace_tree @@ fun () ->
-        let graph = Dprle.Depgraph.of_system system in
         (match dot with
         | None -> ()
         | Some dot_path ->
             Out_channel.with_open_text dot_path (fun oc ->
-                Out_channel.output_string oc (Dprle.Depgraph.to_dot graph)));
+                Out_channel.output_string oc
+                  (Dprle.Depgraph.to_dot (Dprle.Depgraph.of_system system))));
         (match smtlib with
         | None -> ()
         | Some smt_path ->
@@ -176,11 +176,11 @@ let solve_cmd path first max_solutions combination_limit budget_ms budget_states
         if stats then
           Result.map
             (fun (outcome, report) -> (outcome, Some report))
-            (Dprle.Report.solve_with_report ~config graph)
+            (Dprle.Report.solve_with_report ~config system)
         else
           Result.map
             (fun outcome -> (outcome, None))
-            (Dprle.Solver.run_graph config graph)
+            (Dprle.Solver.run config system)
       in
       match solved with
       | Error err ->
@@ -231,7 +231,7 @@ let check_cmd path budget_ms budget_states no_cache analyze
 
 (* Static lint: every check in [Dprle.Static], not just the empty-rhs
    warning [Solver.run] emits on its own. No solving happens — the
-   heaviest work is one depgraph build plus memoized inclusions. *)
+   heaviest work is the analyzer's passes. *)
 let lint_cmd path dot verbose =
   setup_logs verbose;
   match read_system path with
@@ -859,8 +859,8 @@ let lint_cmd_info =
   Cmd.info "lint" ~exits:lint_exits
     ~doc:
       "Run every pre-solve static check (empty bounding constants, \
-       constant-only contradictions, analyzer unsat cores, unconstrained \
-       variables, coupled CI-groups) without solving."
+       analyzer unsat cores, unconstrained variables, coupled CI-groups) \
+       without solving."
 
 let lint_dot_arg =
   Arg.(

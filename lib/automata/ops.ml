@@ -1,3 +1,12 @@
+(* Construction counters for the complexity experiments of §3.5 of
+   the paper: cost as NFA states visited by the concatenation and
+   cross-product constructions, so the O(Q²)/O(Q³)/O(Q⁵) growth
+   curves can be read independently of wall-clock noise. Cumulative;
+   readers scope them by diffing metrics snapshots. *)
+let c_visited = Telemetry.Metrics.Counter.make "automata.states_visited"
+let c_products = Telemetry.Metrics.Counter.make "automata.products_built"
+let c_concats = Telemetry.Metrics.Counter.make "automata.concats_built"
+
 (* Size histograms for the two hot constructions, labeled by
    direction: "in" is the work offered (operand states; for products
    the full |M1|·|M2| grid), "out" the states actually materialized.
@@ -19,8 +28,8 @@ type concat_result = {
 }
 
 let concat_untimed m1 m2 =
-  Stats.count_concat ();
-  Stats.visit_states (Nfa.num_states m1 + Nfa.num_states m2);
+  Telemetry.Metrics.Counter.incr c_concats 1;
+  Telemetry.Metrics.Counter.incr c_visited (Nfa.num_states m1 + Nfa.num_states m2);
   Telemetry.Metrics.Histogram.observe h_concat_states
     ~labels:[ ("dir", "in") ]
     (float_of_int (Nfa.num_states m1 + Nfa.num_states m2));
@@ -51,7 +60,7 @@ type product_result = {
 }
 
 let intersect_untimed m1 m2 =
-  Stats.count_product ();
+  Telemetry.Metrics.Counter.incr c_products 1;
   Telemetry.Metrics.Histogram.observe h_product_states
     ~labels:[ ("dir", "in") ]
     (float_of_int (Nfa.num_states m1 * Nfa.num_states m2));
@@ -63,7 +72,7 @@ let intersect_untimed m1 m2 =
     match Hashtbl.find_opt table pair with
     | Some q -> q
     | None ->
-        Stats.visit_states 1;
+        Telemetry.Metrics.Counter.incr c_visited 1;
         Budget.charge_states 1;
         let q = Nfa.Builder.add_state b in
         Hashtbl.add table pair q;

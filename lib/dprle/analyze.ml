@@ -55,14 +55,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Shared helpers over union-free alternatives.                       *)
 
-let leaves expr =
-  let rec go acc = function
-    | System.Concat (a, b) -> go (go acc a) b
-    | System.Union _ -> assert false (* expand_unions output is union-free *)
-    | leaf -> leaf :: acc
-  in
-  List.rev (go [] expr)
-
 let expr_of_leaves = function
   | [] -> invalid_arg "Analyze.expr_of_leaves: empty"
   | first :: rest ->
@@ -73,16 +65,9 @@ let is_const = function System.Const _ -> true | _ -> false
 let alt_vars ls =
   List.filter_map (function System.Var v -> Some v | _ -> None) ls
 
-let constr_vars { System.lhs; _ } =
-  let rec go acc = function
-    | System.Const _ -> acc
-    | System.Var v -> v :: acc
-    | System.Concat (a, b) | System.Union (a, b) -> go (go acc a) b
-  in
-  go [] lhs
-
 let vars_of_constrs constrs =
-  List.sort_uniq String.compare (List.concat_map constr_vars constrs)
+  List.sort_uniq String.compare
+    (List.concat_map (fun c -> System.expr_variables c.System.lhs) constrs)
 
 (* Bound refinement is skipped (soundly: the bound just stays coarser)
    once an operand machine outgrows this, so analysis never builds the
@@ -126,7 +111,7 @@ let alias_map system =
           (function
             | System.Const name -> Hashtbl.replace tbl name ()
             | _ -> ())
-          (List.concat_map leaves (System.expand_unions c.System.lhs));
+          (List.concat_map System.leaves (System.expand_unions c.System.lhs));
         Hashtbl.replace tbl c.System.rhs ())
       (System.constraints system);
     tbl
@@ -200,7 +185,7 @@ let normalize system =
       List.map
         (function
           | System.Const c -> System.Const (rename c) | leaf -> leaf)
-        (leaves alt)
+        (System.leaves alt)
     in
     let flush acc run =
       match List.rev run with
@@ -313,7 +298,7 @@ let collect system constrs : contribs * (int * System.expr list * Store.handle) 
       List.iter
         (fun alt ->
           Budget.tick ();
-          let ls = leaves alt in
+          let ls = System.leaves alt in
           match alt_vars ls with
           | [] ->
               if not (Store.subset (run_handle system
@@ -449,7 +434,7 @@ let discharge system contribs constrs =
           List.for_all
             (fun alt ->
               Budget.tick ();
-              let ls = leaves alt in
+              let ls = System.leaves alt in
               if List.for_all is_const ls then
                 (* decided satisfiable during collection *)
                 true
@@ -494,7 +479,7 @@ let witness_ok system comp_constrs witness_of =
                 in
                 Store.concat_lang acc h)
               (Store.of_word "")
-              (leaves alt)
+              (System.leaves alt)
           in
           Store.subset h rhs_h)
         (System.expand_unions lhs))
@@ -521,13 +506,13 @@ let slice ~goals system contribs constrs =
     in
     List.iter
       (fun c ->
-        match List.sort_uniq String.compare (constr_vars c) with
+        match System.expr_variables c.System.lhs with
         | [] -> ()
         | first :: rest -> List.iter (union first) rest)
       constrs;
     let goal_roots = List.sort_uniq String.compare (List.map find goals) in
     let in_cone c =
-      match constr_vars c with
+      match System.expr_variables c.System.lhs with
       | [] -> true (* constant-only: kept (discharge already ran) *)
       | v :: _ -> List.mem (find v) goal_roots
     in
@@ -546,7 +531,7 @@ let slice ~goals system contribs constrs =
         let comp_constrs =
           List.filter
             (fun c ->
-              match constr_vars c with
+              match System.expr_variables c.System.lhs with
               | [] -> false
               | v :: _ -> find v = root)
             constrs
@@ -568,7 +553,7 @@ let slice ~goals system contribs constrs =
         (fun c ->
           in_cone c
           ||
-          match constr_vars c with
+          match System.expr_variables c.System.lhs with
           | [] -> true
           | v :: _ -> not (Hashtbl.mem dropped (find v)))
         constrs

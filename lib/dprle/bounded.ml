@@ -32,11 +32,6 @@ let words alpha ~max_len ~cap =
   done;
   List.rev !out
 
-let rec expr_vars acc = function
-  | System.Const _ -> acc
-  | System.Var v -> SSet.add v acc
-  | System.Concat (a, b) | System.Union (a, b) -> expr_vars (expr_vars acc a) b
-
 (* Exact check of one constraint under concrete variable words. With
    constants in the lhs the check quantifies over the whole constant
    language, so instead of sampling we test language-level inclusion
@@ -65,7 +60,7 @@ let solve ?(candidates_per_var = 4096) ~max_len system =
   let candidates = words alpha ~max_len ~cap:candidates_per_var in
   let constraints =
     List.map
-      (fun ({ System.lhs; _ } as c) -> (expr_vars SSet.empty lhs, c))
+      (fun ({ System.lhs; _ } as c) -> (SSet.of_list (System.expr_variables lhs), c))
       (System.constraints system)
   in
   (* check a constraint as soon as its last variable gets bound *)

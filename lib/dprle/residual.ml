@@ -121,16 +121,6 @@ let max_middle ~pre ~post ~upper =
           (max_middle_uncached ~pre:(Store.nfa hp) ~post:(Store.nfa hq)
              ~upper:(Store.nfa hu)))
 
-(* Flatten a constraint's left-hand side into its leaves, then compute
-   for each occurrence of [v] the concatenation of the leaf languages
-   before and after it under the current assignment. *)
-let leaves expr =
-  let rec go acc = function
-    | System.Concat (a, b) -> go (go acc a) b
-    | leaf -> leaf :: acc
-  in
-  List.rev (go [] expr)
-
 (* Constants resolve to the system's shared handles; assignment
    values are interned on the spot (cheap relative to the residual
    they feed, and identical values across occurrences collapse). *)
@@ -139,9 +129,11 @@ let leaf_handle system a = function
   | System.Var v -> Store.intern (Assignment.find a v)
   | System.Concat _ | System.Union _ -> assert false
 
-(* Bounds from one union-free alternative of the left-hand side. *)
+(* Bounds from one union-free alternative of the left-hand side: for
+   each occurrence of [v], the concatenation of the leaf languages
+   before and after it under the current assignment. *)
 let alternative_bounds system a v upper alternative =
-  let ls = leaves alternative in
+  let ls = System.leaves alternative in
   let arr = Array.of_list ls in
   let n = Array.length arr in
   let rec collect i acc =
@@ -182,20 +174,6 @@ let maximize_var system a v =
            (fun acc b -> Store.inter_lang acc (Store.intern b))
            (Store.intern first) rest)
 
-(* Local satisfaction check (kept here rather than in Validate to
-   avoid a dependency cycle). *)
-let satisfies system a =
-  let rec expr_handle = function
-    | System.Const c -> System.const_handle system c
-    | System.Var v -> Store.intern (Assignment.find a v)
-    | System.Concat (e1, e2) -> Store.concat_lang (expr_handle e1) (expr_handle e2)
-    | System.Union (e1, e2) -> Store.union_lang (expr_handle e1) (expr_handle e2)
-  in
-  List.for_all
-    (fun { System.lhs; rhs } ->
-      Store.subset (expr_handle lhs) (System.const_handle system rhs))
-    (System.constraints system)
-
 let maximize system a =
   let vars = Assignment.variables a in
   let rec loop a iterations =
@@ -215,7 +193,7 @@ let maximize system a =
             (* When [v] occurs more than once in a constraint, the
                occurrence bounds were computed against the old value
                of the other occurrences; re-check before accepting. *)
-            if satisfies system candidate then (candidate, true) else (a, grew)
+            if Validate.satisfying system candidate then (candidate, true) else (a, grew)
           end)
         (a, false) vars
     in

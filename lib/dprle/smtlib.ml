@@ -69,12 +69,7 @@ let of_system system =
     let upper = lang_re_term (System.const_lang system rhs) in
     List.iter
       (fun alternative ->
-        (* leaves of the union-free alternative *)
-        let rec leaves acc = function
-          | System.Concat (a, b) -> leaves (leaves acc a) b
-          | leaf -> leaf :: acc
-        in
-        let ls = List.rev (leaves [] alternative) in
+        let ls = System.leaves alternative in
         (* multi-word constants become universally quantified words *)
         let bound = ref [] in
         let terms =

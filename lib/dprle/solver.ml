@@ -9,7 +9,7 @@ module Log = (val Logs.src_log log)
 module Span = Telemetry.Span
 
 (* Solver-level metrics, alongside the construction-level counters of
-   {!Automata.Stats} in the default registry. *)
+   {!Automata.Ops} in the default registry. *)
 let c_solves = Telemetry.Metrics.Counter.make "solver.solves"
 
 (* gci's per-group cache of compacted slices: a miss builds a slice's
@@ -29,7 +29,6 @@ let timed name f = Telemetry.Metrics.Timer.time t_phase ~labels:[ ("phase", name
    so CLI output (and the cram tests pinning it) is unchanged. *)
 type unsat_reason =
   | Const_expr_violation
-  | Const_violation of string
   | No_cut of int
   | All_combinations_empty
   | Empty_variable of string
@@ -38,8 +37,6 @@ type unsat_reason =
 let pp_unsat_reason ppf = function
   | Const_expr_violation ->
       Fmt.string ppf "constant expression violates its subset constraint"
-  | Const_violation name ->
-      Fmt.pf ppf "constant %s violates a subset constraint" name
   | No_cut tid ->
       Fmt.pf ppf "concatenation %d admits no ε-cut: its language is empty" tid
   | All_combinations_empty ->
@@ -166,13 +163,6 @@ let is_singleton_handle h =
          inclusion check decides equality. *)
       | Some w -> Store.subset h (Store.of_word w))
 
-let leaves expr =
-  let rec go acc = function
-    | System.Concat (a, b) -> go (go acc a) b
-    | leaf -> leaf :: acc
-  in
-  List.rev (go [] expr)
-
 let preprocess system =
   let const_handle = System.const_handle system in
   let is_singleton name = is_singleton_handle (const_handle name) in
@@ -210,7 +200,7 @@ let preprocess system =
   let transform { System.lhs; rhs } =
     List.filter_map
       (fun alternative ->
-        let ls = leaves alternative in
+        let ls = System.leaves alternative in
         let is_const = function System.Const _ -> true | _ -> false in
         let rec split_run acc = function
           | leaf :: rest when is_const leaf -> split_run (leaf :: acc) rest
@@ -269,13 +259,14 @@ let group_needs_verification (g : Depgraph.t) members =
 (* Base languages: the paper's initial node-to-NFA mapping (Σ* for
    variables, ⟦c⟧ for constants) with every inbound subset edge
    applied up front — invariant 1 of §3.4.3, subset constraints
-   before concatenations. *)
+   before concatenations. The graph is [preprocess]'s, which has
+   already decided every constant-only alternative, so no constant
+   has an inbound edge. *)
 
 (* The base map carries store handles, not raw machines: the inbound
-   intersections and the constant-vs-constant inclusions below are the
-   first places repeated constants pay off, and downstream consumers
-   (group solving, the singleton-group fast path) reuse the same
-   handles for their own cached queries. *)
+   intersections below are the first places repeated constants pay
+   off, and downstream consumers (group solving, the singleton-group
+   fast path) reuse the same handles for their own cached queries. *)
 let base_languages (g : Depgraph.t) =
   let const_handle c = System.const_handle g.system c in
   let inbound n =
@@ -292,15 +283,7 @@ let base_languages (g : Depgraph.t) =
     (fun acc n ->
       let h =
         match n with
-        | Depgraph.Const name ->
-            let own = const_handle name in
-            (* constant-vs-constant constraints are decided here *)
-            List.iter
-              (fun upper ->
-                if not (Store.subset own upper) then
-                  unsat (Const_violation (Fmt.str "%a" Depgraph.pp_node n)))
-              (inbound n);
-            own
+        | Depgraph.Const name -> const_handle name
         | Depgraph.Var _ | Depgraph.Tmp _ -> (
             match inbound n with
             | [] -> Store.intern Nfa.sigma_star
@@ -603,22 +586,20 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
 
 (* ------------------------------------------------------------------ *)
 
-let rec expr_variables acc = function
-  | System.Const _ -> acc
-  | System.Var v -> v :: acc
-  | System.Concat (a, b) | System.Union (a, b) ->
-      expr_variables (expr_variables acc a) b
+(* The graph the solver proper works on: the dependency graph of the
+   preprocessed system. Raises [Unsatisfiable] on a failed
+   constant-only alternative. *)
+let preprocessed_graph system =
+  Depgraph.of_system
+    (Span.with_span ~name:"preprocess" (fun () ->
+         timed "preprocess" (fun () -> preprocess system)))
 
-let solve_graph ~max_solutions ~combination_limit (g : Depgraph.t) =
+let solve_graph ~max_solutions ~combination_limit system =
   Span.with_span ~name:"solve" @@ fun () ->
   timed "solve" @@ fun () ->
   Telemetry.Metrics.Counter.incr c_solves 1;
   try
-    let g =
-      Depgraph.of_system
-        (Span.with_span ~name:"preprocess" (fun () ->
-             timed "preprocess" (fun () -> preprocess g.system)))
-    in
+    let g = preprocessed_graph system in
     let raw_cap = max 64 (max_solutions * 4) in
     let base =
       Span.with_span ~name:"reduce" (fun () ->
@@ -633,7 +614,7 @@ let solve_graph ~max_solutions ~combination_limit (g : Depgraph.t) =
       List.filter_map
         (fun members ->
           match members with
-          | [ Depgraph.Const _ ] -> None (* handled in base_languages *)
+          | [ Depgraph.Const _ ] -> None (* no inbound edge: nothing to solve *)
           | [ (Depgraph.Var v as n) ] ->
               let h = NMap.find n base in
               if Store.is_empty h then unsat (Empty_variable v)
@@ -659,7 +640,7 @@ let solve_graph ~max_solutions ~combination_limit (g : Depgraph.t) =
                       (fun { System.lhs; _ } ->
                         List.exists
                           (fun v -> List.mem v group_vars)
-                          (expr_variables [] lhs))
+                          (System.expr_variables lhs))
                       (System.constraints g.system)
                   in
                   Some
@@ -718,9 +699,9 @@ let solve_graph ~max_solutions ~combination_limit (g : Depgraph.t) =
   with Unsatisfiable reason -> Unsat { reason; core = [] }
 
 (* ------------------------------------------------------------------ *)
-(* Public entry points. [run]/[run_graph] are the primary API: config
-   record in, [result] out, with budget exhaustion surfaced as a
-   structured error rather than an exception. *)
+(* The public entry point. [run] is the one solve API: config record
+   in, [result] out, with budget exhaustion surfaced as a structured
+   error rather than an exception. *)
 
 let reason_of_cause = function
   | Analyze.Empty_var v -> Empty_variable v
@@ -737,8 +718,7 @@ let reason_of_cause = function
 let solve_system (cfg : Config.t) system =
   if not cfg.analyze then
     solve_graph ~max_solutions:cfg.max_solutions
-      ~combination_limit:cfg.combination_limit
-      (Depgraph.of_system system)
+      ~combination_limit:cfg.combination_limit system
   else
     let a =
       Span.with_span ~name:"analyze" (fun () ->
@@ -750,8 +730,7 @@ let solve_system (cfg : Config.t) system =
     | None -> (
         match
           solve_graph ~max_solutions:cfg.max_solutions
-            ~combination_limit:cfg.combination_limit
-            (Depgraph.of_system a.Analyze.system)
+            ~combination_limit:cfg.combination_limit a.Analyze.system
         with
         | Unsat _ as u -> u
         | Sat sols -> (
@@ -767,17 +746,10 @@ let solve_system (cfg : Config.t) system =
                        Assignment.of_list (Assignment.bindings s @ extra))
                      sols)))
 
-let run_graph (cfg : Config.t) g =
-  try
-    Ok
-      (Budget.with_budget cfg.budget (fun () ->
-           solve_system cfg g.Depgraph.system))
-  with Budget.Exceeded stop -> Error (Error.Budget_exceeded stop)
-
 let run (cfg : Config.t) system =
-  (* pre-solve lint: surface likely authoring bugs (empty bounding
-     constants, constant-only contradictions) on the log before any
-     machine is built *)
+  (* pre-solve lint: an empty bounding constant is a likely authoring
+     bug the verdict alone would not name, so say so on the log before
+     any machine is built *)
   List.iter
     (fun f -> Log.warn (fun m -> m "lint: %a" Static.pp_finding f))
     (Static.quick system);
@@ -785,18 +757,17 @@ let run (cfg : Config.t) system =
     Ok (Budget.with_budget cfg.budget (fun () -> solve_system cfg system))
   with Budget.Exceeded stop -> Error (Error.Budget_exceeded stop)
 
-let first_solution g =
-  match solve_graph ~max_solutions:1 ~combination_limit:4096 g with
-  | Sat (a :: _) -> Some a
-  | Sat [] | Unsat _ -> None
-
-let cut_census g =
-  match
-    let base = base_languages g in
-    let roots = build_machines g base in
-    List.concat_map
-      (fun r -> List.map (fun (tid, cuts) -> (tid, List.length cuts)) r.cuts)
-      roots
-  with
-  | census -> List.sort compare census
-  | exception Unsatisfiable _ -> []
+let cut_census (cfg : Config.t) system =
+  let analyzed =
+    if not cfg.analyze then Some system
+    else
+      let a = Analyze.run ~goals:cfg.goals system in
+      if Option.is_some a.Analyze.refute then None else Some a.Analyze.system
+  in
+  match Option.map preprocessed_graph analyzed with
+  | None | (exception Unsatisfiable _) ->
+      (Depgraph.of_system (System.with_constraints system []), [])
+  | Some g ->
+      (* every triple's candidates live in exactly one root *)
+      let cuts = List.concat_map (fun r -> r.cuts) (build_machines g (base_languages g)) in
+      (g, List.mapi (fun tid c -> (c, List.length (List.assoc tid cuts))) g.concats)

@@ -3,10 +3,12 @@
 
     Pipeline, mirroring the paper's:
 
-    + build the dependency graph ({!Depgraph});
+    + decide constant-only alternatives by inclusion, fold multi-word
+      constant runs into residual bounds, and build the dependency
+      graph ({!Depgraph}) of what remains;
     + resolve {e basic} constraints — vertices with only inbound
       ⊆-edges — by NFA intersection (the [reduce] step of Fig. 7,
-      lines 3–8), and check constant-vs-constant inclusions;
+      lines 3–8);
     + split the remaining vertices into {e CI-groups} (nodes connected
       by ∘-edge pairs, §3.4.3) and solve each with the generalized
       concat-intersect procedure [gci] (Fig. 8), producing the
@@ -33,8 +35,6 @@
 type unsat_reason =
   | Const_expr_violation
       (** a constant-only alternative fails its subset constraint *)
-  | Const_violation of string
-      (** the named constant node fails an inbound subset constraint *)
   | No_cut of int
       (** concatenation [i] (index in [Depgraph.concats]) admits no
           ε-cut: its language is empty *)
@@ -68,7 +68,7 @@ type outcome =
           assignments, at most [Config.max_solutions] of them *)
   | Unsat of refutation
 
-(** Solve configuration for {!run}/{!run_graph}. *)
+(** Solve configuration for {!run}. *)
 module Config : sig
   type t = {
     max_solutions : int;
@@ -117,21 +117,20 @@ module Error : sig
   val to_string : t -> string
 end
 
-(** [run config system] builds the dependency graph and decides the
-    system under [config], including its budget. This is the primary
-    entry point. *)
+(** [run config system] decides the system under [config], including
+    its budget. This is the only solve entry point. It first logs the
+    {!Static.quick} findings as warnings. [max_solutions = 1] is the
+    first-solution mode the paper's §3.5 notes can avoid full
+    enumeration. *)
 val run : Config.t -> System.t -> (outcome, Error.t) result
 
-(** Like {!run} on an already-built graph. *)
-val run_graph : Config.t -> Depgraph.t -> (outcome, Error.t) result
-
-(** First satisfying assignment only (the mode the paper's §3.5 notes
-    can avoid full enumeration). *)
-val first_solution : Depgraph.t -> Assignment.t option
-
-(** Structural measurement for {!Report}: for every concatenation of
-    the graph (by its index in [Depgraph.concats]), the number of
-    ε-cut candidates in its fully-built root machine — the per-triple
-    disjunction width of §3.5. Empty list if the system is already
-    unsatisfiable at the constant level. *)
-val cut_census : Depgraph.t -> (int * int) list
+(** Structural measurement for {!Report}: the dependency graph the
+    solver proper builds for [system] under [config] (after the
+    analyzer when [config.analyze], then constant-operand
+    preprocessing), and, for each of its concatenations in creation
+    order, the number of ε-cut candidates in its fully-built root
+    machine — the per-triple disjunction width of §3.5. When the
+    system is refuted before any graph is built, the graph is empty
+    and so is the census. *)
+val cut_census :
+  Config.t -> System.t -> Depgraph.t * (Depgraph.concat * int) list

@@ -11,27 +11,6 @@ let pp_severity ppf = function
 let pp_finding ppf f =
   Fmt.pf ppf "%a: [%s] %s" pp_severity f.severity f.check f.message
 
-(* The leaves of a union-free alternative, left to right; [None] when
-   a variable occurs (the alternative is not constant-only). *)
-let const_leaves expr =
-  let rec go acc = function
-    | System.Const c -> Option.map (fun acc -> c :: acc) acc
-    | System.Var _ -> None
-    | System.Concat (a, b) -> go (go acc a) b
-    | System.Union _ -> assert false (* expand_unions output is union-free *)
-  in
-  Option.map List.rev (go (Some []) expr)
-
-let alternative_handle system leaves =
-  match leaves with
-  | [] -> None
-  | first :: rest ->
-      Some
-        (List.fold_left
-           (fun acc c -> Store.concat_lang acc (System.const_handle system c))
-           (System.const_handle system first)
-           rest)
-
 (* Constraints whose right-hand constant is the empty language: the
    left side is forced empty, which is almost always an authoring
    error (a regex that matches nothing, an over-intersected constant).
@@ -51,34 +30,6 @@ let empty_rhs system =
                 rhs;
           }
       else None)
-    (System.constraints system)
-
-(* Constant-only alternatives decide by one memoized inclusion. If it
-   fails, the whole system is unsatisfiable before any solve. *)
-let contradictions system =
-  List.concat_map
-    (fun { System.lhs; rhs } ->
-      List.filter_map
-        (fun alt ->
-          match const_leaves alt with
-          | None -> None
-          | Some leaves -> (
-              match alternative_handle system leaves with
-              | None -> None
-              | Some h ->
-                  if Store.subset h (System.const_handle system rhs) then None
-                  else
-                    Some
-                      {
-                        severity = Warning;
-                        check = "const-contradiction";
-                        message =
-                          Fmt.str
-                            "constant-only constraint %a ⊆ %s does not \
-                             hold: the system is unsatisfiable"
-                            System.pp_expr alt rhs;
-                      }))
-        (System.expand_unions lhs))
     (System.constraints system)
 
 (* Variables never bounded by a direct ⊆-edge: only concatenations
@@ -172,13 +123,10 @@ let unsat_core system =
         };
       ]
 
-(* Both checks decide by memoized store queries, so auto-emitting
-   them before every solve stays cheap. *)
-let quick system = empty_rhs system @ contradictions system
+(* One memoized emptiness query per constraint, so auto-emitting it
+   before every solve stays cheap. *)
+let quick = empty_rhs
 
-let lint ?graph system =
-  let graph =
-    match graph with Some g -> g | None -> Depgraph.of_system system
-  in
-  empty_rhs system @ contradictions system @ unsat_core system
-  @ unconstrained graph @ ci_cycles graph
+let lint system =
+  let graph = Depgraph.of_system system in
+  empty_rhs system @ unsat_core system @ unconstrained graph @ ci_cycles graph

@@ -1,6 +1,7 @@
-(** Pre-solve lint over constraint systems: cheap static checks that
-    catch authoring errors and predict solver blow-ups before any
-    machine is built.
+(** Pre-solve lint over constraint systems: a view over the
+    {!Analyze} refutation plus cheap structural checks that catch
+    authoring errors and predict solver blow-ups before any machine
+    is built.
 
     All language queries go through the interned store
     ({!Automata.Store}), so repeated lints of overlapping systems
@@ -10,12 +11,11 @@
     Checks:
     - [empty-rhs] ({e warning}) — a constraint's right-hand constant
       denotes ∅, forcing its whole left side empty.
-    - [const-contradiction] ({e warning}) — a constant-only
-      alternative of some left side is not included in its bound: the
-      system is unsatisfiable, decided by one memoized inclusion.
     - [unsat-core] ({e warning}) — the {!Analyze} pre-solve passes
       refute the system; the finding carries the minimal explaining
-      constraint core.
+      constraint core. This is the lint's one unsatisfiability
+      verdict: a failing constant-only alternative is one of the
+      analyzer's refutations ({!Analyze.Const_expr}).
     - [unconstrained-var] ({e info}) — a variable with no direct
       ⊆-edge in the dependency graph, bounded only through
       concatenations.
@@ -23,10 +23,9 @@
       variable: the §3.5 worst case (multiplying ε-cut combinations)
       is reachable.
 
-    {!Solver.run} auto-emits the [empty-rhs] and
-    [const-contradiction] findings to the log (stderr) before solving
-    — the cheap checks that flag likely authoring bugs. The
-    [dprle lint] subcommand prints everything. *)
+    {!Solver.run} auto-emits the [empty-rhs] findings to the log
+    (stderr) before solving — the cheap check that flags a likely
+    authoring bug. The [dprle lint] subcommand prints everything. *)
 
 type severity = Warning | Info
 
@@ -37,10 +36,9 @@ val pp_severity : severity Fmt.t
 (** Rendered as ["warning: [check] message"]. *)
 val pp_finding : finding Fmt.t
 
-(** All checks. Builds a {!Depgraph.t} unless one is supplied. *)
-val lint : ?graph:Depgraph.t -> System.t -> finding list
+(** All checks, in the order listed above. *)
+val lint : System.t -> finding list
 
-(** The [empty-rhs] and [const-contradiction] checks — what
-    {!Solver.run} emits; O(number of alternatives) memoized
-    emptiness/inclusion queries. *)
+(** The [empty-rhs] check — what {!Solver.run} emits; one memoized
+    emptiness query per constraint. *)
 val quick : System.t -> finding list

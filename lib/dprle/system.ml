@@ -13,6 +13,14 @@ let rec expand_unions = function
       let left = expand_unions a and right = expand_unions b in
       List.concat_map (fun l -> List.map (fun r -> Concat (l, r)) right) left
 
+let leaves expr =
+  let rec go acc = function
+    | Concat (a, b) -> go (go acc a) b
+    | Union _ -> invalid_arg "System.leaves: not a union-free alternative"
+    | leaf -> leaf :: acc
+  in
+  List.rev (go [] expr)
+
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
 
@@ -122,6 +130,8 @@ let const_handle t name =
   | Some h -> h
   | None ->
       invalid_arg (Printf.sprintf "System.const_handle: unknown constant %S" name)
+
+let expr_variables e = SSet.elements (fst (expr_names SSet.empty SSet.empty e))
 
 let variables t =
   let vars =

@@ -29,6 +29,14 @@ type constr = { lhs : expr; rhs : string  (** constant name *) }
     in DESIGN.md. *)
 val expand_unions : expr -> expr list
 
+(** The [Const]/[Var] leaves of a union-free alternative (an element
+    of {!expand_unions}), left to right. Raises [Invalid_argument] on
+    a [Union]. *)
+val leaves : expr -> expr list
+
+(** Variables occurring in an expression, sorted, each once. *)
+val expr_variables : expr -> string list
+
 type t
 
 (** {1 Construction} *)

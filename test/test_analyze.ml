@@ -9,6 +9,7 @@ module Solver = Dprle.Solver
 module Analyze = Dprle.Analyze
 module Assignment = Dprle.Assignment
 module Validate = Dprle.Validate
+module Static = Dprle.Static
 
 let re = System.const_of_regex
 
@@ -239,6 +240,24 @@ let sys_gen =
          [ ("c1", r1); ("c2", r2); ("c3", r3); ("c4", r4) ]
          constrs))
 
+(* [sys_gen] plus, optionally, a constant-only constraint [c4 ⊆ ci],
+   which the analyzer decides by one inclusion *)
+let lint_sys_gen =
+  QCheck2.Gen.(
+    let* s = sys_gen in
+    let* extra = option (oneofl [ "c1"; "c2"; "c3" ]) in
+    return
+      (match extra with
+      | None -> s
+      | Some rhs ->
+          System.make_exn ~consts:(System.constants s)
+            ~constraints:
+              (System.constraints s @ [ { System.lhs = System.Const "c4"; rhs } ])))
+
+(* the one lint check whose finding says the system is unsatisfiable *)
+let unsat_findings s =
+  List.filter (fun (f : Static.finding) -> f.check = "unsat-core") (Static.lint s)
+
 let prop_tests =
   [
     qtest ~count:60 "analyzer on/off never changes the verdict" sys_gen
@@ -277,6 +296,14 @@ let prop_tests =
         | None ->
             is_sat (run_with ~analyze:false a.Analyze.system)
             = is_sat (run_with ~analyze:false s));
+    qtest ~count:60 "a lint unsat claim is the solver's verdict" lint_sys_gen
+      (fun s ->
+        unsat_findings s = []
+        || not (is_sat (run_with ~analyze:true s) || is_sat (run_with ~analyze:false s)));
+    qtest ~count:60 "lint reports the analyzer's refutation exactly once"
+      lint_sys_gen (fun s ->
+        List.length (unsat_findings s)
+        = if Option.is_some (Analyze.run s).Analyze.refute then 1 else 0);
   ]
 
 let suite = [ ("analyze", unit_tests); ("analyze:props", prop_tests) ]

@@ -491,12 +491,11 @@ let solver_tests =
             [ { lhs = Union (Const "ca", Const "cb"); rhs = "c" } ]
         in
         check_int "sat, no vars" 1 (List.length (solve_exn s)));
-    test "first_solution mode" (fun () ->
-        let g = Depgraph.of_system fig6_system in
-        match Solver.first_solution g with
-        | Some a ->
+    test "first-solution mode" (fun () ->
+        match Solver.run (Solver.Config.make ~max_solutions:1 ()) fig6_system with
+        | Ok (Solver.Sat [ a ]) ->
             check_bool "satisfying" true (Validate.satisfying fig6_system a)
-        | None -> Alcotest.fail "expected a solution");
+        | _ -> Alcotest.fail "expected exactly one solution");
     test "gci compacts each distinct slice once per group" (fun () ->
         (* The Fig. 12 secure row, scaled down: one variable behind a
            long literal in three concatenations, each under an
@@ -539,7 +538,7 @@ let solver_tests =
             0.0
             (Snapshot.histograms (Snapshot.of_default ()))
         in
-        let census = Solver.cut_census (Depgraph.of_system s) in
+        let _, census = Solver.cut_census (Solver.Config.make ~analyze:false ()) s in
         let largest_root = largest_product () in
         let before = Snapshot.of_default () in
         (* without the analyzer: it would discharge the two keyword
@@ -687,9 +686,8 @@ let solver_props =
 let report_tests =
   [
     test "report on the motivating system" (fun () ->
-        let g = Depgraph.of_system fig6_system in
         let outcome, r =
-          Result.get_ok (Dprle.Report.solve_with_report g)
+          Result.get_ok (Dprle.Report.solve_with_report fig6_system)
         in
         (match outcome with
         | Solver.Sat [ _ ] -> ()
@@ -717,7 +715,7 @@ let report_tests =
             ]
         in
         let _, r =
-          Result.get_ok (Dprle.Report.solve_with_report (Depgraph.of_system s))
+          Result.get_ok (Dprle.Report.solve_with_report s)
         in
         (* at least the paper's 2×2 cut combinations (Thompson-built
            machines carry extra ε-cut images of the same solutions) *)
@@ -730,9 +728,12 @@ let report_tests =
             [ ("sub", "ba"); ("super", "a.*") ]
             [ { lhs = Const "sub"; rhs = "super" } ]
         in
-        Alcotest.(check (list (pair int int)))
-          "empty" []
-          (Solver.cut_census (Depgraph.of_system s)));
+        List.iter
+          (fun analyze ->
+            let g, census = Solver.cut_census (Solver.Config.make ~analyze ()) s in
+            check_int "nothing built" 0 (List.length g.Depgraph.nodes);
+            check_int "empty" 0 (List.length census))
+          [ true; false ]);
   ]
 
 (* Random systems with two coupled concatenations — the gci stress

@@ -299,13 +299,11 @@ let budget_tests =
         | Error e -> Alcotest.failf "budget: %s" (Solver.Error.to_string e));
     test "report boundary returns the same structured error" (fun () ->
         Automata.Store.clear ();
-        let g =
-          Dprle.Depgraph.of_system (Dprle.Sysparse.parse_exn fig1_source)
-        in
+        let system = Dprle.Sysparse.parse_exn fig1_source in
         let config =
           Solver.Config.make ~budget:(Budget.make ~max_states:3 ()) ()
         in
-        match Dprle.Report.solve_with_report ~config g with
+        match Dprle.Report.solve_with_report ~config system with
         | Error (Solver.Error.Budget_exceeded Budget.Out_of_states) -> ()
         | Error _ -> Alcotest.fail "wrong stop"
         | Ok _ -> Alcotest.fail "expected budget error");
@@ -349,7 +347,6 @@ let api_tests =
           [
             ( Solver.Const_expr_violation,
               "constant expression violates its subset constraint" );
-            (Solver.Const_violation "c", "constant c violates a subset constraint");
             ( Solver.No_cut 3,
               "concatenation 3 admits no ε-cut: its language is empty" );
             ( Solver.All_combinations_empty,
@@ -378,16 +375,16 @@ let api_tests =
         | Ok (Solver.Unsat r) ->
             Alcotest.failf "wrong reason: %s" (Solver.unsat_message r.Solver.reason)
         | _ -> Alcotest.fail "expected unsat");
-    test "run and run_graph agree" (fun () ->
+    test "run agrees with solve_with_report" (fun () ->
         let system = Dprle.Sysparse.parse_exn fig1_source in
-        let g = Dprle.Depgraph.of_system system in
         let cfg = Solver.Config.make ~max_solutions:4 () in
         let witnesses = function
           | Ok (Solver.Sat sols) -> List.map Dprle.Assignment.witness sols
           | _ -> []
         in
         check_bool "same verdict shape" true
-          (witnesses (Solver.run_graph cfg g) = witnesses (Solver.run cfg system));
+          (witnesses (Result.map fst (Dprle.Report.solve_with_report ~config:cfg system))
+          = witnesses (Solver.run cfg system));
         match Solver.run cfg system with
         | Ok (Solver.Sat _) -> ()
         | _ -> Alcotest.fail "fig1 must stay sat");

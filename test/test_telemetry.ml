@@ -1,13 +1,13 @@
 (* Unit tests for the telemetry subsystem: span-tree shape and
    duration bookkeeping under a deterministic clock, counter/histogram
-   labeling and snapshot diffs, and the diff-based Automata.Stats
-   scoping that makes nested solve reports independent. *)
+   labeling and snapshot diffs, and the diff-based scoping of the
+   automata.* construction counters that makes nested solve reports
+   independent. *)
 
 open Helpers
 module Span = Telemetry.Span
 module Metrics = Telemetry.Metrics
 module Json = Telemetry.Json
-module Stats = Automata.Stats
 
 (* A clock that advances 1 ms per reading makes every span's duration
    a known multiple of the readings taken inside it. *)
@@ -353,41 +353,44 @@ let fig1 =
        v1 <= filter;
        prefix . v1 <= unsafe; |}
 
+(* The construction counters Automata.Ops increments, read from
+   snapshots the way Dprle.Report and the bench harness read them. *)
+let visited = Metrics.Counter.make "automata.states_visited"
+
+let construction_diff before =
+  let diff = Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before in
+  let c = Metrics.Snapshot.counter_value diff in
+  (c "automata.states_visited", c "automata.products_built", c "automata.concats_built")
+
 let stats_tests =
   [
     test "nested solve reports are independent" (fun () ->
-        let g = Dprle.Depgraph.of_system fig1 in
         (* outer bracket, with some construction work of its own *)
-        let before = Stats.absolute () in
-        Stats.visit_states 7;
-        let _, inner = Result.get_ok (Dprle.Report.solve_with_report g) in
-        let outer = Stats.diff (Stats.absolute ()) before in
+        let before = Metrics.Snapshot.of_default () in
+        Metrics.Counter.incr visited 7;
+        let _, inner = Result.get_ok (Dprle.Report.solve_with_report fig1) in
+        let outer, _, _ = construction_diff before in
         check_bool "inner counted its solve" true (inner.automata.visited > 0);
         (* the nested report scopes itself by its own diff and never
            moves anything the outer bracket reads, so the outer work
            (the 7 synthetic visits, plus the report's own census pass)
            stays on the books *)
         check_bool "outer keeps its own work plus the nested solve" true
-          (outer.visited >= 7 + inner.automata.visited));
+          (outer >= 7 + inner.automata.visited));
     test "back-to-back reports count only their own work" (fun () ->
-        let g = Dprle.Depgraph.of_system fig1 in
-        let _, r1 = Result.get_ok (Dprle.Report.solve_with_report g) in
-        let _, r2 = Result.get_ok (Dprle.Report.solve_with_report g) in
+        let _, r1 = Result.get_ok (Dprle.Report.solve_with_report fig1) in
+        let _, r2 = Result.get_ok (Dprle.Report.solve_with_report fig1) in
         check_int "identical solves, identical counts" r1.automata.visited
           r2.automata.visited;
         check_bool "counts are per-solve, not cumulative" true
           (r2.automata.visited < 2 * r1.automata.visited));
     test "absolute counters never decrease" (fun () ->
-        let before = Stats.absolute () in
-        let _ =
-          Dprle.Solver.run_graph Dprle.Solver.Config.default
-            (Dprle.Depgraph.of_system fig1)
-        in
-        let after = Stats.absolute () in
-        let d = Stats.diff after before in
-        check_bool "visited grew" true (d.visited > 0);
-        check_bool "products grew" true (d.products > 0);
-        check_bool "concats grew" true (d.concats > 0));
+        let before = Metrics.Snapshot.of_default () in
+        let _ = Dprle.Solver.run Dprle.Solver.Config.default fig1 in
+        let visited, products, concats = construction_diff before in
+        check_bool "visited grew" true (visited > 0);
+        check_bool "products grew" true (products > 0);
+        check_bool "concats grew" true (concats > 0));
   ]
 
 let suite =
