@@ -2,10 +2,6 @@
    paper released: reads a constraint file, prints the disjunctive
    satisfying assignments (or "unsat"). *)
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
 let read_system path =
   match Dprle.Sysparse.parse_file path with
   | Ok system -> Ok system
@@ -20,90 +16,10 @@ let print_assignment index a ~witnesses_only =
   end;
   Fmt.pr "@]@."
 
-(* Worker span trees collected by a batch run, exported as extra trace
-   lanes (tid 2, 3, ...) so concurrent activity lines up in the
-   viewer. Filled by [batch_cmd] before the trace is emitted. *)
-let trace_lanes : (string * Telemetry.Span.t) list ref = ref []
-
-(* Run [f] under a span collector when any trace output was requested;
-   write the Chrome trace_event JSON and/or print the indented tree to
-   stderr. The writer runs from the [Span.collect_emit] finaliser, so
-   a solve that raises (or is interrupted by Ctrl-C, which
-   [Sys.catch_break] turns into an exception) still flushes the
-   partial trace. A metrics snapshot diff of the traced region rides
-   along under a "metrics" key — Chrome ignores unknown keys. *)
-let with_trace ~trace ~trace_tree f =
-  if trace = None && not trace_tree then f ()
-  else begin
-    let before = Telemetry.Metrics.Snapshot.of_default () in
-    let emit span =
-      Option.iter
-        (fun path ->
-          try
-            let diff =
-              Telemetry.Metrics.Snapshot.diff
-                ~after:(Telemetry.Metrics.Snapshot.of_default ())
-                ~before
-            in
-            let base =
-              match !trace_lanes with
-              | [] -> Telemetry.Span.to_chrome_json span
-              | lanes -> Telemetry.Span.to_chrome_json_lanes ~lanes span
-            in
-            let json =
-              match base with
-              | Telemetry.Json.Obj fields ->
-                  Telemetry.Json.Obj
-                    (fields
-                    @ [ ("metrics", Telemetry.Metrics.Snapshot.to_json diff) ])
-              | other -> other
-            in
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc (Telemetry.Json.to_string json))
-          with Sys_error msg -> Fmt.epr "error: cannot write trace: %s@." msg)
-        trace;
-      if trace_tree then begin
-        Fmt.epr "%a" Telemetry.Span.pp_tree span;
-        List.iter
-          (fun (_, lane) -> Fmt.epr "%a" Telemetry.Span.pp_tree lane)
-          !trace_lanes
-      end
-    in
-    Telemetry.Span.collect_emit ~name:"dprle" ~emit f
-  end
-
 let budget_of ~budget_ms ~budget_states =
   Automata.Budget.make ?wall_ms:budget_ms ?max_states:budget_states ()
 
-(* Claim-order weight for the engine's size-sorted scheduling: file
-   byte size is a cheap, deterministic proxy for solve cost. *)
-let file_weight path =
-  try Int64.to_int (In_channel.with_open_bin path In_channel.length)
-  with Sys_error _ -> 0
-
-(* A failed job's backtrace (recorded only when tracing turned
-   [Printexc.record_backtrace] on) goes to stderr so the deterministic
-   stdout stays byte-identical across --jobs values. *)
-let print_failure_backtrace file (f : Engine.failure) =
-  Option.iter
-    (fun bt -> Fmt.epr "%s: failure backtrace:@,%s@." file bt)
-    f.backtrace
-
-(* ------------------------------------------------------------------ *)
-(* Observability plumbing shared by the subcommands: [--events FILE]
-   opens the JSONL sink around the whole command (closed and flushed
-   via Fun.protect, so a crash keeps every emitted line), and
-   [--metrics] dumps the final registry snapshot — deterministic text:
-   counts only, no nanoseconds — to stderr on the way out. *)
-
 module Snapshot = Telemetry.Metrics.Snapshot
-
-let with_observability ~metrics ~events f =
-  Telemetry.Events.with_sink events @@ fun () ->
-  Fun.protect
-    ~finally:(fun () ->
-      if metrics then Fmt.epr "%a" Snapshot.pp (Snapshot.of_default ()))
-    f
 
 let sum_counters diff name =
   List.fold_left
@@ -134,9 +50,9 @@ let obs_fields diff =
 let solve_cmd path first max_solutions combination_limit budget_ms budget_states
     witnesses_only dot smtlib stats trace trace_tree no_cache
     analyze metrics events verbose =
-  setup_logs verbose;
+  Cli.setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
-  with_observability ~metrics ~events @@ fun () ->
+  Cli.with_observability ~metrics ~events @@ fun () ->
   match read_system path with
   | Error msg ->
       Fmt.epr "error: %s@." msg;
@@ -161,7 +77,7 @@ let solve_cmd path first max_solutions combination_limit budget_ms budget_states
           @ obs_fields diff)
       in
       let solved =
-        with_trace ~trace ~trace_tree @@ fun () ->
+        Cli.with_trace ~name:"dprle" ~trace ~trace_tree @@ fun () ->
         (match dot with
         | None -> ()
         | Some dot_path ->
@@ -205,9 +121,9 @@ let solve_cmd path first max_solutions combination_limit budget_ms budget_states
 
 let check_cmd path budget_ms budget_states no_cache analyze
     metrics events verbose =
-  setup_logs verbose;
+  Cli.setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
-  with_observability ~metrics ~events @@ fun () ->
+  Cli.with_observability ~metrics ~events @@ fun () ->
   match read_system path with
   | Error msg ->
       Fmt.epr "error: %s@." msg;
@@ -233,7 +149,7 @@ let check_cmd path budget_ms budget_states no_cache analyze
    warning [Solver.run] emits on its own. No solving happens — the
    heaviest work is the analyzer's passes. *)
 let lint_cmd path dot verbose =
-  setup_logs verbose;
+  Cli.setup_logs verbose;
   match read_system path with
   | Error msg ->
       Fmt.epr "error: %s@." msg;
@@ -259,7 +175,7 @@ let lint_cmd path dot verbose =
    "unsat" cannot give lives here: a refuted system reports its
    1-minimal core. *)
 let analyze_cmd path goals dot verbose =
-  setup_logs verbose;
+  Cli.setup_logs verbose;
   match read_system path with
   | Error msg ->
       Fmt.epr "error: %s@." msg;
@@ -378,10 +294,10 @@ let print_profile ~top diff =
   Fmt.pr "@.== cache-effectiveness ledger ==@.";
   Fmt.pr "%a" Automata.Store.Ledger.pp (Automata.Store.Ledger.of_snapshot diff)
 
-(* The corpus workload mirrors webcheck's pipeline — dataflow
-   fixpoint, then symbolic execution, then solves for the sinks the
-   fixpoint could not discharge — so every instrumented tier shows up
-   in the attribution. *)
+(* The corpus workload is webcheck's pipeline at webcheck's defaults
+   — pre-pass, dataflow fixpoint, symbolic execution, then solves for
+   the sinks the fixpoint could not discharge — so every instrumented
+   tier shows up in the attribution. *)
 let profile_corpus name =
   match
     List.find_opt (fun a -> a.Corpus.Fig11.name = name) Corpus.Fig11.apps
@@ -394,30 +310,16 @@ let profile_corpus name =
   | Some app ->
       Ok
         (fun () ->
-          let attack = Corpus.Fig12.attack in
           List.iter
             (fun (_, program) ->
-              let safe_ids =
-                Analysis.Fixpoint.safe_sink_ids
-                  (Analysis.Fixpoint.analyze ~attack program)
-              in
-              let { Webapp.Symexec.candidates; _ } =
-                Webapp.Symexec.analyze ~max_paths:256 ~attack program
-              in
-              List.iter
-                (fun q ->
-                  if not (List.mem q.Webapp.Symexec.sink_id safe_ids) then
-                    ignore (Webapp.Symexec.solve q))
-                candidates)
+              Analysis.Pipeline.plan ~attack:Corpus.Fig12.attack program
+              |> Analysis.Pipeline.solve |> Seq.iter ignore)
             (Corpus.Fig11.generate app))
 
 let profile_files path () =
   let files =
     if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".dprle")
-      |> List.sort compare
-      |> List.map (Filename.concat path)
+      List.map (Filename.concat path) (Cli.files_with_suffix ".dprle" path)
     else [ path ]
   in
   List.iter
@@ -430,9 +332,9 @@ let profile_files path () =
 
 let profile_cmd target corpus top metrics events no_cache
     verbose =
-  setup_logs verbose;
+  Cli.setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
-  with_observability ~metrics ~events @@ fun () ->
+  Cli.with_observability ~metrics ~events @@ fun () ->
   let workload =
     match (corpus, target) with
     | Some name, _ -> profile_corpus name
@@ -498,26 +400,22 @@ let run_wire source =
 let batch_cmd dir wire jobs budget_ms budget_states max_solutions
     combination_limit trace trace_tree no_cache analyze metrics
     events verbose =
-  setup_logs verbose;
+  Cli.setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
-  with_observability ~metrics ~events @@ fun () ->
+  Cli.with_observability ~metrics ~events @@ fun () ->
   if wire then run_wire dir
   else if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Fmt.epr "error: %s: not a directory@." dir;
     2
   end
   else begin
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".dprle")
-      |> List.sort compare
-    in
+    let files = Cli.files_with_suffix ".dprle" dir in
     if files = [] then begin
       Fmt.epr "error: no .dprle files in %s@." dir;
       2
     end
     else
-      with_trace ~trace ~trace_tree @@ fun () ->
+      Cli.with_trace ~name:"dprle" ~trace ~trace_tree @@ fun () ->
       if trace <> None || trace_tree then Printexc.record_backtrace true;
       let config =
         Dprle.Solver.Config.make ~max_solutions ~combination_limit ~analyze ()
@@ -539,10 +437,10 @@ let batch_cmd dir wire jobs budget_ms budget_states max_solutions
         Engine.map ?jobs
           ~budget:(budget_of ~budget_ms ~budget_states)
           ~name:"batch"
-          ~weight:(fun file -> file_weight (Filename.concat dir file))
+          ~weight:(fun file -> Cli.file_weight (Filename.concat dir file))
           ~f:solve_file files
       in
-      trace_lanes := stats.Engine.worker_spans;
+      Cli.trace_lanes := stats.Engine.worker_spans;
       let sat = ref 0
       and unsat = ref 0
       and parse_errors = ref 0
@@ -570,7 +468,7 @@ let batch_cmd dir wire jobs budget_ms budget_states max_solutions
               incr failures;
               Fmt.pr "%s: internal failure: %s@." file failure.Engine.message;
               if trace <> None || trace_tree then
-                print_failure_backtrace file failure)
+                Cli.print_failure_backtrace file failure)
         files results;
       List.iter2
         (fun file (r : _ Engine.job_result) ->
@@ -608,8 +506,8 @@ let batch_cmd dir wire jobs budget_ms budget_states max_solutions
    protocol lives on the socket). *)
 let serve_cmd listen jobs max_frame_bytes max_queue batch_max metrics events
     verbose =
-  setup_logs verbose;
-  with_observability ~metrics ~events @@ fun () ->
+  Cli.setup_logs verbose;
+  Cli.with_observability ~metrics ~events @@ fun () ->
   match Serve.Server.listen_of_string listen with
   | Error msg ->
       Fmt.epr "error: %s@." msg;

@@ -3,10 +3,6 @@
    systems, and prints exploit inputs (verified against the concrete
    interpreter). This is the workflow of the paper's §4 evaluation. *)
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
 let read_program path =
   let source = In_channel.with_open_text path In_channel.input_all in
   match Webapp.Lang_parser.parse source with
@@ -25,11 +21,6 @@ let attack_conv =
   in
   Cmdliner.Arg.conv (parse, fun ppf _ -> Fmt.string ppf "<attack>")
 
-(* Worker span trees collected by a directory scan, exported as extra
-   trace lanes (tid 2, 3, ...). Filled by [check_dir] before the trace
-   is emitted. *)
-let trace_lanes : (string * Telemetry.Span.t) list ref = ref []
-
 (* With --structural: recover the intended query by solving the same
    path without the attack constraint, run both input vectors through
    the interpreter, and compare the queries' parse structure. *)
@@ -37,13 +28,10 @@ let structural_verdict program q exploit_inputs =
   match Webapp.Symexec.benign_inputs q with
   | None -> None
   | Some benign_assignment ->
-      let fill inputs =
-        inputs
-        @ List.filter_map
-            (fun i -> if List.mem_assoc i inputs then None else Some (i, "a"))
-            (Webapp.Ast.inputs program)
+      let benign =
+        Webapp.Symexec.with_defaults program
+          (Webapp.Symexec.exploit_inputs q benign_assignment)
       in
-      let benign = fill (Webapp.Symexec.exploit_inputs q benign_assignment) in
       let intended = Webapp.Eval.queries program ~inputs:benign in
       let actual = Webapp.Eval.queries program ~inputs:exploit_inputs in
       (match
@@ -59,25 +47,12 @@ let structural_verdict program q exploit_inputs =
    1 safe, 2 parse error, 4 no vulnerability found but at least one
    candidate's solve ran out of budget (verdict unknown).
 
-   With [static_prune] the sound dataflow analysis runs first: sinks
-   whose abstract query language misses the attack language entirely
-   are reported [proved_safe_statically] and skipped by the
-   path-sensitive pipeline — over all paths, loops included, so a
-   truncated enumeration cannot weaken those verdicts. *)
-(* Observability plumbing shared with dprle: [--events FILE] installs
-   a process-global JSONL sink (mutex-protected, so directory-scan
-   workers can emit concurrently), [--metrics] dumps the final registry
-   snapshot to stderr. Both leave stdout untouched, preserving the
-   byte-identical-for-any---jobs guarantee. *)
-let with_observability ~metrics ~events f =
-  Telemetry.Events.with_sink events @@ fun () ->
-  Fun.protect
-    ~finally:(fun () ->
-      if metrics then
-        Fmt.epr "%a" Telemetry.Metrics.Snapshot.pp
-          (Telemetry.Metrics.Snapshot.of_default ()))
-    f
-
+   The candidates come from [Analysis.Pipeline]: with [static_prune]
+   the sound dataflow analysis runs first, and sinks whose abstract
+   query language misses the attack language entirely are reported
+   proved safe statically and never solved — over all paths, loops
+   included, so a truncated enumeration cannot weaken those verdicts.
+   This function only renders the plan and the solves. *)
 let check_one ~ppf ~err path attack all structural max_paths static_prune
     prepass_paths config =
   match read_program path with
@@ -85,100 +60,54 @@ let check_one ~ppf ~err path attack all structural max_paths static_prune
       Fmt.pf err "error: %s@." msg;
       2
   | Ok program ->
-      let static =
-        if not static_prune then None
-        else
-          (* the fixpoint only prunes; when the cheap pre-pass sees
-             that exhaustive symbolic execution is already exact and
-             small, paying for both layers is the recorded regression *)
-          let decision = Analysis.Prepass.decide ~path_budget:prepass_paths program in
-          if not decision.Analysis.Prepass.run_fixpoint then begin
-            (* debug-only: stdout must stay byte-identical with
-               --no-static-prune whenever nothing was pruned *)
-            Logs.debug (fun m ->
-                m "%s: static analysis skipped (%s)" path
-                  decision.Analysis.Prepass.reason);
-            None
-          end
-          else
-            match
-              Automata.Budget.run config.Dprle.Solver.Config.budget (fun () ->
-                  Analysis.Fixpoint.analyze_cached ~attack program)
-            with
-            | Ok r -> Some r
-            | Error stop ->
-                Fmt.pf ppf "static analysis: budget exceeded (%a); not pruning@."
-                  Automata.Budget.pp_stop stop;
-                None
+      let module P = Analysis.Pipeline in
+      let plan =
+        P.plan ~budget:config.Dprle.Solver.Config.budget ~static_prune
+          ~prepass_paths ~max_paths ~attack program
       in
-      let safe_ids =
-        match static with
-        | Some r -> Analysis.Fixpoint.safe_sink_ids r
-        | None -> []
-      in
-      let total_sinks = List.length (Webapp.Ast.sinks program) in
-      (* Every sink statically safe ⇒ nothing is left for the
-         path-sensitive layer to decide: path enumeration would only
-         produce candidates the prune filter discards below. Skipping
-         it is what makes the prune pay for itself on safe pages. *)
-      let all_sinks_pruned =
-        static <> None && total_sinks > 0
-        && List.length safe_ids = total_sinks
-      in
-      let { Webapp.Symexec.candidates; paths_truncated } =
-        if all_sinks_pruned then
-          { Webapp.Symexec.candidates = []; paths_truncated = false }
-        else Webapp.Symexec.analyze ~max_paths ~attack program
-      in
-      if all_sinks_pruned then
+      (match plan.P.fixpoint with
+      | P.Skipped reason ->
+          (* debug-only: stdout must stay byte-identical with
+             --no-static-prune whenever nothing was pruned *)
+          Logs.debug (fun m -> m "%s: static analysis skipped (%s)" path reason)
+      | P.Budget_stopped stop ->
+          Fmt.pf ppf "static analysis: budget exceeded (%a); not pruning@."
+            Automata.Budget.pp_stop stop
+      | P.Disabled | P.Ran _ -> ());
+      if P.all_sinks_pruned plan then
         Fmt.pf ppf
           "%s: %d basic blocks, all %d sink(s) proved safe statically \
            (symbolic execution skipped)@."
           path
           (Webapp.Ast.basic_blocks program)
-          total_sinks
+          plan.P.sinks
       else
         Fmt.pf ppf "%s: %d basic blocks, %d sink-reaching path candidates@."
           path
           (Webapp.Ast.basic_blocks program)
-          (List.length candidates);
-      Option.iter
-        (fun (r : Analysis.Fixpoint.result) ->
+          (List.length plan.P.candidates);
+      (match plan.P.fixpoint with
+      | P.Ran r ->
           Logs.debug (fun m ->
               m "static fixpoint: %d blocks, %d iterations, %d widenings"
                 r.Analysis.Fixpoint.blocks r.Analysis.Fixpoint.iterations
                 r.Analysis.Fixpoint.widenings);
           List.iter
             (fun id -> Fmt.pf ppf "sink %d: proved safe statically@." id)
-            safe_ids)
-        static;
-      let candidates =
-        List.filter
-          (fun (q : Webapp.Symexec.query) ->
-            not (List.mem q.Webapp.Symexec.sink_id safe_ids))
-          candidates
-      in
-      let unpruned_sinks = total_sinks - List.length safe_ids in
+            plan.P.safe_sink_ids
+      | P.Disabled | P.Skipped _ | P.Budget_stopped _ -> ());
       let vulnerable = ref 0 in
       let over_budget = ref 0 in
       (try
-         List.iter
-           (fun q ->
-             let verdict = Webapp.Symexec.solve ~config q in
+         Seq.iter
+           (fun ((q : Webapp.Symexec.query), verdict) ->
              Telemetry.Events.emit_global ~kind:"sink"
                [
                  ("file", Telemetry.Json.String path);
-                 ("path", Telemetry.Json.Int q.Webapp.Symexec.path_id);
-                 ("sink", Telemetry.Json.Int q.Webapp.Symexec.sink_index);
+                 ("path", Telemetry.Json.Int q.path_id);
+                 ("sink", Telemetry.Json.Int q.sink_index);
                  ( "outcome",
-                   Telemetry.Json.String
-                     (match
-                        ( verdict.Webapp.Symexec.budget,
-                          verdict.Webapp.Symexec.assignment )
-                      with
-                     | Webapp.Symexec.Budget_exceeded _, _ -> "budget_exceeded"
-                     | _, Some _ -> "vulnerable"
-                     | _, None -> "no_exploit") );
+                   Telemetry.Json.String (P.status_name (P.classify verdict)) );
                ];
              (match verdict.Webapp.Symexec.budget with
              | Webapp.Symexec.Within_budget -> ()
@@ -186,22 +115,17 @@ let check_one ~ppf ~err path attack all structural max_paths static_prune
                  incr over_budget;
                  Fmt.pf ppf
                    "skipped (path %d, sink %d): budget exceeded: %a@."
-                   q.Webapp.Symexec.path_id q.Webapp.Symexec.sink_index
-                   Automata.Budget.pp_stop stop);
+                   q.path_id q.sink_index Automata.Budget.pp_stop stop);
              match verdict.Webapp.Symexec.assignment with
              | None -> ()
              | Some assignment ->
                  incr vulnerable;
-                 let inputs = Webapp.Symexec.exploit_inputs q assignment in
-                 let all_inputs =
-                   inputs
-                   @ List.filter_map
-                       (fun i ->
-                         if List.mem_assoc i inputs then None else Some (i, "a"))
-                       (Webapp.Ast.inputs program)
+                 let inputs =
+                   Webapp.Symexec.with_defaults program
+                     (Webapp.Symexec.exploit_inputs q assignment)
                  in
                  let confirmed =
-                   Webapp.Eval.vulnerable_run ~attack program ~inputs:all_inputs
+                   Webapp.Eval.vulnerable_run ~attack program ~inputs
                  in
                  Fmt.pf ppf
                    "@[<v2>VULNERABLE (path %d, sink %d, |C|=%d, %a) — %s:@ \
@@ -213,9 +137,9 @@ let check_one ~ppf ~err path attack all structural max_paths static_prune
                     else "WARNING: exploit did not reproduce")
                    Fmt.(
                      list ~sep:cut (fun ppf (k, v) -> Fmt.pf ppf "%s = %S" k v))
-                   all_inputs;
+                   inputs;
                  if structural then begin
-                   match structural_verdict program q all_inputs with
+                   match structural_verdict program q inputs with
                    | Some (intended, Some reason) ->
                        Fmt.pf ppf "  intended query: %s@." intended;
                        Fmt.pf ppf "  structural verdict: %a@."
@@ -230,12 +154,13 @@ let check_one ~ppf ~err path attack all structural max_paths static_prune
                          "  structural verdict: no benign baseline found@."
                  end;
                  if not all then raise Exit)
-           candidates
+           (P.solve ~config plan)
        with Exit -> ());
       let code =
         if !vulnerable > 0 then 0
         else begin
-          if paths_truncated && unpruned_sinks > 0 then
+          let unpruned_sinks = plan.P.sinks - List.length plan.P.safe_sink_ids in
+          if plan.P.paths_truncated && unpruned_sinks > 0 then
             Fmt.pf ppf
               "warning: path enumeration truncated at --max-paths=%d; %d \
                sink(s) not statically proved may have unexplored paths@."
@@ -248,8 +173,9 @@ let check_one ~ppf ~err path attack all structural max_paths static_prune
         [
           ("file", Telemetry.Json.String path);
           ("code", Telemetry.Json.Int code);
-          ("candidates", Telemetry.Json.Int (List.length candidates));
-          ("pruned_statically", Telemetry.Json.Int (List.length safe_ids));
+          ("candidates", Telemetry.Json.Int (List.length plan.P.candidates));
+          ( "pruned_statically",
+            Telemetry.Json.Int (List.length plan.P.safe_sink_ids) );
           ("vulnerable", Telemetry.Json.Int !vulnerable);
           ("over_budget", Telemetry.Json.Int !over_budget);
         ];
@@ -263,11 +189,7 @@ let check_one ~ppf ~err path attack all structural max_paths static_prune
    Timing goes to stderr. *)
 let check_dir dir attack structural max_paths static_prune prepass_paths config
     jobs ~trace_requested =
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".mphp")
-    |> List.sort compare
-  in
+  let files = Cli.files_with_suffix ".mphp" dir in
   if files = [] then begin
     Fmt.epr "no .mphp files in %s@." dir;
     2
@@ -283,19 +205,11 @@ let check_dir dir attack structural max_paths static_prune prepass_paths config
       Format.pp_print_flush ppf ();
       (Buffer.contents buf, code)
     in
-    (* file byte size as claim-order weight: big pages start first so a
-       skewed mix can't strand the tail on one worker *)
-    let weight file =
-      try
-        Int64.to_int
-          (In_channel.with_open_bin (Filename.concat dir file)
-             In_channel.length)
-      with Sys_error _ -> 0
-    in
+    let weight file = Cli.file_weight (Filename.concat dir file) in
     let results, stats =
       Engine.map ?jobs ~name:"webcheck" ~weight ~f:scan files
     in
-    trace_lanes := stats.Engine.worker_spans;
+    Cli.trace_lanes := stats.Engine.worker_spans;
     let vulnerable = ref [] in
     let failures = ref 0 in
     List.iter2
@@ -309,12 +223,10 @@ let check_dir dir attack structural max_paths static_prune prepass_paths config
             Fmt.pr "%s: %a@.@." file
               (Engine.pp_outcome (fun ppf _ -> Fmt.string ppf ""))
               other;
-            (* backtrace (recorded only under tracing) to stderr: the
-               deterministic stdout stays byte-identical across --jobs *)
-            (match other with
-            | Engine.Failed { backtrace = Some bt; _ } when trace_requested ->
-                Fmt.epr "%s: failure backtrace:@,%s@." file bt
-            | _ -> ()))
+            match other with
+            | Engine.Failed failure when trace_requested ->
+                Cli.print_failure_backtrace file failure
+            | _ -> ())
       files results;
     List.iter2
       (fun file (r : _ Engine.job_result) ->
@@ -343,65 +255,18 @@ let check_dir dir attack structural max_paths static_prune prepass_paths config
     if !failures > 0 then 5 else 0
   end
 
-(* Run [f] under a span collector when any trace output was requested;
-   write the Chrome trace_event JSON and/or print the indented tree to
-   stderr. The writer runs from the [Span.collect_emit] finaliser, so
-   an analysis that raises (or is interrupted by Ctrl-C, which
-   [Sys.catch_break] turns into an exception) still flushes the
-   partial trace. A metrics snapshot diff of the traced region rides
-   along under a "metrics" key — Chrome ignores unknown keys. *)
-let with_trace ~trace ~trace_tree f =
-  if trace = None && not trace_tree then f ()
-  else begin
-    let before = Telemetry.Metrics.Snapshot.of_default () in
-    let emit span =
-      Option.iter
-        (fun path ->
-          try
-            let diff =
-              Telemetry.Metrics.Snapshot.diff
-                ~after:(Telemetry.Metrics.Snapshot.of_default ())
-                ~before
-            in
-            let base =
-              match !trace_lanes with
-              | [] -> Telemetry.Span.to_chrome_json span
-              | lanes -> Telemetry.Span.to_chrome_json_lanes ~lanes span
-            in
-            let json =
-              match base with
-              | Telemetry.Json.Obj fields ->
-                  Telemetry.Json.Obj
-                    (fields
-                    @ [ ("metrics", Telemetry.Metrics.Snapshot.to_json diff) ])
-              | other -> other
-            in
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc (Telemetry.Json.to_string json))
-          with Sys_error msg -> Fmt.epr "error: cannot write trace: %s@." msg)
-        trace;
-      if trace_tree then begin
-        Fmt.epr "%a" Telemetry.Span.pp_tree span;
-        List.iter
-          (fun (_, lane) -> Fmt.epr "%a" Telemetry.Span.pp_tree lane)
-          !trace_lanes
-      end
-    in
-    Telemetry.Span.collect_emit ~name:"webcheck" ~emit f
-  end
-
 let check_cmd path attack all structural max_paths static_prune prepass_paths
     jobs budget_ms budget_states trace trace_tree no_cache metrics
     events verbose =
-  setup_logs verbose;
+  Cli.setup_logs verbose;
   if no_cache then Automata.Store.set_enabled false;
   let config =
     Dprle.Solver.Config.make
       ~budget:(Automata.Budget.make ?wall_ms:budget_ms ?max_states:budget_states ())
       ()
   in
-  with_observability ~metrics ~events @@ fun () ->
-  with_trace ~trace ~trace_tree @@ fun () ->
+  Cli.with_observability ~metrics ~events @@ fun () ->
+  Cli.with_trace ~name:"webcheck" ~trace ~trace_tree @@ fun () ->
   let trace_requested = trace <> None || trace_tree in
   if trace_requested then Printexc.record_backtrace true;
   if Sys.is_directory path then
@@ -440,7 +305,7 @@ let () =
              the intended and subverted SQL (Su-Wassermann criterion).")
   in
   let max_paths_arg =
-    Arg.(value & opt int 4096 & info [ "max-paths" ] ~docv:"N" ~doc:"Path exploration bound.")
+    Arg.(value & opt int Analysis.Pipeline.default_max_paths & info [ "max-paths" ] ~docv:"N" ~doc:"Path exploration bound.")
   in
   let static_prune_arg =
     Arg.(
@@ -461,7 +326,8 @@ let () =
   in
   let prepass_paths_arg =
     Arg.(
-      value & opt int 8
+      value
+      & opt int Analysis.Prepass.default_path_budget
       & info [ "prepass-paths" ] ~docv:"N"
           ~doc:
             "Skip the static analysis on loop-free programs with at most $(docv) \

@@ -67,7 +67,9 @@ let estimate program tainted =
   List.iter stmt program;
   (!has_loop, !paths)
 
-let decide ?(path_budget = 8) program =
+let default_path_budget = 8
+
+let decide ?(path_budget = default_path_budget) program =
   let sinks = List.length (Ast.sinks program) in
   let tainted = taint_pass program (taint_pass program []) in
   let has_loop, est_paths = estimate program tainted in

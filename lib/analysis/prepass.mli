@@ -15,6 +15,10 @@
     tainted flow-insensitively, so a guard that merely might be
     input-dependent counts as a path doubling.
 
+    {!Pipeline.plan} is the one caller in the program: the webcheck
+    CLI, the wire [webcheck] request and [dprle profile --corpus]
+    all reach the pre-pass through it, with the same threshold.
+
     Counters: [analysis.prepass.skip] / [analysis.prepass.run]. *)
 
 type decision = {
@@ -25,9 +29,15 @@ type decision = {
   est_paths : int;  (** forking branches only; capped at 2^20 *)
 }
 
+(** The loop-free path count at or below which symbolic execution
+    alone is judged cheaper (8): the default of [decide], and so of
+    [webcheck --prepass-paths] and the wire [webcheck] request. *)
+val default_path_budget : int
+
 (** [decide ?path_budget program] recommends whether to run the
     fixpoint. Skips when the program has no sinks, or is loop-free
-    with at most [path_budget] (default 8) estimated paths; a
+    with at most [path_budget] (default {!default_path_budget})
+    estimated paths; a
     [path_budget] of 0 disables the pre-pass (always run — the
     ablation escape hatch). *)
 val decide : ?path_budget:int -> Webapp.Ast.program -> decision

@@ -57,7 +57,9 @@ let compute m1 m2 m3 =
    everything in [result] — including the state-identity provenance of
    the cut slices — is self-consistent relative to the interned
    representatives the computation ran on. The raw [Ops.concat]/
-   [Ops.intersect] inside [compute] stay uncached by construction. *)
+   [Ops.intersect] inside [compute] stay uncached by construction.
+   Under [--no-cache] interning wraps each machine unchanged and the
+   memo calls [compute] directly, so this one path serves both modes. *)
 let ci_memo : result Store.Memo.t = Store.Memo.create ~op:"ci"
 
 let concat_intersect m1 m2 m3 =
@@ -70,12 +72,10 @@ let concat_intersect m1 m2 m3 =
       ]
   @@ fun () ->
   let result =
-    if not (Store.enabled ()) then compute m1 m2 m3
-    else
-      let h1 = Store.intern m1 and h2 = Store.intern m2 and h3 = Store.intern m3 in
-      Store.Memo.find_or_compute ci_memo
-        ~key:[ Store.id h1; Store.id h2; Store.id h3 ]
-        (fun () -> compute (Store.nfa h1) (Store.nfa h2) (Store.nfa h3))
+    let h1 = Store.intern m1 and h2 = Store.intern m2 and h3 = Store.intern m3 in
+    Store.Memo.find_or_compute ci_memo
+      ~key:[ Store.id h1; Store.id h2; Store.id h3 ]
+      (fun () -> compute (Store.nfa h1) (Store.nfa h2) (Store.nfa h3))
   in
   Telemetry.Span.add_attr "m5_states" (`Int (Nfa.num_states result.m5));
   Telemetry.Span.add_attr "eps_cuts" (`Int (List.length result.solutions));

@@ -104,22 +104,19 @@ let max_middle_uncached ~pre ~post ~upper =
    residual once per occurrence per iteration, and the solver's
    preprocessing poses it again for every alternative sharing a
    constant run — cache the whole construction on the interned
-   operand triple. *)
+   operand triple. Under [--no-cache] interning and [Store.canon] pass
+   machines through and the memo calls its function directly. *)
 let max_middle_memo : Nfa.t Store.Memo.t =
   Store.Memo.create ~op:"residual.max_middle"
 
 let max_middle ~pre ~post ~upper =
-  if not (Store.enabled ()) then max_middle_uncached ~pre ~post ~upper
-  else
-    let hp = Store.intern pre
-    and hq = Store.intern post
-    and hu = Store.intern upper in
-    Store.Memo.find_or_compute max_middle_memo
-      ~key:[ Store.id hp; Store.id hq; Store.id hu ]
-      (fun () ->
-        Store.canon
-          (max_middle_uncached ~pre:(Store.nfa hp) ~post:(Store.nfa hq)
-             ~upper:(Store.nfa hu)))
+  let hp = Store.intern pre and hq = Store.intern post and hu = Store.intern upper in
+  Store.Memo.find_or_compute max_middle_memo
+    ~key:[ Store.id hp; Store.id hq; Store.id hu ]
+    (fun () ->
+      Store.canon
+        (max_middle_uncached ~pre:(Store.nfa hp) ~post:(Store.nfa hq)
+           ~upper:(Store.nfa hu)))
 
 (* Constants resolve to the system's shared handles; assignment
    values are interned on the spot (cheap relative to the residual

@@ -80,16 +80,12 @@ let lint system_text =
       in
       Api.Response.Lint_report { findings }
 
-(* Same constant as webcheck's --prepass-paths default. *)
-let prepass_paths = 8
+let prepass_paths = Analysis.Prepass.default_path_budget
 
-(* The webcheck CLI pipeline (prepass → fixpoint prune → symbolic
-   execution → per-candidate solve), re-emitted as structured sinks
-   instead of prose. One intentional divergence: the CLI degrades a
-   budget-exhausted static analysis to "no pruning" because its budget
-   is per-candidate, whereas here the ambient budget installed by
-   {!handle} covers the whole request — exhaustion anywhere becomes
-   one [Budget_exceeded] error response. *)
+(* The webcheck pipeline rendered as structured sinks. No scan budget
+   is passed, so a trip of the request budget {!handle} installs
+   unwinds out of the fixpoint too and becomes one [Budget_exceeded]
+   error response. *)
 let webcheck (p : Api.Request.webcheck_params) =
   match Webapp.Lang_parser.parse p.program with
   | Error e -> parse_reject Webapp.Lang_parser.pp_error e
@@ -104,80 +100,46 @@ let webcheck (p : Api.Request.webcheck_params) =
                   (String.concat ", " Webapp.Attack.names);
             }
       | Some attack ->
-          let static =
-            if not p.static_prune then None
-            else
-              let decision =
-                Analysis.Prepass.decide ~path_budget:prepass_paths program
-              in
-              if not decision.Analysis.Prepass.run_fixpoint then None
-              else Some (Analysis.Fixpoint.analyze_cached ~attack program)
+          let module P = Analysis.Pipeline in
+          let plan =
+            P.plan ~static_prune:p.static_prune ~max_paths:p.max_paths ~attack
+              program
           in
-          let safe_ids =
-            match static with
-            | Some r -> Analysis.Fixpoint.safe_sink_ids r
-            | None -> []
-          in
-          let total_sinks = List.length (Webapp.Ast.sinks program) in
-          let all_pruned =
-            static <> None && total_sinks > 0
-            && List.length safe_ids = total_sinks
-          in
-          let { Webapp.Symexec.candidates; paths_truncated } =
-            if all_pruned then
-              { Webapp.Symexec.candidates = []; paths_truncated = false }
-            else Webapp.Symexec.analyze ~max_paths:p.max_paths ~attack program
-          in
-          let candidates =
-            List.filter
-              (fun (q : Webapp.Symexec.query) ->
-                not (List.mem q.Webapp.Symexec.sink_id safe_ids))
-              candidates
-          in
-          let solved =
-            List.map
-              (fun (q : Webapp.Symexec.query) ->
-                let verdict = Webapp.Symexec.solve q in
-                let status, exploit =
-                  match
-                    ( verdict.Webapp.Symexec.budget,
-                      verdict.Webapp.Symexec.assignment )
-                  with
-                  | Webapp.Symexec.Budget_exceeded _, _ ->
-                      ("budget_exceeded", [])
-                  | _, Some assignment ->
-                      ("vulnerable", Webapp.Symexec.exploit_inputs q assignment)
-                  | _, None -> ("no_exploit", [])
-                in
-                {
-                  Api.Response.path_id = q.Webapp.Symexec.path_id;
-                  sink_index = q.Webapp.Symexec.sink_index;
-                  sink_id = q.Webapp.Symexec.sink_id;
-                  status;
-                  exploit;
-                })
-              candidates
+          let sink ?(path_id = -1) ?(sink_index = -1) ?(exploit = []) sink_id
+              status =
+            {
+              Api.Response.path_id;
+              sink_index;
+              sink_id;
+              status = P.status_name status;
+              exploit;
+            }
           in
           let pruned =
-            List.map
-              (fun id ->
-                {
-                  Api.Response.path_id = -1;
-                  sink_index = -1;
-                  sink_id = id;
-                  status = "proved_safe_statically";
-                  exploit = [];
-                })
-              (List.sort compare safe_ids)
+            List.map (fun id -> sink id P.Proved_safe_statically) plan.safe_sink_ids
           in
-          let vulnerable =
-            List.length
-              (List.filter
-                 (fun (s : Api.Response.sink) -> s.status = "vulnerable")
-                 solved)
+          let solved =
+            List.of_seq
+              (Seq.map
+                 (fun ((q : Webapp.Symexec.query), verdict) ->
+                   let status = P.classify verdict in
+                   let exploit =
+                     match (status, verdict.Webapp.Symexec.assignment) with
+                     | P.Vulnerable, Some a -> Webapp.Symexec.exploit_inputs q a
+                     | _ -> []
+                   in
+                   ( status,
+                     sink ~path_id:q.path_id ~sink_index:q.sink_index ~exploit
+                       q.sink_id status ))
+                 (P.solve plan))
           in
           Api.Response.Webcheck_report
-            { sinks = pruned @ solved; vulnerable; paths_truncated })
+            {
+              sinks = pruned @ List.map snd solved;
+              vulnerable =
+                List.length (List.filter (fun (s, _) -> s = P.Vulnerable) solved);
+              paths_truncated = plan.paths_truncated;
+            })
 
 let stats ~requests () =
   Api.Response.Stats_report

@@ -9,7 +9,15 @@
     - the request's [budget_ms]/[budget_states] are installed as the
       ambient {!Automata.Budget} for the {e whole} handler, so a
       hostile payload cannot hide blow-up outside the solver proper;
-      exhaustion anywhere becomes an [Error Budget_exceeded] payload;
+      exhaustion outside a solve becomes an [Error Budget_exceeded]
+      payload, exhaustion inside one candidate's solve marks that
+      sink [budget_exceeded];
+    - a [webcheck] request runs {!Analysis.Pipeline} — the webcheck
+      CLI's pipeline, pre-pass threshold included — with no scan
+      budget of its own, so a budget trip inside the static fixpoint
+      is one [Error Budget_exceeded] rather than "not pruning"; the
+      handler only renders the plan and the solves as
+      {!Api.Response.sink} records;
     - any exception becomes [Error Internal] — a handler never kills
       its worker;
     - [obs] is filled from a before/after {!Telemetry.Metrics.Snapshot}
@@ -24,5 +32,7 @@
 val handle : ?requests:int -> Api.Request.t -> Api.Response.t
 
 (** Loop-free path-count threshold below which webcheck requests skip
-    the static fixpoint (mirrors the CLI's [--prepass-paths] default). *)
+    the static fixpoint: an alias of
+    {!Analysis.Prepass.default_path_budget}, the CLI's
+    [--prepass-paths] default. *)
 val prepass_paths : int

@@ -401,10 +401,9 @@ let input_languages query assignment =
 
 type budget_status = Within_budget | Budget_exceeded of Automata.Budget.stop
 
-type provenance = Proved_safe_statically | Witnessed | Unknown
+type provenance = Witnessed | Unknown
 
 let pp_provenance ppf = function
-  | Proved_safe_statically -> Fmt.string ppf "proved_safe_statically"
   | Witnessed -> Fmt.string ppf "witnessed"
   | Unknown -> Fmt.string ppf "unknown"
 
@@ -414,14 +413,6 @@ type verdict = {
   budget : budget_status;
   provenance : provenance;
 }
-
-let statically_safe_verdict =
-  {
-    assignment = None;
-    slot_languages = [];
-    budget = Within_budget;
-    provenance = Proved_safe_statically;
-  }
 
 (* Goal-directed solving: the sink obligation is always the system's
    last constraint ([emit] reverses the path-ordered accumulator), and
@@ -528,6 +519,9 @@ let benign_inputs ?(config = Dprle.Solver.Config.default) query =
       List.find_map (input_languages query) disjuncts
   | Ok (Dprle.Solver.Unsat _) | Error _ -> None
 
+(* the value of an input no exploit language constrains *)
+let default_value = "a"
+
 let exploit_inputs query assignment =
   List.map
     (fun input ->
@@ -535,27 +529,24 @@ let exploit_inputs query assignment =
       | Some lang -> (
           match Nfa.shortest_word lang with
           | Some w -> (input, w)
-          | None -> (input, "a"))
-      | None -> (input, "a"))
+          | None -> (input, default_value))
+      | None -> (input, default_value))
     query.input_vars
 
+(* inputs the program reads but the path never constrains get a
+   harmless default, as in the paper's [posted_userid = a] *)
+let with_defaults program inputs =
+  inputs
+  @ List.filter_map
+      (fun input ->
+        if List.mem_assoc input inputs then None else Some (input, default_value))
+      (Ast.inputs program)
+
 let first_exploit ?max_paths ~attack program =
-  let all_inputs = Ast.inputs program in
   let { candidates; paths_truncated = _ } = analyze ?max_paths ~attack program in
   List.find_map
     (fun query ->
-      match (solve query).assignment with
-      | Some a ->
-          let constrained = exploit_inputs query a in
-          (* inputs the program reads but the path never constrains
-             get a harmless default, as in the paper's
-             [posted_userid = a] *)
-          let defaults =
-            List.filter_map
-              (fun input ->
-                if List.mem_assoc input constrained then None else Some (input, "a"))
-              all_inputs
-          in
-          Some (constrained @ defaults)
-      | None -> None)
+      Option.map
+        (fun a -> with_defaults program (exploit_inputs query a))
+        (solve query).assignment)
     candidates

@@ -76,16 +76,16 @@ type budget_status =
       (** the solve was cut short; the verdict says nothing about
           this path/sink *)
 
-(** How a per-sink verdict was established.
-    - [Proved_safe_statically]: the {!Analysis} fixpoint showed
-      [abstract ∩ attack = ∅]; sound over {e all} paths, loops
-      included, independent of path enumeration.
+(** How a solved candidate's verdict was established.
     - [Witnessed]: the solver produced an exploit language (and a
       concrete witness).
     - [Unknown]: no witness found — safety follows only if the
       enumeration was exhaustive (see {!exploration.paths_truncated})
-      and the solve stayed within budget. *)
-type provenance = Proved_safe_statically | Witnessed | Unknown
+      and the solve stayed within budget.
+
+    Sinks the static fixpoint proves safe are never solved; their
+    outcome is [Analysis.Pipeline.Proved_safe_statically]. *)
+type provenance = Witnessed | Unknown
 
 val pp_provenance : provenance Fmt.t
 
@@ -107,10 +107,6 @@ type verdict = {
   provenance : provenance;  (** [Witnessed] or [Unknown] from {!solve} *)
 }
 
-(** The verdict the static layer issues for a pruned sink: no
-    assignment, within budget, [Proved_safe_statically]. *)
-val statically_safe_verdict : verdict
-
 (** Solve one candidate under [config] (default
     {!Dprle.Solver.Config.default}, unlimited budget); [config]'s
     [max_solutions] is overridden internally (1, then 16 when
@@ -130,6 +126,11 @@ val exploit_inputs : query -> Dprle.Assignment.t -> (string * string) list
     infeasible (or [config]'s budget ran out). *)
 val benign_inputs :
   ?config:Dprle.Solver.Config.t -> query -> Dprle.Assignment.t option
+
+(** [with_defaults program inputs] completes an input vector: every
+    input [program] reads that [inputs] does not bind is appended
+    with the value ["a"]. *)
+val with_defaults : Ast.program -> (string * string) list -> (string * string) list
 
 (** End-to-end convenience: first solvable candidate's inputs. *)
 val first_exploit :

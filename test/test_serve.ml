@@ -124,6 +124,45 @@ let metrics_tests =
 (* ------------------------------------------------------------------ *)
 (* Handler: in-domain request execution. *)
 
+let sum_counter snap name =
+  List.fold_left
+    (fun acc (n, _, v) -> if n = name then acc + v else acc)
+    0
+    (Telemetry.Metrics.Snapshot.counters snap)
+
+let webcheck_req ?budget_states id program =
+  Serve.Handler.handle
+    (req ?budget_states ~id
+       (Request.Webcheck (Request.webcheck_defaults ~program)))
+
+let webcheck_report (r : Response.t) =
+  match r.payload with
+  | Response.Webcheck_report { sinks; vulnerable; _ } -> (sinks, vulnerable)
+  | p -> Alcotest.failf "expected a webcheck report, got %s" (Response.payload_name p)
+
+let eve_pages () =
+  Corpus.Fig11.generate
+    (List.find (fun a -> a.Corpus.Fig11.name = "eve") Corpus.Fig11.apps)
+
+let eve_page name = List.assoc name (eve_pages ())
+
+(* The paper's Fig. 1 shape: an unanchored digit filter in front of a
+   concatenated query. *)
+let vulnerable_page =
+  {|$nid = input("nid");
+    if (!preg_match(/[\d]+$/, $nid)) { echo "no"; exit; }
+    query("SELECT * FROM t WHERE id=nid_" . $nid);|}
+
+(* A loop (so the pre-pass runs the fixpoint) whose queries never
+   see the input: the widened fixpoint proves both sinks safe. *)
+let safe_loop_page =
+  {|$ids = "0";
+    while (!preg_match(/^done$/, input("more"))) {
+      $ids = $ids . ",0";
+    }
+    query("SELECT * FROM t WHERE id IN (" . $ids . ")");
+    query("SELECT * FROM t_log");|}
+
 let handler_tests =
   [
     test "solve answers sat with the request id echoed" (fun () ->
@@ -157,6 +196,61 @@ let handler_tests =
         in
         let resp = Serve.Handler.handle (req ~id:"w" (Request.Webcheck p)) in
         check_string "code" "parse_error" (error_code resp));
+    test "webcheck reports a vulnerable sink with its exploit inputs" (fun () ->
+        let resp = webcheck_req "wv" vulnerable_page in
+        let sinks, vulnerable = webcheck_report resp in
+        check_int "vulnerable" 1 vulnerable;
+        match sinks with
+        | [ { Response.status = "vulnerable"; exploit; _ } ] ->
+            let nid =
+              match List.assoc_opt "nid" exploit with
+              | Some v -> v
+              | None -> Alcotest.fail "no exploit value for nid"
+            in
+            check_bool "the exploit carries a quote" true (String.contains nid '\'')
+        | _ -> Alcotest.fail "expected one vulnerable sink");
+    test "webcheck reports fixpoint-proved sinks without solving" (fun () ->
+        let solves () =
+          sum_counter (Telemetry.Metrics.Snapshot.of_default ()) "solver.solves"
+        in
+        let before = solves () in
+        let sinks, vulnerable = webcheck_report (webcheck_req "ws" safe_loop_page) in
+        check_int "solver.solves" 0 (solves () - before);
+        check_int "vulnerable" 0 vulnerable;
+        check_bool "every sink proved safe statically" true
+          (List.map (fun (s : Response.sink) -> (s.sink_id, s.status)) sinks
+          = [ (0, "proved_safe_statically"); (1, "proved_safe_statically") ]));
+    test "a budget trip inside the fixpoint is one budget_exceeded error"
+      (fun () ->
+        (* eve's page_00 is the accumulator loop only the fixpoint can
+           prove safe; its path enumeration builds no states, so with a
+           cold store and fixpoint cache a small state budget trips in
+           the fixpoint. Degrading that trip to "not pruning" would
+           surface later as per-sink budget_exceeded statuses from the
+           solves instead of one error. *)
+        let page = Webapp.Ast.to_source (eve_page "page_00.mphp") in
+        Automata.Store.clear ();
+        let resp = webcheck_req ~budget_states:100 "wb" page in
+        check_string "code" "budget_exceeded" (error_code resp);
+        let sinks, _ = webcheck_report (webcheck_req "wb2" page) in
+        check_bool "unbudgeted, the sink is proved safe" true
+          (List.map (fun (s : Response.sink) -> s.status) sinks
+          = [ "proved_safe_statically" ]));
+    test "the wire request finds webcheck's vulnerable eve pages" (fun () ->
+        (* [webcheck] over [corpusgen --app eve] reports edit.mphp
+           alone (test/cram/corpus.t); the wire request, fed the same
+           source text, must agree page by page *)
+        let vulnerable_pages =
+          List.filter_map
+            (fun (name, program) ->
+              let _, vulnerable =
+                webcheck_report (webcheck_req name (Webapp.Ast.to_source program))
+              in
+              if vulnerable > 0 then Some name else None)
+            (eve_pages ())
+        in
+        Alcotest.(check (list string)) "vulnerable pages" [ "edit.mphp" ]
+          vulnerable_pages);
     test "stats reports the threaded request count" (fun () ->
         let resp = Serve.Handler.handle ~requests:42 (req ~id:"st" Request.Stats) in
         match resp.Response.payload with
