@@ -625,32 +625,19 @@ let static_prune_arm ~prune ~passes files =
     let vs =
       List.map
         (fun (name, program) ->
-          let safe_ids =
-            if prune then
-              Analysis.Fixpoint.safe_sink_ids
-                (Analysis.Fixpoint.analyze_cached ~attack program)
-            else []
+          (* webcheck's pipeline with the pre-pass off, so the "on" arm
+             always runs the fixpoint *)
+          let plan =
+            Analysis.Pipeline.plan ~prepass_paths:0 ~max_paths:256
+              ~static_prune:prune ~attack program
           in
-          if pass = 1 then pruned := !pruned + List.length safe_ids;
-          let total_sinks = List.length (Webapp.Ast.sinks program) in
-          (* mirror webcheck: a file whose every sink is statically
-             safe skips path enumeration outright *)
-          if prune && total_sinks > 0 && List.length safe_ids = total_sinks
-          then (name, false)
-          else
-            let { Webapp.Symexec.candidates; _ } =
-              Webapp.Symexec.analyze ~max_paths:256 ~attack program
-            in
-            let vulnerable =
-              List.exists
-                (fun q ->
-                  (not (List.mem q.Webapp.Symexec.sink_id safe_ids))
-                  && (Webapp.Symexec.solve ~config:solver_only_config q)
-                       .Webapp.Symexec.assignment
-                     <> None)
-                candidates
-            in
-            (name, vulnerable))
+          if pass = 1 then
+            pruned :=
+              !pruned + List.length plan.Analysis.Pipeline.safe_sink_ids;
+          ( name,
+            Seq.exists
+              (fun (_, v) -> v.Webapp.Symexec.assignment <> None)
+              (Analysis.Pipeline.solve ~config:solver_only_config plan) ))
         files
     in
     (match !verdicts with
@@ -722,17 +709,14 @@ let analyze_arm ~analyze ~passes files =
     let vs =
       List.map
         (fun (name, program) ->
-          let { Webapp.Symexec.candidates; _ } =
-            Webapp.Symexec.analyze ~max_paths:256 ~attack program
+          let plan =
+            Analysis.Pipeline.plan ~prepass_paths:0 ~max_paths:256
+              ~static_prune:false ~attack program
           in
-          let vulnerable =
-            List.exists
-              (fun q ->
-                (Webapp.Symexec.solve ~config q).Webapp.Symexec.assignment
-                <> None)
-              candidates
-          in
-          (name, vulnerable))
+          ( name,
+            Seq.exists
+              (fun (_, v) -> v.Webapp.Symexec.assignment <> None)
+              (Analysis.Pipeline.solve ~config plan) ))
         files
     in
     (match !verdicts with

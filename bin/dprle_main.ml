@@ -560,12 +560,14 @@ let budget_states_arg =
 
 let max_solutions_arg =
   Arg.(
-    value & opt int 256
+    value
+    & opt int Dprle.Solver.Config.default.max_solutions
     & info [ "max-solutions" ] ~docv:"N" ~doc:"Cap on disjunctive solutions.")
 
 let combination_limit_arg =
   Arg.(
-    value & opt int 4096
+    value
+    & opt int Dprle.Solver.Config.default.combination_limit
     & info [ "combination-limit" ] ~docv:"N"
         ~doc:"Cap on ε-cut combinations explored per CI-group.")
 

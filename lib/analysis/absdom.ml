@@ -1,4 +1,5 @@
 module Ast = Webapp.Ast
+module Semantics = Webapp.Semantics
 module Nfa = Automata.Nfa
 module Store = Automata.Store
 module SMap = Map.Make (String)
@@ -22,17 +23,14 @@ let lookup_var st v = lookup st.vars v
 
 let lookup_input st n = lookup st.inputs n
 
-let image fst h = Store.intern (Automata.Fst.image fst (Store.nfa h))
-
 let rec eval st : Ast.expr -> value = function
   | Ast.Str s -> Store.of_word s
   | Ast.Var v -> lookup_var st v
   | Ast.Input n -> lookup_input st n
   | Ast.Concat (a, b) -> Store.concat_lang (eval st a) (eval st b)
-  | Ast.Lower e -> image (Automata.Fst.map_chars Char.lowercase_ascii) (eval st e)
-  | Ast.Upper e -> image (Automata.Fst.map_chars Char.uppercase_ascii) (eval st e)
-  | Ast.Addslashes e -> image Automata.Fst.addslashes (eval st e)
-  | Ast.Replace (c, s, e) -> image (Automata.Fst.replace_char c s) (eval st e)
+  | Ast.Sanitize (s, e) ->
+      Store.intern
+        (Automata.Fst.image (Semantics.fst s) (Store.nfa (eval st e)))
 
 let assign st v e = { st with vars = SMap.add v (eval st e) st.vars }
 
@@ -123,70 +121,11 @@ let widen ~max_states ~force prev next =
 (* ------------------------------------------------------------------ *)
 (* Condition refinement                                               *)
 
-let complement_of h =
-  Store.canon (Automata.Dfa.to_nfa (Automata.Dfa.complement (Store.dfa h)))
-
-(* Branch-language cache: the fixpoint refines the same syntactic
-   condition once per edge visit, and each build pays a regex compile,
-   a word complement (determinize + complement), or a bounded repeat —
-   by far the dominant per-iteration cost on loop-heavy pages. The
-   table is per-domain (handles must not cross workers), keyed
-   structurally on (condition, polarity), and reset with the store so
-   an ablation or bench [clear] can't serve stale handles. Bypassed
-   when the store is disabled, keeping [--no-cache] a faithful
-   ablation. *)
-let cond_lang_table : (Ast.cond * bool, value) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let () =
-  Store.on_clear (fun () -> Hashtbl.reset (Domain.DLS.get cond_lang_table))
-
-let build_cond_lang value : Ast.cond -> value = function
-  | Ast.Not _ -> assert false (* unwrapped by [refine] *)
-  | Ast.Preg_match (pattern, _) ->
-      let lang =
-        if value then Regex.Compile.pattern_to_nfa pattern
-        else Regex.Compile.pattern_reject_nfa pattern
-      in
-      Store.intern lang
-  | Ast.Str_eq (_, s) ->
-      let word = Store.of_word s in
-      if value then word else Store.intern (complement_of word)
-  | Ast.Strlen (_, cmp, n) ->
-      let any = Nfa.of_charset Charset.full in
-      let accept =
-        Store.intern
-          (match cmp with
-          | Ast.Len_eq -> Automata.Ops.repeat any ~min_count:n ~max_count:(Some n)
-          | Ast.Len_le -> Automata.Ops.repeat any ~min_count:0 ~max_count:(Some n)
-          | Ast.Len_ge -> Automata.Ops.repeat any ~min_count:n ~max_count:None)
-      in
-      if value then accept else Store.intern (complement_of accept)
-
-let cond_lang value c =
-  if not (Store.enabled ()) then build_cond_lang value c
-  else
-    let table = Domain.DLS.get cond_lang_table in
-    match Hashtbl.find_opt table (c, value) with
-    | Some h -> h
-    | None ->
-        let h = build_cond_lang value c in
-        Hashtbl.replace table (c, value) h;
-        h
-
-(* The language a condition's operand must lie in when the condition
-   evaluates to [value] — the same translations the symbolic executor
-   uses for path obligations. *)
-let rec refine st value : Ast.cond -> t option = function
-  | Ast.Not c -> refine st (not value) c
-  | (Ast.Preg_match (_, e) | Ast.Str_eq (e, _) | Ast.Strlen (e, _, _)) as c ->
-      refine_expr st e (cond_lang value c)
-
 (* Intersect the operand's abstraction with the branch language. A
    syntactic variable or input read narrows the binding itself; any
    other operand still gets a feasibility check (an empty intersection
    proves the edge dead), which is sound because values only shrink. *)
-and refine_expr st e lang =
+let refine_expr st e lang =
   match e with
   | Ast.Var v ->
       let h = Store.inter_lang (lookup_var st v) lang in
@@ -200,6 +139,12 @@ and refine_expr st e lang =
       else Some { st with inputs = SMap.add n h st.inputs }
   | _ ->
       if Store.disjoint (eval st e) lang then None else Some st
+
+(* The branch language is the one symbolic execution turns into the
+   path obligation: the prune is sound only because both ask
+   [Semantics.cond_lang]. *)
+let refine st value c =
+  refine_expr st (Semantics.cond_operand c) (Semantics.cond_lang value c)
 
 let bindings st =
   ( SMap.bindings st.vars |> List.map (fun (k, v) -> (k, Store.nfa v)),

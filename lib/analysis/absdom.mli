@@ -11,7 +11,13 @@
     by later reads of the same input.
 
     Join is memoized NFA union (through the store's op-cache);
-    {!widen} bounds value growth so loops terminate. *)
+    {!widen} bounds value growth so loops terminate.
+
+    Sanitizers evaluate through {!Webapp.Semantics.fst} and branches
+    refine with {!Webapp.Semantics.cond_lang}, the same handles
+    {!Webapp.Symexec} turns into path obligations: the static prune
+    skips a sink's path systems only because their branch languages
+    are exactly the ones the fixpoint refined with. *)
 
 type value = Automata.Store.handle
 
@@ -24,7 +30,7 @@ val lookup_var : t -> string -> value
 
 val lookup_input : t -> string -> value
 
-(** Abstract evaluation; string transforms are transducer images
+(** Abstract evaluation; sanitizers are transducer images
     ({!Automata.Fst.image}), so e.g. [Addslashes] maps a language to
     the exact language of its sanitized forms. *)
 val eval : t -> Webapp.Ast.expr -> value
@@ -53,8 +59,8 @@ val widen : max_states:int -> force:bool -> t -> t -> t * int
 (** [refine st value cond] assumes [cond] evaluates to [value] and
     narrows the state: a test whose operand is syntactically a
     variable or input read intersects that binding with the branch
-    language (the same translation {!Webapp.Symexec} uses for path
-    obligations); other operands get a feasibility check only.
+    language ({!Webapp.Semantics.cond_lang}); other operands get a
+    feasibility check only.
     [None] means the branch is infeasible (⊥). *)
 val refine : t -> bool -> Webapp.Ast.cond -> t option
 

@@ -22,12 +22,7 @@ let rec expr_tainted tainted = function
   | Ast.Input _ -> true
   | Ast.Var v -> List.mem v tainted
   | Ast.Concat (a, b) -> expr_tainted tainted a || expr_tainted tainted b
-  | Ast.Lower e | Ast.Upper e | Ast.Addslashes e | Ast.Replace (_, _, e) ->
-      expr_tainted tainted e
-
-let rec cond_expr = function
-  | Ast.Not c -> cond_expr c
-  | Ast.Preg_match (_, e) | Ast.Str_eq (e, _) | Ast.Strlen (e, _, _) -> e
+  | Ast.Sanitize (_, e) -> expr_tainted tainted e
 
 let taint_pass program tainted =
   let tainted = ref tainted in
@@ -57,7 +52,7 @@ let estimate program tainted =
   let rec stmt = function
     | Ast.Assign _ | Ast.Exit | Ast.Query _ | Ast.Echo _ -> ()
     | Ast.If (c, t, f) ->
-        if expr_tainted tainted (cond_expr c) then double ();
+        if expr_tainted tainted (Webapp.Semantics.cond_operand c) then double ();
         List.iter stmt t;
         List.iter stmt f
     | Ast.While (_, body) ->

@@ -365,49 +365,53 @@ let eval_leaves ?exclude system contribs ls =
     (Some (Store.of_word ""))
     ls
 
-(* The whole pass, usable as the minimization oracle: [Some _] iff the
-   constraint list is refuted, with the indices the blame seeds from.
-   Conceptually a worklist fixpoint over the dependency graph's
-   vertices; with constants confined to right-hand sides and operand
-   positions, information only flows leaf-to-root, so the meet phase
-   followed by one forward sweep already is the fixpoint. *)
+(* The whole pass, usable as the minimization oracle: [Error _] iff
+   the constraint list is refuted, with the indices the blame seeds
+   from. Either way it returns the contributions it collected (none
+   when collection itself refuted) for the bounds report, discharge
+   and slicing. Conceptually a worklist fixpoint over the dependency
+   graph's vertices; with constants confined to right-hand sides and
+   operand positions, information only flows leaf-to-root, so the meet
+   phase followed by one forward sweep already is the fixpoint. *)
 let bounds_refute system constrs =
-  match
-    let contribs, forward = collect system constrs in
-    List.iter
-      (fun v ->
-        Budget.tick ();
-        match contributions contribs v with
-        | [] -> ()
-        | cs ->
-            if Store.is_empty (var_bound contribs v) then
-              raise (Refuted (Empty_var v, List.map fst cs)))
-      (vars_of_constrs constrs);
-    List.iter
-      (fun (i, ls, rhs_h) ->
-        Budget.tick ();
-        match eval_leaves system contribs ls with
-        | Some h when Store.disjoint h rhs_h ->
-            let blame =
-              i
-              :: List.concat_map
-                   (fun v -> List.map fst (contributions contribs v))
-                   (alt_vars ls)
-            in
-            raise
-              (Refuted
-                 ( Bound_empty (Fmt.str "%a" System.pp_expr (expr_of_leaves ls)),
-                   List.sort_uniq compare blame ))
-        | _ -> ())
-      forward;
-    ()
-  with
-  | () -> None
-  | exception Refuted (cause, blame) -> Some (cause, blame)
+  match collect system constrs with
+  | exception Refuted (cause, blame) -> Error ((cause, blame), Hashtbl.create 0)
+  | contribs, forward -> (
+      match
+        List.iter
+          (fun v ->
+            Budget.tick ();
+            match contributions contribs v with
+            | [] -> ()
+            | cs ->
+                if Store.is_empty (var_bound contribs v) then
+                  raise (Refuted (Empty_var v, List.map fst cs)))
+          (vars_of_constrs constrs);
+        List.iter
+          (fun (i, ls, rhs_h) ->
+            Budget.tick ();
+            match eval_leaves system contribs ls with
+            | Some h when Store.disjoint h rhs_h ->
+                let blame =
+                  i
+                  :: List.concat_map
+                       (fun v -> List.map fst (contributions contribs v))
+                       (alt_vars ls)
+                in
+                raise
+                  (Refuted
+                     ( Bound_empty
+                         (Fmt.str "%a" System.pp_expr (expr_of_leaves ls)),
+                       List.sort_uniq compare blame ))
+            | _ -> ())
+          forward
+      with
+      | () -> Ok contribs
+      | exception Refuted (cause, blame) -> Error ((cause, blame), contribs))
 
 let refute_with_core system constrs (cause, blame) =
   let candidate = List.filteri (fun i _ -> List.mem i blame) constrs in
-  let check cs = Option.is_some (bounds_refute system cs) in
+  let check cs = Result.is_error (bounds_refute system cs) in
   (* the blame set contains every contribution the refutation used, so
      the candidate refutes on its own and ddmin can shrink from it *)
   let core =
@@ -614,13 +618,9 @@ let run ?(goals = []) system =
           (vars_of_constrs norm_constrs)
       in
       match bounds_refute norm_sys norm_constrs with
-      | Some refutation ->
+      | Error (refutation, contribs) ->
           Telemetry.Metrics.Counter.incr c_refuted 1;
           let refute = refute_with_core norm_sys norm_constrs refutation in
-          let contribs, _ =
-            try collect norm_sys norm_constrs
-            with Refuted _ -> (Hashtbl.create 0, [])
-          in
           {
             system = norm_sys;
             refute = Some refute;
@@ -628,8 +628,7 @@ let run ?(goals = []) system =
             bounds = bounds_report contribs;
             stats = stats ();
           }
-      | None ->
-          let contribs, _ = collect norm_sys norm_constrs in
+      | Ok contribs ->
           let kept, discharged = discharge norm_sys contribs norm_constrs in
           Telemetry.Metrics.Counter.incr c_discharged discharged;
           let kept, witnesses, sliced_vars =

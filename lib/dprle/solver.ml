@@ -72,8 +72,10 @@ module Config = struct
       goals = [];
     }
 
-  let make ?(max_solutions = 256) ?(combination_limit = 4096)
-      ?(budget = Budget.unlimited) ?(analyze = true) ?(goals = []) () =
+  let make ?(max_solutions = default.max_solutions)
+      ?(combination_limit = default.combination_limit)
+      ?(budget = default.budget) ?(analyze = default.analyze)
+      ?(goals = default.goals) () =
     { max_solutions; combination_limit; budget; analyze; goals }
 end
 

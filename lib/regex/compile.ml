@@ -19,7 +19,7 @@ let rec compile : Ast.t -> Nfa.t = function
    across those repetitions. *)
 let to_nfa ast = Store.canon (compile ast)
 
-let pattern_to_nfa { Ast.re; anchored_start; anchored_end } =
+let pattern_handle { Ast.re; anchored_start; anchored_end } =
   let core = compile re in
   let with_prefix =
     if anchored_start then core else Ops.concat_lang Nfa.sigma_star core
@@ -27,8 +27,10 @@ let pattern_to_nfa { Ast.re; anchored_start; anchored_end } =
   let padded =
     if anchored_end then with_prefix else Ops.concat_lang with_prefix Nfa.sigma_star
   in
-  Store.canon padded
+  Store.intern padded
+
+let pattern_to_nfa pattern = Store.nfa (pattern_handle pattern)
 
 let pattern_reject_nfa pattern =
-  let h = Store.intern (pattern_to_nfa pattern) in
+  let h = pattern_handle pattern in
   Store.canon (Automata.Dfa.to_nfa (Automata.Dfa.complement (Store.dfa h)))

@@ -16,6 +16,11 @@ val to_nfa : Ast.t -> Automata.Nfa.t
     {e ends} with digits. *)
 val pattern_to_nfa : Ast.pattern -> Automata.Nfa.t
 
+(** The store handle whose machine {!pattern_to_nfa} returns, for
+    callers that go on to memoized store operations (one intern, not
+    a second one of the already-interned machine). *)
+val pattern_handle : Ast.pattern -> Automata.Store.handle
+
 (** Language of inputs {e rejected} by the check (complement of
     {!pattern_to_nfa}); used when an analysis follows the
     pattern-failed branch. *)

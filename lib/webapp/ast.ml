@@ -1,12 +1,11 @@
+type sanitizer = Lower | Upper | Addslashes | Replace of char * string
+
 type expr =
   | Str of string
   | Var of string
   | Input of string
   | Concat of expr * expr
-  | Lower of expr
-  | Upper of expr
-  | Addslashes of expr
-  | Replace of char * string * expr
+  | Sanitize of sanitizer * expr
 
 type cmp = Len_eq | Len_le | Len_ge
 
@@ -32,7 +31,7 @@ let rec expr_inputs acc = function
   | Str _ | Var _ -> acc
   | Input name -> SSet.add name acc
   | Concat (a, b) -> expr_inputs (expr_inputs acc a) b
-  | Lower e | Upper e | Addslashes e | Replace (_, _, e) -> expr_inputs acc e
+  | Sanitize (_, e) -> expr_inputs acc e
 
 let rec cond_inputs acc = function
   | Preg_match (_, e) -> expr_inputs acc e
@@ -112,10 +111,10 @@ let rec pp_expr ppf = function
   | Var v -> Fmt.pf ppf "$%s" v
   | Input name -> Fmt.pf ppf "input(\"%s\")" (escape_string name)
   | Concat (a, b) -> Fmt.pf ppf "%a . %a" pp_expr a pp_expr b
-  | Lower e -> Fmt.pf ppf "strtolower(%a)" pp_expr e
-  | Upper e -> Fmt.pf ppf "strtoupper(%a)" pp_expr e
-  | Addslashes e -> Fmt.pf ppf "addslashes(%a)" pp_expr e
-  | Replace (c, s, e) ->
+  | Sanitize (Lower, e) -> Fmt.pf ppf "strtolower(%a)" pp_expr e
+  | Sanitize (Upper, e) -> Fmt.pf ppf "strtoupper(%a)" pp_expr e
+  | Sanitize (Addslashes, e) -> Fmt.pf ppf "addslashes(%a)" pp_expr e
+  | Sanitize (Replace (c, s), e) ->
       Fmt.pf ppf "str_replace(\"%s\", \"%s\", %a)"
         (escape_string (String.make 1 c))
         (escape_string s) pp_expr e

@@ -9,18 +9,22 @@
     unrolling; the {!Analysis} layer handles loops soundly via
     widening. *)
 
+(** A string transform with a transducer ({!Automata.Fst}), so a
+    constraint on the transformed value pulls back to its argument
+    through a regular preimage. Its meaning lives in {!Semantics}. *)
+type sanitizer =
+  | Lower  (** [strtolower(e)] *)
+  | Upper  (** [strtoupper(e)] *)
+  | Addslashes  (** [addslashes(e)] — the classic sanitizer *)
+  | Replace of char * string
+      (** [str_replace("c", "s", e)] with a single-character needle *)
+
 type expr =
   | Str of string  (** string literal *)
   | Var of string  (** local variable [$x] *)
   | Input of string  (** [$_POST['name']] — attacker-controlled *)
   | Concat of expr * expr  (** PHP's [.] operator *)
-  | Lower of expr  (** [strtolower(e)] — solved via regular preimages *)
-  | Upper of expr  (** [strtoupper(e)] *)
-  | Addslashes of expr
-      (** [addslashes(e)] — the classic sanitizer; solved via
-          transducer preimages ({!Automata.Fst}) *)
-  | Replace of char * string * expr
-      (** [str_replace("c", "s", e)] with a single-character needle *)
+  | Sanitize of sanitizer * expr
 
 type cmp = Len_eq | Len_le | Len_ge
 

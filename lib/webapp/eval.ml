@@ -14,25 +14,10 @@ let rec eval_expr env inputs : Ast.expr -> string = function
       | None -> invalid_arg (Printf.sprintf "Webapp.Eval: unassigned variable $%s" v))
   | Ast.Input name -> Option.value (List.assoc_opt name inputs) ~default:""
   | Ast.Concat (a, b) -> eval_expr env inputs a ^ eval_expr env inputs b
-  | Ast.Lower e -> String.lowercase_ascii (eval_expr env inputs e)
-  | Ast.Upper e -> String.uppercase_ascii (eval_expr env inputs e)
-  | Ast.Addslashes e ->
-      Option.get (Automata.Fst.apply Automata.Fst.addslashes (eval_expr env inputs e))
-  | Ast.Replace (c, s, e) ->
-      Option.get
-        (Automata.Fst.apply (Automata.Fst.replace_char c s) (eval_expr env inputs e))
+  | Ast.Sanitize (s, e) -> Semantics.apply s (eval_expr env inputs e)
 
-let rec eval_cond env inputs : Ast.cond -> bool = function
-  | Ast.Preg_match (pattern, e) ->
-      Regex.Derivative.pattern_matches pattern (eval_expr env inputs e)
-  | Ast.Str_eq (e, s) -> String.equal (eval_expr env inputs e) s
-  | Ast.Strlen (e, cmp, n) -> (
-      let len = String.length (eval_expr env inputs e) in
-      match cmp with
-      | Ast.Len_eq -> len = n
-      | Ast.Len_le -> len <= n
-      | Ast.Len_ge -> len >= n)
-  | Ast.Not c -> not (eval_cond env inputs c)
+let eval_cond env inputs c =
+  Semantics.holds c (eval_expr env inputs (Semantics.cond_operand c))
 
 let run ?(max_loop_iters = 100_000) program ~inputs =
   let events = ref [] in

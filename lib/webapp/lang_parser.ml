@@ -129,21 +129,17 @@ let rec parse_atom cur =
           let arg = lex_string cur in
           expect_char cur ')';
           Ast.Input arg
-      | "strtolower" ->
+      | ("strtolower" | "strtoupper" | "addslashes") as f ->
           expect_char cur '(';
           let e = parse_expr cur in
           expect_char cur ')';
-          Ast.Lower e
-      | "strtoupper" ->
-          expect_char cur '(';
-          let e = parse_expr cur in
-          expect_char cur ')';
-          Ast.Upper e
-      | "addslashes" ->
-          expect_char cur '(';
-          let e = parse_expr cur in
-          expect_char cur ')';
-          Ast.Addslashes e
+          let s =
+            match f with
+            | "strtolower" -> Ast.Lower
+            | "strtoupper" -> Ast.Upper
+            | _ -> Ast.Addslashes
+          in
+          Ast.Sanitize (s, e)
       | "str_replace" ->
           expect_char cur '(';
           skip_trivia cur;
@@ -156,7 +152,7 @@ let rec parse_atom cur =
           expect_char cur ',';
           let e = parse_expr cur in
           expect_char cur ')';
-          Ast.Replace (needle.[0], replacement, e)
+          Ast.Sanitize (Ast.Replace (needle.[0], replacement), e)
       | _ ->
           fail cur
             "expected input(...), strtolower(...), strtoupper(...), $var, or \

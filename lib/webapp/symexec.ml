@@ -6,49 +6,30 @@ let t_analyze = Telemetry.Metrics.Timer.make "symexec.analyze"
 let t_solve = Telemetry.Metrics.Timer.make "symexec.solve"
 
 (* Symbolic strings: concatenations of literals and input reads, each
-   read carrying a chain of pending string transforms (outermost
-   first): the value of [In (x, [f; g])] is [f(g(x))]. Every
-   transform has a transducer with regular preimages, which is how a
-   constraint on the transformed value is pulled back to the raw
+   read carrying a chain of pending sanitizers (outermost first): the
+   value of [In (x, [f; g])] is [f(g(x))]. Every sanitizer has a
+   transducer with regular preimages ({!Semantics.fst}), which is how
+   a constraint on the transformed value is pulled back to the raw
    input. *)
-type xform = Lower | Upper | Addslashes | Replace of char * string
-
-let xform_fst = function
-  | Lower -> Automata.Fst.map_chars Char.lowercase_ascii
-  | Upper -> Automata.Fst.map_chars Char.uppercase_ascii
-  | Addslashes -> Automata.Fst.addslashes
-  | Replace (c, s) -> Automata.Fst.replace_char c s
-
-let xform_string t s =
-  match t with
-  | Lower -> String.lowercase_ascii s
-  | Upper -> String.uppercase_ascii s
-  | Addslashes | Replace _ -> Option.get (Automata.Fst.apply (xform_fst t) s)
-
-let xform_name = function
-  | Lower -> "lower"
-  | Upper -> "upper"
-  | Addslashes -> "slashes"
-  | Replace (c, s) -> Printf.sprintf "repl%c_%s" c s
 
 (* RMA variable standing for the transformed read of an input *)
 let slot_var input chain =
-  List.fold_left (fun acc t -> acc ^ "~" ^ xform_name t) input chain
+  List.fold_left (fun acc t -> acc ^ "~" ^ Semantics.name t) input chain
 
-(* Prepend a transform to a chain; adjacent ASCII case maps absorb. *)
+(* Prepend a sanitizer to a chain; adjacent ASCII case maps absorb. *)
 let extend t chain =
   match (t, chain) with
-  | (Lower | Upper), (Lower | Upper) :: rest -> t :: rest
+  | (Ast.Lower | Ast.Upper), (Ast.Lower | Ast.Upper) :: rest -> t :: rest
   | _ -> t :: chain
 
-type leaf = Lit of string | In of string * xform list
+type leaf = Lit of string | In of string * Ast.sanitizer list
 
 type sym = leaf list
 
 let map_sym t sym =
   List.map
     (function
-      | Lit s -> Lit (xform_string t s)
+      | Lit s -> Lit (Semantics.apply t s)
       | In (x, chain) -> In (x, extend t chain))
     sym
 
@@ -61,10 +42,7 @@ let rec eval_sym env : Ast.expr -> sym = function
           invalid_arg (Printf.sprintf "Webapp.Symexec: unassigned variable $%s" v))
   | Ast.Input name -> [ In (name, []) ]
   | Ast.Concat (a, b) -> eval_sym env a @ eval_sym env b
-  | Ast.Lower e -> map_sym Lower (eval_sym env e)
-  | Ast.Upper e -> map_sym Upper (eval_sym env e)
-  | Ast.Addslashes e -> map_sym Addslashes (eval_sym env e)
-  | Ast.Replace (c, s, e) -> map_sym (Replace (c, s)) (eval_sym env e)
+  | Ast.Sanitize (t, e) -> map_sym t (eval_sym env e)
 
 (* Collapse adjacent literals so constraint systems stay small. *)
 let normalize sym =
@@ -76,7 +54,7 @@ let normalize sym =
   go sym
 
 (* A path condition: the symbolic value must lie in the language. *)
-type obligation = { sym : sym; lang : Nfa.t; descr : string }
+type obligation = { sym : sym; lang : Nfa.t }
 
 type query = {
   path_id : int;
@@ -88,8 +66,8 @@ type query = {
          solutions are inputs that reach the sink innocently, used to
          recover the query the program intended to issue *)
   input_vars : string list;
-  slots : (string * string * xform list) list;
-      (* (system variable, input it reads, pending transform chain) *)
+  slots : (string * string * Ast.sanitizer list) list;
+      (* (system variable, input it reads, pending sanitizer chain) *)
   constraint_count : int;
 }
 
@@ -106,96 +84,19 @@ let concrete_string sym =
   in
   go [] sym
 
-let rec concrete_cond env : Ast.cond -> bool option = function
-  | Ast.Not c -> Option.map not (concrete_cond env c)
-  | Ast.Preg_match (pattern, e) ->
-      Option.map
-        (Regex.Derivative.pattern_matches pattern)
-        (concrete_string (eval_sym env e))
-  | Ast.Str_eq (e, s) ->
-      Option.map (String.equal s) (concrete_string (eval_sym env e))
-  | Ast.Strlen (e, cmp, n) ->
-      Option.map
-        (fun s ->
-          let len = String.length s in
-          match cmp with
-          | Ast.Len_eq -> len = n
-          | Ast.Len_le -> len <= n
-          | Ast.Len_ge -> len >= n)
-        (concrete_string (eval_sym env e))
-
-(* Guard-language cache: the DFS re-derives the same syntactic
-   guard's language on every path through it, and each derivation
-   pays a regex compile, or a determinize + complement, plus a
-   canonical key — on filler-heavy pages this was the single largest
-   intern-key source in the whole pipeline. Keyed structurally on
-   (condition, polarity); per-domain (machines may flow into
-   handles), reset with the store so ablation runs stay faithful. *)
-let guard_lang_table :
-    (Ast.cond * bool, Nfa.t * string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let () =
-  Store.on_clear (fun () -> Hashtbl.reset (Domain.DLS.get guard_lang_table))
-
-let build_guard_lang value : Ast.cond -> Nfa.t * string = function
-  | Ast.Not _ -> assert false (* unwrapped by [obligation_of_cond] *)
-  | Ast.Preg_match (pattern, _) ->
-      let lang =
-        if value then Regex.Compile.pattern_to_nfa pattern
-        else Regex.Compile.pattern_reject_nfa pattern
-      in
-      ( lang,
-        Fmt.str "%spreg_match(%a)" (if value then "" else "!")
-          Regex.Ast.pp_pattern pattern )
-  | Ast.Str_eq (_, s) ->
-      (* interned: the reject branch's complement comes from the
-         handle's memoized determinization *)
-      let word = Store.of_word s in
-      let lang =
-        if value then Store.nfa word
-        else
-          Store.canon
-            (Automata.Dfa.to_nfa (Automata.Dfa.complement (Store.dfa word)))
-      in
-      (lang, Fmt.str "%s== %S" (if value then "" else "!") s)
-  | Ast.Strlen (_, cmp, n) ->
-      (* §3.1.2: a length check is the regular language .{n} / .{0,n}
-         / .{n,} *)
-      let any = Nfa.of_charset Charset.full in
-      let accept =
-        Store.intern
-          (match cmp with
-          | Ast.Len_eq -> Automata.Ops.repeat any ~min_count:n ~max_count:(Some n)
-          | Ast.Len_le -> Automata.Ops.repeat any ~min_count:0 ~max_count:(Some n)
-          | Ast.Len_ge -> Automata.Ops.repeat any ~min_count:n ~max_count:None)
-      in
-      let lang =
-        if value then Store.nfa accept
-        else
-          Store.canon
-            (Automata.Dfa.to_nfa (Automata.Dfa.complement (Store.dfa accept)))
-      in
-      (lang, Fmt.str "%sstrlen %d" (if value then "" else "!") n)
-
-let guard_lang value c =
-  if not (Store.enabled ()) then build_guard_lang value c
-  else
-    let table = Domain.DLS.get guard_lang_table in
-    match Hashtbl.find_opt table (c, value) with
-    | Some entry -> entry
-    | None ->
-        let entry = build_guard_lang value c in
-        Hashtbl.replace table (c, value) entry;
-        entry
+let concrete_cond env c =
+  Option.map (Semantics.holds c)
+    (concrete_string (eval_sym env (Semantics.cond_operand c)))
 
 (* Translate a condition (taken with polarity [value]) into an
-   obligation on its symbolic operand. *)
-let rec obligation_of_cond env value : Ast.cond -> obligation = function
-  | Ast.Not c -> obligation_of_cond env (not value) c
-  | (Ast.Preg_match (_, e) | Ast.Str_eq (e, _) | Ast.Strlen (e, _, _)) as c ->
-      let lang, descr = guard_lang value c in
-      { sym = normalize (eval_sym env e); lang; descr }
+   obligation on its symbolic operand. The language is the one the
+   fixpoint refines the same branch with, which is what lets a sink it
+   proves safe skip these systems. *)
+let obligation_of_cond env value c =
+  {
+    sym = normalize (eval_sym env (Semantics.cond_operand c));
+    lang = Store.nfa (Semantics.cond_lang value c);
+  }
 
 (* Build a System.t from the accumulated obligations. Literals become
    named constants (deduplicated by content); the obligation languages
@@ -226,7 +127,7 @@ let system_of_obligations obligations =
   in
   let constraints =
     List.mapi
-      (fun i { sym; lang; descr = _ } ->
+      (fun i { sym; lang } ->
         let cname = Printf.sprintf "c%d" i in
         consts := (cname, lang) :: !consts;
         { System.lhs = sym_expr sym; rhs = cname })
@@ -263,7 +164,7 @@ let analyze ?(max_paths = 256) ?(max_unroll = 16) ~attack program =
         | Ast.Echo _ -> exec env obligations sink_index fuel rest
         | Ast.Query e ->
             let sink =
-              { sym = normalize (eval_sym env e); lang = attack; descr = "sink" }
+              { sym = normalize (eval_sym env e); lang = attack }
             in
             emit stmt (sink :: obligations) !sink_index;
             incr sink_index;
@@ -365,7 +266,7 @@ let analyze ?(max_paths = 256) ?(max_unroll = 16) ~attack program =
    solved language back to the raw input through the chain's
    transducer preimages, outermost first. *)
 let pull_back chain lang =
-  List.fold_left (fun acc t -> Automata.Fst.preimage (xform_fst t) acc) lang chain
+  List.fold_left (fun acc t -> Automata.Fst.preimage (Semantics.fst t) acc) lang chain
 
 (* The RMA solver treats [x] and [lower(x)] as independent variables;
    a disjunct is usable only if, per input, the intersection of all

@@ -14,12 +14,12 @@
         c_prefix ∘ v1 ⊆ c_attack   (the sink)            v}
 
     Solving it (with {!Dprle.Solver}) yields, per input, the full
-    regular language of exploits. *)
+    regular language of exploits.
 
-(** One pending string transform on an input read; a read carries a
-    chain of them (outermost first), e.g.
-    [addslashes(strtolower(x))] ↦ [[Addslashes; Lower]]. *)
-type xform = Lower | Upper | Addslashes | Replace of char * string
+    Branch languages, sanitizer transducers and the constant-folding
+    test of a condition all come from {!Semantics}: the fixpoint
+    ([Analysis.Absdom]) refines with the same branch handles, which is
+    what makes skipping the systems of a sink it proves safe sound. *)
 
 type query = {
   path_id : int;  (** index of the explored path *)
@@ -38,9 +38,10 @@ type query = {
           (used to recover the intended query for structural
           comparison — see {!benign_inputs}) *)
   input_vars : string list;  (** the inputs read along the path *)
-  slots : (string * string * xform list) list;
-      (** (system variable, input it reads, pending transform chain —
-          empty for a plain read) *)
+  slots : (string * string * Ast.sanitizer list) list;
+      (** (system variable, input it reads, pending sanitizer chain,
+          outermost first — e.g. [addslashes(strtolower(x))] ↦
+          [[Addslashes; Lower]]; empty for a plain read) *)
   constraint_count : int;
       (** the paper's [|C|] metric: dependency-graph edges of the
           system — one ⊆-edge per path/sink obligation plus one

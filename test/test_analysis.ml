@@ -175,9 +175,9 @@ let straightline_gen =
     oneofl
       [
         base;
-        Ast.Lower base;
-        Ast.Addslashes base;
-        Ast.Replace ('\'', "", base);
+        Ast.Sanitize (Ast.Lower, base);
+        Ast.Sanitize (Ast.Addslashes, base);
+        Ast.Sanitize (Ast.Replace ('\'', ""), base);
       ]
   in
   let stmt_gen =

@@ -55,9 +55,7 @@ let fig12_tests =
         let rec max_lit_expr = function
           | Ast.Str s -> String.length s
           | Ast.Var _ | Ast.Input _ -> 0
-          | Ast.Lower e | Ast.Upper e | Ast.Addslashes e
-          | Ast.Replace (_, _, e) ->
-              max_lit_expr e
+          | Ast.Sanitize (_, e) -> max_lit_expr e
           | Ast.Concat (a, b) -> max (max_lit_expr a) (max_lit_expr b)
         in
         let rec max_lit = function

@@ -171,8 +171,8 @@ let case_props =
     let wrap_expr e =
       match wrap with
       | `Plain -> e
-      | `Lower -> Ast.Lower e
-      | `Upper -> Ast.Upper e
+      | `Lower -> Ast.Sanitize (Ast.Lower, e)
+      | `Upper -> Ast.Sanitize (Ast.Upper, e)
     in
     let guards =
       [

@@ -5,6 +5,8 @@ module Eval = Webapp.Eval
 module Symexec = Webapp.Symexec
 module Attack = Webapp.Attack
 module Nfa = Automata.Nfa
+module Semantics = Webapp.Semantics
+module Store = Automata.Store
 
 (* The paper's Fig. 1 program, in mini-PHP. *)
 let utopia_source =
@@ -273,6 +275,64 @@ let symexec_props =
           candidates);
   ]
 
+(* Symbolic execution and the dataflow domain read a branch's
+   language from [Semantics.cond_lang]; the interpreter decides the
+   branch with [Semantics.holds]. The two must agree on every word,
+   whether the store serves the language or builds it afresh. *)
+let semantics_props =
+  let char_gen = QCheck2.Gen.oneofl [ 'a'; 'B'; '0'; '7'; '\''; '"'; '\\' ] in
+  let word_gen = QCheck2.Gen.(string_size ~gen:char_gen (int_bound 6)) in
+  let cond_gen =
+    let open QCheck2.Gen in
+    let x = Ast.Input "x" in
+    let* atom =
+      oneof
+        [
+          map
+            (fun p -> Ast.Preg_match (Regex.Parser.parse_pattern_exn p, x))
+            (oneofl
+               [ "/^[0-9]+$/"; "/[0-9]$/"; "/^[a-z']*$/"; "/'/"; "/^a{1,3}B?$/" ]);
+          map (fun s -> Ast.Str_eq (x, s)) word_gen;
+          map2
+            (fun cmp n -> Ast.Strlen (x, cmp, n))
+            (oneofl [ Ast.Len_eq; Ast.Len_le; Ast.Len_ge ])
+            (int_bound 5);
+        ]
+    in
+    let* nots = int_bound 2 in
+    return (List.fold_left (fun c _ -> Ast.Not c) atom (List.init nots Fun.id))
+  in
+  let sanitizer_gen =
+    let open QCheck2.Gen in
+    oneof
+      [
+        oneofl [ Ast.Lower; Ast.Upper; Ast.Addslashes ];
+        map2 (fun c s -> Ast.Replace (c, s)) char_gen word_gen;
+      ]
+  in
+  let with_store enabled f =
+    Fun.protect
+      ~finally:(fun () -> Store.set_enabled true)
+      (fun () ->
+        Store.set_enabled enabled;
+        f ())
+  in
+  [
+    qtest ~count:300 "cond_lang b c accepts w iff c evaluates to b on w"
+      QCheck2.Gen.(triple cond_gen bool word_gen)
+      (fun (c, b, w) ->
+        List.for_all
+          (fun enabled ->
+            with_store enabled (fun () ->
+                Nfa.accepts (Store.nfa (Semantics.cond_lang b c)) w
+                = (Semantics.holds c w = b)))
+          [ true; false ]);
+    qtest ~count:300 "a sanitizer's transducer applies as the sanitizer"
+      QCheck2.Gen.(pair sanitizer_gen word_gen)
+      (fun (s, w) ->
+        Automata.Fst.apply (Semantics.fst s) w = Some (Semantics.apply s w));
+  ]
+
 let suite =
   [
     ("webapp:parser", parser_tests);
@@ -280,4 +340,5 @@ let suite =
     ("webapp:attack", attack_tests);
     ("webapp:symexec", symexec_tests);
     ("webapp:props", symexec_props);
+    ("webapp:semantics", semantics_props);
   ]
