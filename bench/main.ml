@@ -38,6 +38,15 @@ module Snapshot = Telemetry.Metrics.Snapshot
 
 let json_results : Json.t list ref = ref []
 
+(* Append one record. A fact of {!Benchdiff.facts} that the records so
+   far break fails the arm that measured it, so no baseline that
+   breaks one is ever written. *)
+let record fields =
+  json_results := Json.Obj fields :: !json_results;
+  match Benchdiff.facts (List.rev !json_results) with
+  | [] -> ()
+  | f :: _ -> failwith (Fmt.str "%a" Benchdiff.pp_finding f)
+
 (* [f ()] together with the NFA states its constructions visited. *)
 let with_visited f =
   let before = Snapshot.of_default () in
@@ -53,18 +62,16 @@ let experiment name f =
   let diff = Snapshot.diff ~after:(Snapshot.of_default ()) ~before in
   Telemetry.Events.emit_global ~kind:"experiment"
     [ ("name", Json.String name); ("seconds", Json.Float seconds) ];
-  json_results :=
-    Json.Obj
-      [
-        ("name", Json.String name);
-        ("seconds", Json.Float seconds);
-        ("states_visited", Json.Int (Snapshot.counter_value diff "automata.states_visited"));
-        ("products_built", Json.Int (Snapshot.counter_value diff "automata.products_built"));
-        ("concats_built", Json.Int (Snapshot.counter_value diff "automata.concats_built"));
-        ("solves", Json.Int (Snapshot.counter_value diff "solver.solves"));
-        ("metrics", Snapshot.to_json diff);
-      ]
-    :: !json_results
+  record
+    [
+      ("name", Json.String name);
+      ("seconds", Json.Float seconds);
+      ("states_visited", Json.Int (Snapshot.counter_value diff "automata.states_visited"));
+      ("products_built", Json.Int (Snapshot.counter_value diff "automata.products_built"));
+      ("concats_built", Json.Int (Snapshot.counter_value diff "automata.concats_built"));
+      ("solves", Json.Int (Snapshot.counter_value diff "solver.solves"));
+      ("metrics", Snapshot.to_json diff);
+    ]
 
 let write_json path =
   let doc =
@@ -438,14 +445,12 @@ let hotpath_report () =
     let (), t_before = time_once before in
     Fmt.pr "%-24s %10.4f s -> %10.4f s  (%5.2fx)@." name t_before t_after
       (t_before /. t_after);
-    json_results :=
-      Json.Obj
-        [
-          ("name", Json.String ("hotpath/" ^ name));
-          ("seconds_before", Json.Float t_before);
-          ("seconds_after", Json.Float t_after);
-        ]
-      :: !json_results
+    record
+      [
+        ("name", Json.String ("hotpath/" ^ name));
+        ("seconds_before", Json.Float t_before);
+        ("seconds_after", Json.Float t_after);
+      ]
   in
   Fmt.pr "%-24s %12s    %12s@." "kernel" "reference" "rewritten";
   row "lang.subset"
@@ -518,15 +523,13 @@ let parallel_report () =
       let speedup = !base_seconds /. seconds in
       Fmt.pr "jobs=%d: %8.3f s  (%d/%d jobs done, %.2fx vs jobs=1)@." jobs
         seconds ok (List.length work) speedup;
-      json_results :=
-        Json.Obj
-          [
-            ("name", Json.String (Printf.sprintf "parallel/jobs%d" jobs));
-            ("jobs", Json.Int jobs);
-            ("seconds", Json.Float seconds);
-            ("speedup_vs_jobs1", Json.Float speedup);
-          ]
-        :: !json_results)
+      record
+        [
+          ("name", Json.String (Printf.sprintf "parallel/jobs%d" jobs));
+          ("jobs", Json.Int jobs);
+          ("seconds", Json.Float seconds);
+          ("speedup_vs_jobs1", Json.Float speedup);
+        ])
     [ 1; 4; 8 ];
   Fmt.pr "(speedup tracks the machine's core count; the arms also pin the@.";
   Fmt.pr " engine's determinism contract: results merge in submission order.)@."
@@ -573,48 +576,49 @@ let pool_reuse_report () =
   Fmt.pr "%d batches x %d rows, %d workers@." batches (List.length rows) jobs;
   Fmt.pr "spawn per batch: %8.3f s@." seconds_spawn;
   Fmt.pr "persistent pool: %8.3f s  (%.2fx)@." seconds_pool speedup;
-  json_results :=
-    Json.Obj
-      [
-        ("name", Json.String "parallel/pool_reuse");
-        ("jobs", Json.Int jobs);
-        ("batches", Json.Int batches);
-        ("seconds_spawn_per_batch", Json.Float seconds_spawn);
-        ("seconds_pool", Json.Float seconds_pool);
-        ("speedup_pool_vs_spawn", Json.Float speedup);
-      ]
-    :: !json_results;
+  record
+    [
+      ("name", Json.String "parallel/pool_reuse");
+      ("jobs", Json.Int jobs);
+      ("batches", Json.Int batches);
+      ("seconds_spawn_per_batch", Json.Float seconds_spawn);
+      ("seconds_pool", Json.Float seconds_pool);
+      ("speedup_pool_vs_spawn", Json.Float speedup);
+    ];
   Fmt.pr "(the persistent pool spawns its domains once and keeps per-worker@.";
   Fmt.pr " stores warm across batches; spawn-per-batch pays both taxes each@.";
   Fmt.pr " time — the recorded jobs-vs-jobs1 regression was mostly this.)@."
 
 (* ------------------------------------------------------------------ *)
-(* Static-prune ablation: the eve corpus scanned with the dataflow
-   layer proving sinks safe (arm "on") and with symbolic execution
-   alone (arm "off").  Both arms must report identical per-file
-   verdicts; the solver.solves diff records the RMA work the prune
-   arm avoided.
+(* On/off ablations: one back-to-back pair of walls drifts with the
+   host's load, so each arm runs [ablation_trials] times (unless it
+   costs seconds), alternating on and off, and the JSON records the
+   per-arm median.                                                    *)
 
-   Each arm serves the corpus [static_prune_passes] times against one
-   warm store — the webcheck deployment shape, where a page is
-   analyzed per request and the hash-consed memos carry results
-   across requests.  A single cold pass told the opposite story (the
-   recorded regression): it billed the prune arm the one-time cost of
-   filling the memo tables and the off arm nothing.  Counters are
-   recorded per pass (they are identical every pass; the arm checks
-   that), so the solves column still reads 1 vs 24.                   *)
+let ablation_trials = 5
 
-let static_prune_passes = 32
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
 
-(* Both static_prune arms solve with the pre-solve analyzer off: the
-   experiment isolates the dataflow prune, and CI pins its solves
-   columns (1 vs 24) — letting the analyzer also skip solves here
-   would conflate the two ablations.  The analyzer gets its own
-   experiment below. *)
-let solver_only_config =
-  { Dprle.Solver.Config.default with Dprle.Solver.Config.analyze = false }
+(* [on] and [off] results of [trials] alternating runs *)
+let alternate ?(trials = ablation_trials) ~on ~off () =
+  List.split (List.init trials (fun _ -> let r = on () in (r, off ())))
 
-let static_prune_arm ~prune ~passes files =
+(* ------------------------------------------------------------------ *)
+(* Pipeline ablations: webcheck's §4 pipeline (plan → solve) with one
+   layer on and then off, each arm serving its corpus [passes] times
+   against one warm store — the webcheck deployment shape, where a
+   page is analyzed per request and the hash-consed memos carry
+   results across requests.  A single cold pass told the opposite
+   story (the recorded regression): it billed the "on" arm the
+   one-time cost of filling the memo tables and the "off" arm
+   nothing.  Counters are recorded per pass (they are identical every
+   pass and every trial; the arm checks that), and both arms must
+   agree on every per-file verdict.                                   *)
+
+let pipeline_arm ~static_prune ~config ~passes files =
   let attack = Corpus.Fig12.attack in
   Automata.Store.clear ();
   let before = Snapshot.of_default () in
@@ -625,11 +629,10 @@ let static_prune_arm ~prune ~passes files =
     let vs =
       List.map
         (fun (name, program) ->
-          (* webcheck's pipeline with the pre-pass off, so the "on" arm
-             always runs the fixpoint *)
+          (* the pre-pass off, so a prune arm always runs the fixpoint *)
           let plan =
             Analysis.Pipeline.plan ~prepass_paths:0 ~max_paths:256
-              ~static_prune:prune ~attack program
+              ~static_prune ~attack program
           in
           if pass = 1 then
             pruned :=
@@ -637,91 +640,11 @@ let static_prune_arm ~prune ~passes files =
           ( name,
             Seq.exists
               (fun (_, v) -> v.Webapp.Symexec.assignment <> None)
-              (Analysis.Pipeline.solve ~config:solver_only_config plan) ))
-        files
-    in
-    (match !verdicts with
-    | prev :: _ when prev <> vs ->
-        failwith "static_prune: verdicts changed across passes"
-    | _ -> ());
-    verdicts := [ vs ]
-  done;
-  let seconds = now_s () -. t0 in
-  let diff = Snapshot.diff ~after:(Snapshot.of_default ()) ~before in
-  let total_solves = Snapshot.counter_value diff "solver.solves" in
-  if total_solves mod passes <> 0 then
-    failwith "static_prune: solves not constant across passes";
-  (List.hd !verdicts, seconds, total_solves / passes, !pruned)
-
-let static_prune_report () =
-  hr "Static-prune ablation — dataflow analysis vs symbolic execution alone";
-  let files = Corpus.Fig11.generate (List.hd Corpus.Fig11.apps) in
-  let passes = static_prune_passes in
-  let arm name prune =
-    let verdicts, seconds, solves, pruned =
-      static_prune_arm ~prune ~passes files
-    in
-    Fmt.pr "%-4s %8.3f s  %5d solves/pass  %3d sinks pruned@." name seconds
-      solves pruned;
-    json_results :=
-      Json.Obj
-        [
-          ("name", Json.String ("static_prune/" ^ name));
-          ("seconds", Json.Float seconds);
-          ("passes", Json.Int passes);
-          ("solves", Json.Int solves);
-          ("sinks_pruned", Json.Int pruned);
-          ( "vulnerable",
-            Json.Int (List.length (List.filter (fun (_, v) -> v) verdicts)) );
-        ]
-      :: !json_results;
-    verdicts
-  in
-  Fmt.pr "eve corpus, %d files x %d passes per arm@." (List.length files)
-    passes;
-  let on = arm "on" true in
-  let off = arm "off" false in
-  Fmt.pr "verdicts identical across arms: %b@." (on = off);
-  Fmt.pr "(pruning skips path enumeration and the per-candidate RMA solves@.";
-  Fmt.pr " for sinks the fixpoint proved safe; it must never change a@.";
-  Fmt.pr " verdict. passes share one store, as webcheck requests do.)@."
-
-(* ------------------------------------------------------------------ *)
-(* Analyze ablation: the pre-solve static pipeline (normalization,
-   bounds propagation, discharge, goal-directed slicing) on vs off,
-   over the fig12 rows plus the full eve corpus.  Candidates the
-   bounds pass refutes never reach [solve_graph], so the
-   solver.solves column must drop strictly on the "on" arm; verdicts
-   must be identical.  Warm-store passes for the same reason as
-   static_prune: one cold pass bills the analyzer the one-time cost
-   of interning its bound automata and nothing else.                  *)
-
-let analyze_passes = 8
-
-let analyze_arm ~analyze ~passes files =
-  let attack = Corpus.Fig12.attack in
-  Automata.Store.clear ();
-  let config = { Dprle.Solver.Config.default with Dprle.Solver.Config.analyze } in
-  let before = Snapshot.of_default () in
-  let t0 = now_s () in
-  let verdicts = ref [] in
-  for _ = 1 to passes do
-    let vs =
-      List.map
-        (fun (name, program) ->
-          let plan =
-            Analysis.Pipeline.plan ~prepass_paths:0 ~max_paths:256
-              ~static_prune:false ~attack program
-          in
-          ( name,
-            Seq.exists
-              (fun (_, v) -> v.Webapp.Symexec.assignment <> None)
               (Analysis.Pipeline.solve ~config plan) ))
         files
     in
     (match !verdicts with
-    | prev :: _ when prev <> vs ->
-        failwith "analyze: verdicts changed across passes"
+    | prev :: _ when prev <> vs -> failwith "verdicts changed across passes"
     | _ -> ());
     verdicts := [ vs ]
   done;
@@ -729,9 +652,68 @@ let analyze_arm ~analyze ~passes files =
   let diff = Snapshot.diff ~after:(Snapshot.of_default ()) ~before in
   let total_solves = Snapshot.counter_value diff "solver.solves" in
   if total_solves mod passes <> 0 then
-    failwith "analyze: solves not constant across passes";
-  (List.hd !verdicts, seconds, total_solves / passes)
+    failwith "solves not constant across passes";
+  (List.hd !verdicts, seconds, total_solves / passes, !pruned)
 
+(* Both arms of the ablation of [layer]; the other layer stays off in
+   both, so each experiment isolates one layer. *)
+let pipeline_ablation layer ~trials ~passes files =
+  let prefix =
+    match layer with `Static_prune -> "static_prune" | `Analyze -> "analyze"
+  in
+  let run on () =
+    let config =
+      {
+        Dprle.Solver.Config.default with
+        Dprle.Solver.Config.analyze = on && layer = `Analyze;
+      }
+    in
+    pipeline_arm ~static_prune:(on && layer = `Static_prune) ~config ~passes
+      files
+  in
+  let arm name runs =
+    let verdicts, _, solves, pruned = List.hd runs in
+    if List.exists (fun (v, _, s, p) -> (v, s, p) <> (verdicts, solves, pruned)) runs
+    then failwith (prefix ^ ": trials disagree");
+    let seconds = median (List.map (fun (_, s, _, _) -> s) runs) in
+    Fmt.pr "%-4s %8.3f s  %5d solves/pass  %3d sinks pruned@." name seconds
+      solves pruned;
+    record
+      ([
+         ("name", Json.String (prefix ^ "/" ^ name));
+         ("seconds", Json.Float seconds);
+         ("passes", Json.Int passes);
+         ("solves", Json.Int solves);
+       ]
+      @ (if layer = `Static_prune then [ ("sinks_pruned", Json.Int pruned) ]
+         else [])
+      @ [ ("vulnerable", Json.Int (List.length (List.filter snd verdicts))) ]);
+    verdicts
+  in
+  Fmt.pr "%d files x %d passes per arm, median of %d trial(s)@."
+    (List.length files) passes trials;
+  let ons, offs = alternate ~trials ~on:(run true) ~off:(run false) () in
+  let on = arm "on" ons in
+  let off = arm "off" offs in
+  if on <> off then failwith (prefix ^ ": arms disagree on a verdict");
+  Fmt.pr "verdicts identical across arms: true@."
+
+(* Static prune: the eve corpus with the dataflow layer proving sinks
+   safe vs symbolic execution alone; the solves column records the RMA
+   work the prune skips. *)
+let static_prune_report () =
+  hr "Static-prune ablation — dataflow analysis vs symbolic execution alone";
+  Fmt.pr "eve corpus: ";
+  pipeline_ablation `Static_prune ~trials:ablation_trials ~passes:32
+    (Corpus.Fig11.generate (List.hd Corpus.Fig11.apps));
+  Fmt.pr "(pruning skips path enumeration and the per-candidate RMA solves@.";
+  Fmt.pr " for sinks the fixpoint proved safe; it must never change a@.";
+  Fmt.pr " verdict. passes share one store, as webcheck requests do.)@."
+
+(* Analyze: the pre-solve static pipeline (normalization, bounds
+   propagation, discharge, goal-directed slicing) over the fig12 rows
+   plus the eve corpus.  Candidates the bounds pass refutes never reach
+   [solve_graph], so the "on" arm runs strictly fewer solves. *)
 let analyze_report () =
   hr "Analyze ablation — pre-solve static pipeline vs solver alone";
   let fig12 =
@@ -739,34 +721,10 @@ let analyze_report () =
       (fun row -> ("fig12/" ^ row.Corpus.Fig12.name, Corpus.Fig12.program row))
       Corpus.Fig12.rows
   in
-  let eve = Corpus.Fig11.generate (List.hd Corpus.Fig11.apps) in
-  let files = fig12 @ eve in
-  let passes = analyze_passes in
-  let arm name analyze =
-    let verdicts, seconds, solves = analyze_arm ~analyze ~passes files in
-    Fmt.pr "%-4s %8.3f s  %5d solves/pass@." name seconds solves;
-    json_results :=
-      Json.Obj
-        [
-          ("name", Json.String ("analyze/" ^ name));
-          ("seconds", Json.Float seconds);
-          ("passes", Json.Int passes);
-          ("solves", Json.Int solves);
-          ( "vulnerable",
-            Json.Int (List.length (List.filter (fun (_, v) -> v) verdicts)) );
-        ]
-      :: !json_results;
-    (verdicts, solves)
-  in
-  Fmt.pr "fig12 + eve corpus, %d files x %d passes per arm@."
-    (List.length files) passes;
-  let on_verdicts, on_solves = arm "on" true in
-  let off_verdicts, off_solves = arm "off" false in
-  if on_verdicts <> off_verdicts then
-    failwith "analyze: arms disagree on a verdict";
-  if on_solves >= off_solves then
-    failwith "analyze: the on arm must skip solves the off arm pays for";
-  Fmt.pr "verdicts identical across arms: true@.";
+  Fmt.pr "fig12 + eve corpus: ";
+  (* one trial: each arm takes seconds, and the gate has headroom *)
+  pipeline_ablation `Analyze ~trials:1 ~passes:8
+    (fig12 @ Corpus.Fig11.generate (List.hd Corpus.Fig11.apps));
   Fmt.pr "(bounds propagation refutes statically-safe candidates before any@.";
   Fmt.pr " group machine is built — those never reach solve_graph, so the@.";
   Fmt.pr " solves column drops; slicing and discharge shrink the rest.)@."
@@ -804,22 +762,6 @@ let sanitizers_report () =
   Fmt.pr "expected shape: raw exploitable; addslashes proved clean.@."
 
 (* ------------------------------------------------------------------ *)
-(* On/off ablations: one back-to-back pair of walls drifts with the
-   host's load, so each arm runs [ablation_trials] times, alternating
-   on and off, and the JSON records the per-arm median.               *)
-
-let ablation_trials = 5
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  a.(Array.length a / 2)
-
-(* [on] and [off] results of [ablation_trials] alternating runs *)
-let alternate ~on ~off =
-  List.split (List.init ablation_trials (fun _ -> let r = on () in (r, off ())))
-
-(* ------------------------------------------------------------------ *)
 (* Cache ablation: the interned language store on vs off.  Each
    workload runs against a freshly cleared store (the default
    configuration) and with the store disabled, which is exactly what
@@ -829,13 +771,6 @@ let alternate ~on ~off =
 
 module Store = Automata.Store
 
-let store_hits diff =
-  List.fold_left
-    (fun acc (name, _, v) ->
-      if name = "store.opcache.hit" then acc + v else acc)
-    0
-    (Snapshot.counters diff)
-
 let cache_ablation name workload =
   let arm () =
     Store.clear ();
@@ -844,13 +779,13 @@ let cache_ablation name workload =
     workload ();
     let seconds = now_s () -. t0 in
     let diff = Snapshot.diff ~after:(Snapshot.of_default ()) ~before in
-    (seconds, store_hits diff)
+    (seconds, Snapshot.counter_total diff "store.opcache.hit")
   in
   let uncached () =
     Store.set_enabled false;
     Fun.protect ~finally:(fun () -> Store.set_enabled true) arm
   in
-  let cached, uncached = alternate ~on:arm ~off:uncached in
+  let cached, uncached = alternate ~on:arm ~off:uncached () in
   (* a cleared store makes every trial do the same work *)
   let hits runs =
     match List.sort_uniq Int.compare (List.map snd runs) with
@@ -862,16 +797,14 @@ let cache_ablation name workload =
   let hit_cached = hits cached and hit_uncached = hits uncached in
   Fmt.pr "%-22s %8.4f s, %6d hits | %8.4f s, %d hits@." name seconds_cached
     hit_cached seconds_uncached hit_uncached;
-  json_results :=
-    Json.Obj
-      [
-        ("name", Json.String ("cache_ablation/" ^ name));
-        ("seconds_cached", Json.Float seconds_cached);
-        ("seconds_uncached", Json.Float seconds_uncached);
-        ("opcache_hit_cached", Json.Int hit_cached);
-        ("opcache_hit_uncached", Json.Int hit_uncached);
-      ]
-    :: !json_results
+  record
+    [
+      ("name", Json.String ("cache_ablation/" ^ name));
+      ("seconds_cached", Json.Float seconds_cached);
+      ("seconds_uncached", Json.Float seconds_uncached);
+      ("opcache_hit_cached", Json.Int hit_cached);
+      ("opcache_hit_uncached", Json.Int hit_uncached);
+    ]
 
 let cache_ablation_report () =
   hr "Cache ablation — interned language store vs --no-cache";
@@ -915,19 +848,17 @@ let observability_report () =
     Telemetry.Metrics.set_timing_enabled false;
     Fun.protect ~finally:(fun () -> Telemetry.Metrics.set_timing_enabled true) arm
   in
-  let timed, untimed = alternate ~on:arm ~off:untimed in
+  let timed, untimed = alternate ~on:arm ~off:untimed () in
   let seconds_timed = median timed and seconds_untimed = median untimed in
   Fmt.pr "timers on:  %8.4f s@.timers off: %8.4f s@.overhead:   %+.1f%%@."
     seconds_timed seconds_untimed
     (100. *. ((seconds_timed -. seconds_untimed) /. seconds_untimed));
-  json_results :=
-    Json.Obj
-      [
-        ("name", Json.String "observability/overhead");
-        ("seconds_timed", Json.Float seconds_timed);
-        ("seconds_untimed", Json.Float seconds_untimed);
-      ]
-    :: !json_results
+  record
+    [
+      ("name", Json.String "observability/overhead");
+      ("seconds_timed", Json.Float seconds_timed);
+      ("seconds_untimed", Json.Float seconds_untimed);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve harness: the resident daemon measured through the wire.
@@ -936,9 +867,9 @@ let observability_report () =
    (one daemon, one connection, repeated identical solves against an
    ever-warmer worker store), and concurrent (four client threads
    hammering one daemon).  Every number here is wall clock plus queue
-   noise by construction, so the whole serve/* family sits in
-   [Benchdiff.default_skip]; the warm arm's [speedup_warm_vs_cold] is
-   the figure the roadmap tracks.                                     *)
+   noise by construction, so [Benchdiff] compares only the serve/*
+   records' field sets and gates the warm arm's
+   [speedup_warm_vs_cold], the figure the roadmap tracks.             *)
 
 let serve_system =
   "let filter = /[\\d]+$/;\n\
@@ -1024,15 +955,13 @@ let serve_report () =
   Fmt.pr
     "cold: %d daemon starts, mean in-handler %d us (%.3f s wall incl. spawn)@."
     cold_iters cold_mean_us cold_seconds;
-  json_results :=
-    Json.Obj
-      [
-        ("name", Json.String "serve/cold");
-        ("requests", Json.Int cold_iters);
-        ("seconds", Json.Float cold_seconds);
-        ("mean_request_us", Json.Int cold_mean_us);
-      ]
-    :: !json_results;
+  record
+    [
+      ("name", Json.String "serve/cold");
+      ("requests", Json.Int cold_iters);
+      ("seconds", Json.Float cold_seconds);
+      ("mean_request_us", Json.Int cold_mean_us);
+    ];
   (* warm and concurrent share one resident daemon *)
   serve_with_daemon (fun listen ->
       let c = serve_connect listen in
@@ -1063,17 +992,15 @@ let serve_report () =
          (%d intern hits)@."
         first.Api.Response.obs.Api.Response.elapsed_us warm_iters warm_mean_us
         speedup warm_hits;
-      json_results :=
-        Json.Obj
-          [
-            ("name", Json.String "serve/warm");
-            ("requests", Json.Int warm_iters);
-            ("cold_request_us", Json.Int cold_mean_us);
-            ("warm_request_us", Json.Int warm_mean_us);
-            ("speedup_warm_vs_cold", Json.Float speedup);
-            ("intern_hits", Json.Int warm_hits);
-          ]
-        :: !json_results;
+      record
+        [
+          ("name", Json.String "serve/warm");
+          ("requests", Json.Int warm_iters);
+          ("cold_request_us", Json.Int cold_mean_us);
+          ("warm_request_us", Json.Int warm_mean_us);
+          ("speedup_warm_vs_cold", Json.Float speedup);
+          ("intern_hits", Json.Int warm_hits);
+        ];
       (* concurrent: four client threads against the same warm daemon *)
       let conns = 4 and per = 16 in
       let total = conns * per in
@@ -1102,18 +1029,16 @@ let serve_report () =
         "concurrent: %d conns x %d reqs in %.3f s — %.0f req/s, p50 %.2f ms, \
          p99 %.2f ms@."
         conns per conc_seconds throughput (pct 50) (pct 99);
-      json_results :=
-        Json.Obj
-          [
-            ("name", Json.String "serve/concurrent");
-            ("connections", Json.Int conns);
-            ("requests", Json.Int total);
-            ("seconds", Json.Float conc_seconds);
-            ("throughput_rps", Json.Float throughput);
-            ("p50_ms", Json.Float (pct 50));
-            ("p99_ms", Json.Float (pct 99));
-          ]
-        :: !json_results);
+      record
+        [
+          ("name", Json.String "serve/concurrent");
+          ("connections", Json.Int conns);
+          ("requests", Json.Int total);
+          ("seconds", Json.Float conc_seconds);
+          ("throughput_rps", Json.Float throughput);
+          ("p50_ms", Json.Float (pct 50));
+          ("p99_ms", Json.Float (pct 99));
+        ]);
   Fmt.pr "(one daemon held across the warm and concurrent arms: its pool@.";
   Fmt.pr " workers keep domain-local stores warm across requests, which is@.";
   Fmt.pr " the entire case for residency over spawn-per-request.)@."
@@ -1208,37 +1133,15 @@ let events_path () =
   scan (Array.to_list Sys.argv)
 
 (* ------------------------------------------------------------------ *)
-(* [--diff OLD NEW]: compare two bench JSON documents instead of
-   running the experiments.  Deterministic content (counters, shapes,
-   timer call counts) is hard-gated; wall clock is ratio-gated and can
-   be demoted to warnings for noisy CI runners.  Exit 0 = clean,
-   1 = hard regressions (named on stdout), 2 = usage/parse error. *)
+(* [--diff OLD NEW]: check two bench JSON documents (see
+   {!Benchdiff}) instead of running the experiments.  Exit 0 = clean,
+   1 = hard findings (named on stdout), 2 = usage/parse error. *)
 
 let diff_main args =
-  let usage () =
-    Fmt.epr
-      "usage: bench --diff OLD.json NEW.json [--threshold X] \
-       [--wall-warn-only] [--skip GLOB]... [--include GLOB]...@.";
-    2
-  in
-  let rec parse paths threshold warn skip incl = function
-    | [] -> Ok (List.rev paths, threshold, warn, skip, incl)
-    | "--diff" :: rest -> parse paths threshold warn skip incl rest
-    | "--threshold" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some t -> parse paths t warn skip incl rest
-        | None -> Error ())
-    | "--wall-warn-only" :: rest -> parse paths threshold true skip incl rest
-    | "--skip" :: name :: rest ->
-        parse paths threshold warn (name :: skip) incl rest
-    | "--include" :: name :: rest ->
-        parse paths threshold warn skip (name :: incl) rest
-    | arg :: rest when String.length arg > 0 && arg.[0] <> '-' ->
-        parse (arg :: paths) threshold warn skip incl rest
-    | _ -> Error ()
-  in
-  match parse [] 1.5 false [] [] args with
-  | Ok ([ old_path; new_path ], threshold, wall_warn_only, skip, include_) -> (
+  let wall_warn_only = List.mem "--wall-warn-only" args in
+  let is_path a = a <> "" && a.[0] <> '-' in
+  match List.filter (fun a -> a <> "--diff" && a <> "--wall-warn-only") args with
+  | [ old_path; new_path ] when is_path old_path && is_path new_path -> (
       let load path =
         match
           Json.of_string (In_channel.with_open_text path In_channel.input_all)
@@ -1247,22 +1150,23 @@ let diff_main args =
         | Error msg -> Error (Fmt.str "%s: %s" path msg)
         | exception Sys_error msg -> Error msg
       in
-      match (load old_path, load new_path) with
-      | Ok old_doc, Ok new_doc -> (
-          match
-            Telemetry.Benchdiff.run ~threshold ~wall_warn_only ~skip ~include_
-              ~old_doc ~new_doc ()
-          with
-          | Ok report ->
-              Fmt.pr "%a" Telemetry.Benchdiff.pp_report report;
-              if Telemetry.Benchdiff.hard_count report > 0 then 1 else 0
-          | Error msg ->
-              Fmt.epr "error: %s@." msg;
-              2)
-      | Error msg, _ | _, Error msg ->
+      let report =
+        let ( let* ) = Result.bind in
+        let* old_doc = load old_path in
+        let* new_doc = load new_path in
+        Benchdiff.run ~cores:(Domain.recommended_domain_count ())
+          ~wall_warn_only ~old_doc ~new_doc
+      in
+      match report with
+      | Ok report ->
+          Fmt.pr "%a" Benchdiff.pp_report report;
+          if Benchdiff.hard_count report > 0 then 1 else 0
+      | Error msg ->
           Fmt.epr "error: %s@." msg;
           2)
-  | Ok _ | Error () -> usage ()
+  | _ ->
+      Fmt.epr "usage: dprle-bench --diff OLD.json NEW.json [--wall-warn-only]@.";
+      2
 
 let run_experiments () =
   let json = json_path () in

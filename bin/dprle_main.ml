@@ -21,11 +21,6 @@ let budget_of ~budget_ms ~budget_states =
 
 module Snapshot = Telemetry.Metrics.Snapshot
 
-let sum_counters diff name =
-  List.fold_left
-    (fun acc (n, _, v) -> if n = name then acc + v else acc)
-    0 (Snapshot.counters diff)
-
 (* Common tail fields of a per-solve event: total attributed timer
    self-time plus the store's hit/miss deltas over the bracket. *)
 let obs_fields diff =
@@ -40,10 +35,10 @@ let obs_fields diff =
     ( "store",
       J.Obj
         [
-          ("intern_hit", J.Int (sum_counters diff "store.intern.hit"));
-          ("intern_miss", J.Int (sum_counters diff "store.intern.miss"));
-          ("opcache_hit", J.Int (sum_counters diff "store.opcache.hit"));
-          ("opcache_miss", J.Int (sum_counters diff "store.opcache.miss"));
+          ("intern_hit", J.Int (Snapshot.counter_total diff "store.intern.hit"));
+          ("intern_miss", J.Int (Snapshot.counter_total diff "store.intern.miss"));
+          ("opcache_hit", J.Int (Snapshot.counter_total diff "store.opcache.hit"));
+          ("opcache_miss", J.Int (Snapshot.counter_total diff "store.opcache.miss"));
         ] );
   ]
 

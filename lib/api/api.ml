@@ -45,7 +45,7 @@ module Request = struct
     { system; max_solutions = 256; combination_limit = 4096; witnesses = false }
 
   let webcheck_defaults ~program =
-    { program; attack = "quote"; max_paths = 256; static_prune = true }
+    { program; attack = "quote"; max_paths = 4096; static_prune = true }
 end
 
 module Response = struct

@@ -34,7 +34,9 @@ module Request : sig
   type webcheck_params = {
     program : string;  (** mini-PHP source *)
     attack : string;  (** attack-language name ({!Webapp.Attack.lookup}) *)
-    max_paths : int;  (** path exploration bound, default 256 *)
+    max_paths : int;
+        (** path exploration bound, default 4096 (webcheck's
+            [--max-paths] default) *)
     static_prune : bool;  (** run the dataflow prune first (default true) *)
   }
 

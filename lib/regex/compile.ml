@@ -30,7 +30,3 @@ let pattern_handle { Ast.re; anchored_start; anchored_end } =
   Store.intern padded
 
 let pattern_to_nfa pattern = Store.nfa (pattern_handle pattern)
-
-let pattern_reject_nfa pattern =
-  let h = pattern_handle pattern in
-  Store.canon (Automata.Dfa.to_nfa (Automata.Dfa.complement (Store.dfa h)))

@@ -20,8 +20,3 @@ val pattern_to_nfa : Ast.pattern -> Automata.Nfa.t
     callers that go on to memoized store operations (one intern, not
     a second one of the already-interned machine). *)
 val pattern_handle : Ast.pattern -> Automata.Store.handle
-
-(** Language of inputs {e rejected} by the check (complement of
-    {!pattern_to_nfa}); used when an analysis follows the
-    pattern-failed branch. *)
-val pattern_reject_nfa : Ast.pattern -> Automata.Nfa.t

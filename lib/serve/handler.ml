@@ -1,10 +1,5 @@
 module Snapshot = Telemetry.Metrics.Snapshot
 
-let sum_counter snap name =
-  List.fold_left
-    (fun acc (n, _labels, v) -> if String.equal n name then acc + v else acc)
-    0 (Snapshot.counters snap)
-
 (* Counter series flattened to the registry's pp spelling
    ("store.opcache.hit{op=inter_lang}"), sorted for determinism. *)
 let flat_counters snap =
@@ -190,7 +185,7 @@ let handle ?(requests = 0) (req : Api.Request.t) : Api.Response.t =
     obs =
       {
         Api.Response.elapsed_us;
-        intern_hits = sum_counter diff "store.intern.hit";
-        opcache_hits = sum_counter diff "store.opcache.hit";
+        intern_hits = Snapshot.counter_total diff "store.intern.hit";
+        opcache_hits = Snapshot.counter_total diff "store.opcache.hit";
       };
   }

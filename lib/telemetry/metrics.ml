@@ -479,6 +479,11 @@ module Snapshot = struct
   let counter_value ?(labels = []) t name =
     Option.value (List.assoc_opt (name, canon labels) t.counters) ~default:0
 
+  let counter_total t name =
+    List.fold_left
+      (fun acc ((n, _), v) -> if String.equal n name then acc + v else acc)
+      0 t.counters
+
   let timer_stat ?(labels = []) t name =
     List.assoc_opt (name, canon labels) t.timers
 

@@ -133,6 +133,9 @@ module Snapshot : sig
   (** Value of one counter series, 0 if absent. *)
   val counter_value : ?labels:labels -> t -> string -> int
 
+  (** Sum of a counter over all its label sets, 0 if absent. *)
+  val counter_total : t -> string -> int
+
   (** One timer series, if present. *)
   val timer_stat : ?labels:labels -> t -> string -> timer_stat option
 

@@ -44,13 +44,17 @@ let rec holds c w =
       | Ast.Len_le -> len <= n
       | Ast.Len_ge -> len >= n)
 
-(* The accept language of an unnegated condition. §3.1.2: a length
-   check is the regular language .{n} / .{0,n} / .{n,}. *)
-let accept_lang : Ast.cond -> Store.handle = function
-  | Ast.Not _ -> assert false (* unwrapped by [cond_lang] *)
-  | Ast.Preg_match (pattern, _) -> Regex.Compile.pattern_handle pattern
-  | Ast.Str_eq (_, s) -> Store.of_word s
-  | Ast.Strlen (_, cmp, n) ->
+(* What an unnegated condition's language depends on: its test, with
+   the operand erased, so [preg_match(/p/, $a)] and
+   [preg_match(/p/, $b)] share one language. *)
+type test = Matches of Regex.Ast.pattern | Equals of string | Length of Ast.cmp * int
+
+(* The accept language of a test. §3.1.2: a length check is the
+   regular language .{n} / .{0,n} / .{n,}. *)
+let accept_lang = function
+  | Matches pattern -> Regex.Compile.pattern_handle pattern
+  | Equals s -> Store.of_word s
+  | Length (cmp, n) ->
       let any = Automata.Nfa.of_charset Charset.full in
       Store.intern
         (match cmp with
@@ -60,8 +64,8 @@ let accept_lang : Ast.cond -> Store.handle = function
 
 (* The reject branch's complement comes from the accept handle's
    memoized determinization. *)
-let build value c =
-  let accept = accept_lang c in
+let build value t =
+  let accept = accept_lang t in
   if value then accept
   else
     Store.intern
@@ -71,22 +75,27 @@ let build value c =
    language on every path through it, and the fixpoint on every visit
    of its edge; each build pays a regex compile, a complement or a
    bounded repeat, plus a canonical key. Keyed structurally on
-   (condition, polarity); per-domain (handles must not cross workers),
+   (test, polarity); per-domain (handles must not cross workers),
    reset with the store, and bypassed while the store is disabled so
    [--no-cache] stays a faithful ablation. *)
-let table : (Ast.cond * bool, Store.handle) Hashtbl.t Domain.DLS.key =
+let table : (test * bool, Store.handle) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 let () = Store.on_clear (fun () -> Hashtbl.reset (Domain.DLS.get table))
 
+let test_lang value t =
+  if not (Store.enabled ()) then build value t
+  else
+    let table = Domain.DLS.get table in
+    match Hashtbl.find_opt table (t, value) with
+    | Some h -> h
+    | None ->
+        let h = build value t in
+        Hashtbl.replace table (t, value) h;
+        h
+
 let rec cond_lang value = function
   | Ast.Not c -> cond_lang (not value) c
-  | c when not (Store.enabled ()) -> build value c
-  | c -> (
-      let table = Domain.DLS.get table in
-      match Hashtbl.find_opt table (c, value) with
-      | Some h -> h
-      | None ->
-          let h = build value c in
-          Hashtbl.replace table (c, value) h;
-          h)
+  | Ast.Preg_match (pattern, _) -> test_lang value (Matches pattern)
+  | Ast.Str_eq (_, s) -> test_lang value (Equals s)
+  | Ast.Strlen (_, cmp, n) -> test_lang value (Length (cmp, n))

@@ -35,7 +35,8 @@ val holds : Ast.cond -> string -> bool
 
 (** [cond_lang value c]: the language the operand lies in exactly
     when [c] evaluates to [value] — the accept language, or its
-    complement. Built once per (condition, polarity) and per domain,
+    complement. Built once per (test, polarity) and per domain — the
+    pattern, word or length comparison, with the operand erased —
     reset with {!Automata.Store.clear}, and rebuilt on every call
     while the store is disabled ([--no-cache]). *)
 val cond_lang : bool -> Ast.cond -> Automata.Store.handle

@@ -101,14 +101,6 @@ let pattern_tests =
         let p = Parser.parse_pattern_exn "/a\\$$/" in
         check_bool "anchored" true p.anchored_end;
         check_bool "a$" true (Nfa.accepts (Compile.pattern_to_nfa p) "xa$"));
-    test "reject language is the complement" (fun () ->
-        let p = Parser.parse_pattern_exn "/[\\d]+$/" in
-        let acc = Compile.pattern_to_nfa p in
-        let rej = Compile.pattern_reject_nfa p in
-        List.iter
-          (fun w ->
-            check_bool w (not (Nfa.accepts acc w)) (Nfa.accepts rej w))
-          [ "42"; "abc"; "9a"; "" ]);
     test "pattern_matches agrees with compiled pattern" (fun () ->
         let p = Parser.parse_pattern_exn "/b+c$/" in
         List.iter

@@ -124,12 +124,6 @@ let metrics_tests =
 (* ------------------------------------------------------------------ *)
 (* Handler: in-domain request execution. *)
 
-let sum_counter snap name =
-  List.fold_left
-    (fun acc (n, _, v) -> if n = name then acc + v else acc)
-    0
-    (Telemetry.Metrics.Snapshot.counters snap)
-
 let webcheck_req ?budget_states id program =
   Serve.Handler.handle
     (req ?budget_states ~id
@@ -165,6 +159,28 @@ let safe_loop_page =
 
 let handler_tests =
   [
+    (* api links neither the solver nor the pipeline, so the wire
+       defaults are pinned to the CLI's here *)
+    test "wire defaults are the CLI defaults" (fun () ->
+        let s = Request.solve_defaults ~system:"" in
+        let d = Dprle.Solver.Config.default in
+        check_int "max_solutions" d.max_solutions s.Request.max_solutions;
+        check_int "combination_limit" d.combination_limit s.combination_limit;
+        check_int "max_paths" Analysis.Pipeline.default_max_paths
+          (Request.webcheck_defaults ~program:"").Request.max_paths);
+    test "a default webcheck frame finds warp's xw_mn as webcheck does"
+      (fun () ->
+        let warp =
+          List.find (fun a -> a.Corpus.Fig11.name = "warp") Corpus.Fig11.apps
+        in
+        let page = List.assoc "xw_mn.mphp" (Corpus.Fig11.generate warp) in
+        match
+          (webcheck_req "xw" (Webapp.Ast.to_source page)).Response.payload
+        with
+        | Response.Webcheck_report { vulnerable; paths_truncated; _ } ->
+            check_int "vulnerable" 1 vulnerable;
+            check_bool "paths_truncated" false paths_truncated
+        | p -> Alcotest.failf "expected a webcheck report, got %s" (Response.payload_name p));
     test "solve answers sat with the request id echoed" (fun () ->
         let resp = Serve.Handler.handle (solve_req "h1" fig1) in
         check_string "id" "h1" resp.Response.id;
@@ -211,7 +227,7 @@ let handler_tests =
         | _ -> Alcotest.fail "expected one vulnerable sink");
     test "webcheck reports fixpoint-proved sinks without solving" (fun () ->
         let solves () =
-          sum_counter (Telemetry.Metrics.Snapshot.of_default ()) "solver.solves"
+          Telemetry.Metrics.Snapshot.(counter_total (of_default ()) "solver.solves")
         in
         let before = solves () in
         let sinks, vulnerable = webcheck_report (webcheck_req "ws" safe_loop_page) in

@@ -18,12 +18,6 @@ let with_store_reset f =
       Store.clear ())
     f
 
-let counter_total snap name =
-  List.fold_left
-    (fun acc (n, _, v) -> if n = name then acc + v else acc)
-    0
-    (Metrics.Snapshot.counters snap)
-
 let nfa_pair = QCheck2.Gen.pair nfa_gen nfa_gen
 
 let prop_tests =
@@ -135,7 +129,7 @@ let memo_tests =
         in
         check_int "all computed" (capacity + 40) !runs;
         check_bool "evictions recorded" true
-          (counter_total diff "store.opcache.evict" > 0);
+          (Metrics.Snapshot.counter_total diff "store.opcache.evict" > 0);
         (* a hot key kept hot survives; ancient keys were dropped *)
         ignore (get (capacity + 40));
         check_int "recent key cached" (capacity + 40) !runs;
@@ -300,7 +294,7 @@ let endtoend_tests =
           Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before
         in
         check_bool "second solve hits" true
-          (counter_total diff "store.opcache.hit" > 0));
+          (Metrics.Snapshot.counter_total diff "store.opcache.hit" > 0));
     test "symbolic execution runs warm by default" (fun () ->
         with_store_reset @@ fun () ->
         let program = Webapp.Lang_parser.parse_exn utopia_program in
@@ -317,9 +311,9 @@ let endtoend_tests =
           Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before
         in
         check_bool "op-cache hits during symexec" true
-          (counter_total diff "store.opcache.hit" > 0);
+          (Metrics.Snapshot.counter_total diff "store.opcache.hit" > 0);
         check_bool "intern hits during symexec" true
-          (counter_total diff "store.intern.hit" > 0));
+          (Metrics.Snapshot.counter_total diff "store.intern.hit" > 0));
     test "--no-cache semantics: disabled solve agrees with cached" (fun () ->
         with_store_reset @@ fun () ->
         let run () =

@@ -181,6 +181,18 @@ let metrics_tests =
         check_int "scoped count" 7 (Metrics.Snapshot.counter_value d "test.work");
         check_int "absent counter reads zero" 0
           (Metrics.Snapshot.counter_value d "test.missing"));
+    test "counter_total sums every label set" (fun () ->
+        let r = Metrics.create_registry () in
+        let c = Metrics.Counter.make ~registry:r "test.sum" in
+        let other = Metrics.Counter.make ~registry:r "test.other" in
+        Metrics.Counter.incr c 1;
+        Metrics.Counter.incr c ~labels:[ ("op", "concat") ] 2;
+        Metrics.Counter.incr c ~labels:[ ("op", "product") ] 5;
+        Metrics.Counter.incr other 100;
+        let s = Metrics.Snapshot.take r in
+        check_int "all label sets" 8 (Metrics.Snapshot.counter_total s "test.sum");
+        check_int "absent counter reads zero" 0
+          (Metrics.Snapshot.counter_total s "test.missing"));
     test "snapshot json is well-formed" (fun () ->
         let r = Metrics.create_registry () in
         let c = Metrics.Counter.make ~registry:r "test.json" in
