@@ -111,7 +111,7 @@ let fig1_report () =
   let outcome, dt = time_once fig1_solve in
   (match outcome with
   | Solver.Sat [ a ] ->
-      let v1 = Dprle.Assignment.find a "v1" in
+      let v1 = Automata.Store.minimized (Dprle.Assignment.find a "v1") in
       Fmt.pr "solution: v1 accepts %S: %b; rejects %S: %b (%.4f s)@."
         "' OR 1=1 ; DROP news --9"
         (Nfa.accepts v1 "' OR 1=1 ; DROP news --9")
@@ -124,9 +124,10 @@ let fig1_report () =
 (* Fig. 4: concat-intersect machine shapes on the running example     *)
 
 let fig4_inputs () =
-  ( Automata.Lang.compact (System.const_of_word "nid_"),
-    Automata.Lang.compact (System.const_of_pattern "/[\\d]+$/"),
-    Automata.Lang.compact (System.const_of_pattern "/'/") )
+  let compact h = Automata.Lang.compact (Automata.Store.nfa h) in
+  ( compact (System.const_of_word "nid_"),
+    compact (System.const_of_pattern "/[\\d]+$/"),
+    compact (System.const_of_pattern "/'/") )
 
 let fig4_run () =
   let c1, c2, c3 = fig4_inputs () in
@@ -360,7 +361,7 @@ let sec35_report () =
    models the unminimized intermediate machines the paper blames for
    the secure row. *)
 let bloated_attack k =
-  let quote () = System.const_of_pattern "/'/" in
+  let quote () = Automata.Store.nfa (System.const_of_pattern "/'/") in
   let rec go n acc =
     if n = 0 then acc else go (n - 1) (Ops.union_lang acc (quote ()))
   in
@@ -371,9 +372,10 @@ let ablation_inputs k =
     String.concat "" (List.init 40 (fun i -> Printf.sprintf "col%d," i))
   in
   let c1 =
-    System.const_of_word ("SELECT " ^ filler ^ " FROM news WHERE id=nid_")
+    Automata.Store.nfa
+      (System.const_of_word ("SELECT " ^ filler ^ " FROM news WHERE id=nid_"))
   in
-  let c2 = System.const_of_pattern "/[\\d]+$/" in
+  let c2 = Automata.Store.nfa (System.const_of_pattern "/[\\d]+$/") in
   (c1, c2, bloated_attack k)
 
 let ablation_run c1 c2 c3 =
@@ -629,10 +631,13 @@ let pipeline_arm ~static_prune ~config ~passes files =
     let vs =
       List.map
         (fun (name, program) ->
-          (* the pre-pass off, so a prune arm always runs the fixpoint *)
+          (* the pre-pass off, so a prune arm always runs the fixpoint;
+             webcheck's path limit, so every page is enumerated and
+             solved as webcheck does it *)
           let plan =
-            Analysis.Pipeline.plan ~prepass_paths:0 ~max_paths:256
-              ~static_prune ~attack program
+            Analysis.Pipeline.plan ~prepass_paths:0
+              ~max_paths:Analysis.Pipeline.default_max_paths ~static_prune
+              ~attack program
           in
           if pass = 1 then
             pruned :=

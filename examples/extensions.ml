@@ -20,7 +20,8 @@ let () =
   (match Dprle.Solver.run Dprle.Solver.Config.default system with
   | Ok (Dprle.Solver.Sat [ a ]) ->
       (* v must survive after both prefixes: x∘v and xx∘v both ⊆ x{1,3} *)
-      Fmt.pr "v ↦ /%s/@.@." (Regex.Pretty.pretty (Dprle.Assignment.find a "v"))
+      Fmt.pr "v ↦ /%s/@.@." (Regex.Pretty.pretty
+           (Automata.Store.minimized (Dprle.Assignment.find a "v")))
   | _ -> Fmt.pr "unexpected@.");
 
   (* 2. Length restriction: model a strlen check in code. *)
@@ -61,7 +62,7 @@ let () =
 
   (* 4. The preimage machinery directly. *)
   Fmt.pr "=== regular preimages ===@.";
-  let lang = Dprle.System.const_of_regex "se(cr|le)ct" in
+  let lang = Automata.Store.nfa (Dprle.System.const_of_regex "se(cr|le)ct") in
   let pre = Automata.Relabel.preimage Char.lowercase_ascii lang in
   Fmt.pr "lower⁻¹(/se(cr|le)ct/) accepts \"SeLeCT\": %b@."
     (Nfa.accepts pre "SeLeCT");

@@ -52,10 +52,12 @@ query("SELECT * FROM t WHERE a = '" . addslashes($x) . "'");|};
 
   (* 4. the machinery directly: preimages through addslashes *)
   Fmt.pr "=== transducer preimages ===@.";
-  let target = Dprle.System.const_of_regex "\\\\'" in
+  let target = Automata.Store.nfa (Dprle.System.const_of_regex "\\\\'") in
   let pre = Fst.preimage Fst.addslashes target in
   Fmt.pr "addslashes⁻¹(/\\\\'/) = /%s/ (the single quote)@."
     (Regex.Pretty.pretty pre);
-  let bare_quote = Dprle.System.const_of_regex "[^'\\\\]*'.*" in
+  let bare_quote =
+    Automata.Store.nfa (Dprle.System.const_of_regex "[^'\\\\]*'.*")
+  in
   Fmt.pr "addslashes⁻¹(bare-quote language) empty: %b@."
     (Automata.Lang.is_empty (Fst.preimage Fst.addslashes bare_quote))

@@ -51,9 +51,10 @@ let () =
   Fmt.pr "@.=== 3. the concat-intersect machines (Fig. 4) ===@.";
   (* the same constants the paper uses: c1 = "nid_", c2 = the faulty
      filter's accepted language, c3 = strings containing a quote *)
-  let c1 = Automata.Lang.compact (System.const_of_word "nid_") in
-  let c2 = Automata.Lang.compact (System.const_of_pattern "/[\\d]+$/") in
-  let c3 = Automata.Lang.compact (System.const_of_pattern "/'/") in
+  let compact h = Automata.Lang.compact (Automata.Store.nfa h) in
+  let c1 = compact (System.const_of_word "nid_") in
+  let c2 = compact (System.const_of_pattern "/[\\d]+$/") in
+  let c3 = compact (System.const_of_pattern "/'/") in
   let { Ci.solutions; m4; m5 } = Ci.concat_intersect c1 c2 c3 in
   Fmt.pr "M1 (nid_):        %a@." Nfa.pp_summary c1;
   Fmt.pr "M2 (filter):      %a@." Nfa.pp_summary c2;

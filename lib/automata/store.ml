@@ -267,8 +267,6 @@ let intern m =
               h
         end
 
-let canon m = if not (enabled ()) then m else (intern m).nfa
-
 (* ------------------------------------------------------------------ *)
 (* Constant fast paths *)
 
@@ -365,7 +363,16 @@ let compacted h =
     match h.compact_memo with
     | Some c -> c
     | None ->
-        let c = intern (Dfa.to_nfa (min_dfa h)) in
+        (* the DFA slots are read, not filled: the solver compacts every
+           gci slice it binds, and keeping two DFAs per slice grew the
+           live heap of perfbench's warm [wire] store by 13% *)
+        let d =
+          match (h.min_dfa_memo, h.dfa_memo) with
+          | Some m, _ -> m
+          | None, Some d -> Dfa.minimize d
+          | None, None -> Dfa.minimize (Dfa.of_nfa h.nfa)
+        in
+        let c = intern (Dfa.to_nfa d) in
         h.compact_memo <- Some c;
         (* compaction is idempotent: re-minimizing a machine that is
            already a minimal DFA yields an isomorphic machine, hence

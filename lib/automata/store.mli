@@ -33,9 +33,13 @@
     workers: every domain gets its own intern table and its own memo
     tables (no locks on the solve hot path; a worker's caches die with
     its domain). Handles must therefore never cross a domain boundary
-    — each job interns what it needs inside its worker. Handle ids
-    remain globally unique, and the enable switch applies process-wide
-    (set it before spawning workers). *)
+    — each job interns what it needs inside its worker. The same holds
+    for every value that carries handles: a [Dprle.System.t] binds each
+    constant to one, and a solution binds each variable to one, so
+    [batch], [webcheck] and [serve] parse or build each system inside
+    the worker that solves it and hand back only rendered results.
+    Handle ids remain globally unique, and the enable switch applies
+    process-wide (set it before spawning workers). *)
 
 type handle
 
@@ -75,10 +79,6 @@ val nfa : handle -> Nfa.t
     same interned machine; use ids as memo keys ({!Memo}). *)
 val id : handle -> int
 
-(** [canon m = nfa (intern m)] — replace a machine by its interned
-    representative. Identity when the store is disabled. *)
-val canon : Nfa.t -> Nfa.t
-
 (** {1 Memoized unary operations} *)
 
 (** Determinization of the handle's machine, computed once. *)
@@ -97,7 +97,8 @@ val is_empty : handle -> bool
     canonically keyed) once per handle. The analysis layer's value
     compaction calls this once per refine/join — without the slot it
     would re-pay the canonical key of the minimized machine on every
-    visit even when {!min_dfa} hits. *)
+    visit even when {!min_dfa} hits. Only the result is kept: the
+    {!dfa} and {!min_dfa} slots are read if present, never filled. *)
 val compacted : handle -> handle
 
 (** {1 Cached binary operations}

@@ -16,6 +16,11 @@ let c_folded = Telemetry.Metrics.Counter.make "analyze.folded"
 let c_aliased = Telemetry.Metrics.Counter.make "analyze.aliased"
 let c_refuted = Telemetry.Metrics.Counter.make "analyze.refuted"
 
+(* One timer series per pass, so `dprle profile` and --metrics say
+   which pass the analyzer's time went to. *)
+let t_pass = Telemetry.Metrics.Timer.make "analyze.pass"
+let timed pass f = Telemetry.Metrics.Timer.time t_pass ~labels:[ ("pass", pass) ] f
+
 type cause =
   | Empty_var of string
   | Bound_empty of string
@@ -135,7 +140,7 @@ let alias_map system =
 
 type norm = {
   norm_constrs : System.constr list;
-  extra_consts : (string * Nfa.t) list;
+  extra_consts : (string * Store.handle) list;
   norm_aliased : int;
   norm_folded : int;
   norm_deduped : int;
@@ -177,7 +182,7 @@ let normalize system =
         in
         Hashtbl.replace taken name ();
         Hashtbl.replace fold_memo key name;
-        extra := (name, Store.nfa h) :: !extra;
+        extra := (name, h) :: !extra;
         name
   in
   let rebuild_alt alt =
@@ -253,9 +258,6 @@ let normalize system =
 
 exception Refuted of cause * int list
 
-let residual_memo : Store.handle Store.Memo.t =
-  Store.Memo.create ~op:"analyze.residual"
-
 let run_handle system = function
   | [] -> Store.of_word ""
   | first :: rest ->
@@ -271,14 +273,7 @@ let residual_handle system ~pre ~post ~upper =
     || handle_size post_h > state_cap
     || handle_size upper > state_cap
   then None
-  else
-    Some
-      (Store.Memo.find_or_compute residual_memo
-         ~key:[ Store.id pre_h; Store.id post_h; Store.id upper ]
-         (fun () ->
-           Store.intern
-             (Residual.max_middle ~pre:(Store.nfa pre_h)
-                ~post:(Store.nfa post_h) ~upper:(Store.nfa upper))))
+  else Some (Residual.max_middle ~pre:pre_h ~post:post_h ~upper)
 
 type contribs = (string, (int * Store.handle) list) Hashtbl.t
 
@@ -573,7 +568,7 @@ let slice ~goals system contribs constrs =
 (* ------------------------------------------------------------------ *)
 
 let run ?(goals = []) system =
-  match normalize system with
+  match timed "normalize" (fun () -> normalize system) with
   | { norm_constrs; extra_consts; norm_aliased; norm_folded; norm_deduped } -> (
       Telemetry.Metrics.Counter.incr c_aliased norm_aliased;
       Telemetry.Metrics.Counter.incr c_folded norm_folded;
@@ -617,10 +612,16 @@ let run ?(goals = []) system =
               } ))
           (vars_of_constrs norm_constrs)
       in
-      match bounds_refute norm_sys norm_constrs with
-      | Error (refutation, contribs) ->
+      (* the unsat core is shrunk by re-running this pass *)
+      match
+        timed "bounds" (fun () ->
+            Result.map_error
+              (fun (refutation, contribs) ->
+                (refute_with_core norm_sys norm_constrs refutation, contribs))
+              (bounds_refute norm_sys norm_constrs))
+      with
+      | Error (refute, contribs) ->
           Telemetry.Metrics.Counter.incr c_refuted 1;
-          let refute = refute_with_core norm_sys norm_constrs refutation in
           {
             system = norm_sys;
             refute = Some refute;
@@ -629,10 +630,12 @@ let run ?(goals = []) system =
             stats = stats ();
           }
       | Ok contribs ->
-          let kept, discharged = discharge norm_sys contribs norm_constrs in
+          let kept, discharged =
+            timed "discharge" (fun () -> discharge norm_sys contribs norm_constrs)
+          in
           Telemetry.Metrics.Counter.incr c_discharged discharged;
           let kept, witnesses, sliced_vars =
-            slice ~goals norm_sys contribs kept
+            timed "slice" (fun () -> slice ~goals norm_sys contribs kept)
           in
           let sliced_constraints =
             List.length norm_constrs - discharged - List.length kept

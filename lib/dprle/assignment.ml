@@ -1,13 +1,14 @@
 module Nfa = Automata.Nfa
+module Store = Automata.Store
 module SMap = Map.Make (String)
 
-type t = Nfa.t SMap.t
+type t = Store.handle SMap.t
 
 let of_list bindings = SMap.of_seq (List.to_seq bindings)
 
 let find t v =
   match SMap.find_opt v t with
-  | Some lang -> lang
+  | Some h -> h
   | None -> invalid_arg (Printf.sprintf "Assignment.find: unbound variable %S" v)
 
 let find_opt t v = SMap.find_opt v t
@@ -16,17 +17,15 @@ let bindings t = SMap.bindings t
 
 let variables t = List.map fst (SMap.bindings t)
 
-(* Through the store: [prune_subsumed] compares all pairs of
-   disjuncts, and the same variable languages recur across them. *)
+(* [prune_subsumed] compares all pairs of disjuncts, and the same
+   variable languages recur across them: the store's inclusion cache
+   answers the repeats. *)
 let subsumes a b =
   SMap.for_all
-    (fun v lang_b ->
+    (fun v hb ->
       match SMap.find_opt v a with
       | None -> false
-      | Some lang_a ->
-          Automata.Store.subset
-            (Automata.Store.intern lang_b)
-            (Automata.Store.intern lang_a))
+      | Some ha -> Store.subset hb ha)
     b
 
 let equal a b = subsumes a b && subsumes b a
@@ -44,24 +43,29 @@ let prune_subsumed assignments =
       if dominated then None else Some a)
     indexed
 
+(* Witnesses, samples and the printed regex are read off the
+   handle's minimized machine, so every consumer sees one rendering
+   of a language. *)
 let witness t =
   let exception Empty in
   try
     Some
       (List.map
-         (fun (v, lang) ->
-           match Nfa.shortest_word lang with
+         (fun (v, h) ->
+           match Nfa.shortest_word (Store.minimized h) with
            | Some w -> (v, w)
            | None -> raise Empty)
          (SMap.bindings t))
   with Empty -> None
 
-let samples t v ~n = Nfa.sample_words (find t v) ~max_len:24 ~max_count:n
+let samples t v ~n =
+  Nfa.sample_words (Store.minimized (find t v)) ~max_len:24 ~max_count:n
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>";
   List.iter
-    (fun (v, lang) -> Fmt.pf ppf "%s ↦ /%s/@ " v (Regex.Pretty.pretty lang))
+    (fun (v, h) ->
+      Fmt.pf ppf "%s ↦ /%s/@ " v (Regex.Pretty.pretty (Store.minimized h)))
     (SMap.bindings t);
   Fmt.pf ppf "@]"
 

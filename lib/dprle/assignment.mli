@@ -1,14 +1,16 @@
-(** Assignments of regular languages to the variables of a system. *)
+(** Assignments of regular languages to the variables of a system.
+    Each variable is bound to an {!Automata.Store} handle, the form in
+    which the solver's modules pass languages to each other. *)
 
 type t
 
-val of_list : (string * Automata.Nfa.t) list -> t
+val of_list : (string * Automata.Store.handle) list -> t
 
-val find : t -> string -> Automata.Nfa.t
+val find : t -> string -> Automata.Store.handle
 
-val find_opt : t -> string -> Automata.Nfa.t option
+val find_opt : t -> string -> Automata.Store.handle option
 
-val bindings : t -> (string * Automata.Nfa.t) list
+val bindings : t -> (string * Automata.Store.handle) list
 
 val variables : t -> string list
 
@@ -24,7 +26,8 @@ val equal : t -> t -> bool
 val prune_subsumed : t list -> t list
 
 (** A concrete witness string per variable (shortest), e.g. to print a
-    testcase. [None] if some language is empty. *)
+    testcase. [None] if some language is empty. Witnesses, samples and
+    {!pp} all read a binding's {!Automata.Store.minimized} machine. *)
 val witness : t -> (string * string) list option
 
 (** Up to [n] sample strings for one variable. *)

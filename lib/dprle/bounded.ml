@@ -7,8 +7,9 @@ module SSet = Set.Make (String)
 let alphabet system =
   let labels =
     List.concat_map
-      (fun (_, m) ->
-        Nfa.fold_char_transitions m ~init:[] ~f:(fun acc _ cs _ -> cs :: acc))
+      (fun (_, h) ->
+        Nfa.fold_char_transitions (Automata.Store.nfa h) ~init:[]
+          ~f:(fun acc _ cs _ -> cs :: acc))
       (System.constants system)
   in
   let blocks = Charset.refine labels in
@@ -38,7 +39,7 @@ let words alpha ~max_len ~cap =
    with variables replaced by singleton languages. *)
 let constraint_holds system bound { System.lhs; rhs } =
   let rec lang_of = function
-    | System.Const c -> System.const_lang system c
+    | System.Const c -> Automata.Store.nfa (System.const_handle system c)
     | System.Var v -> Nfa.of_word (List.assoc v bound)
     | System.Concat (a, b) -> Automata.Ops.concat_lang (lang_of a) (lang_of b)
     | System.Union (a, b) -> Automata.Ops.union_lang (lang_of a) (lang_of b)

@@ -19,12 +19,13 @@
     [Good] — a universal-acceptance subset construction.
 
     If [pre] or [post] is empty the occurrence constrains nothing and
-    the result is Σ*. *)
+    the result is Σ*. Operands and result are store handles; the
+    construction is memoized on the operands' ids. *)
 val max_middle :
-  pre:Automata.Nfa.t ->
-  post:Automata.Nfa.t ->
-  upper:Automata.Nfa.t ->
-  Automata.Nfa.t
+  pre:Automata.Store.handle ->
+  post:Automata.Store.handle ->
+  upper:Automata.Store.handle ->
+  Automata.Store.handle
 
 (** [maximize system a] grows every variable of [a] in round-robin
     fashion to the largest language that keeps every constraint

@@ -52,11 +52,9 @@ let symbol v =
   then v
   else "|" ^ v ^ "|"
 
-let singleton_word lang =
-  match Automata.Nfa.shortest_word lang with
-  | Some w when
-      Automata.Store.equal (Automata.Store.intern lang) (Automata.Store.of_word w)
-    -> Some w
+let singleton_word h =
+  match Automata.Nfa.shortest_word (Automata.Store.nfa h) with
+  | Some w when Automata.Store.equal h (Automata.Store.of_word w) -> Some w
   | _ -> None
 
 let of_system system =
@@ -66,7 +64,9 @@ let of_system system =
   let quantified = ref false in
   let fresh_u = ref 0 in
   let constraint_assertions { System.lhs; rhs } =
-    let upper = lang_re_term (System.const_lang system rhs) in
+    let upper =
+      lang_re_term (Automata.Store.nfa (System.const_handle system rhs))
+    in
     List.iter
       (fun alternative ->
         let ls = System.leaves alternative in
@@ -78,14 +78,15 @@ let of_system system =
               match leaf with
               | System.Var v -> symbol v
               | System.Const c -> (
-                  let lang = System.const_lang system c in
-                  match singleton_word lang with
+                  let h = System.const_handle system c in
+                  match singleton_word h with
                   | Some w -> string_literal w
                   | None ->
                       quantified := true;
                       let u = Printf.sprintf "u%d" !fresh_u in
                       incr fresh_u;
-                      bound := (u, lang_re_term lang) :: !bound;
+                      bound :=
+                        (u, lang_re_term (Automata.Store.nfa h)) :: !bound;
                       u)
               | System.Concat _ | System.Union _ -> assert false)
             ls

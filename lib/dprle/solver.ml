@@ -173,20 +173,17 @@ let preprocess system =
   let residual_const ~pre ~post ~upper =
     let name = Printf.sprintf "#res%d" !fresh in
     incr fresh;
-    extra :=
-      (name,
-        Residual.max_middle ~pre:(Store.nfa pre) ~post:(Store.nfa post)
-          ~upper:(Store.nfa upper))
-      :: !extra;
+    extra := (name, Residual.max_middle ~pre ~post ~upper) :: !extra;
     name
   in
+  let eps = Store.of_word "" in
   let run_lang run =
     List.fold_left
       (fun acc leaf ->
         match leaf with
         | System.Const c -> Store.concat_lang acc (const_handle c)
         | _ -> assert false)
-      (Store.intern Nfa.epsilon_lang) run
+      eps run
   in
   let needs_fold run =
     run <> []
@@ -223,7 +220,6 @@ let preprocess system =
           if not (fold_pre || fold_post) then
             Option.map (fun lhs -> { System.lhs; rhs }) (rebuild ls)
           else begin
-            let eps = Store.intern Nfa.epsilon_lang in
             let pre = if fold_pre then run_lang pre_run else eps in
             let post = if fold_post then run_lang post_run else eps in
             let rhs' = residual_const ~pre ~post ~upper:(const_handle rhs) in
@@ -288,7 +284,7 @@ let base_languages (g : Depgraph.t) =
         | Depgraph.Const name -> const_handle name
         | Depgraph.Var _ | Depgraph.Tmp _ -> (
             match inbound n with
-            | [] -> Store.intern Nfa.sigma_star
+            | [] -> Store.top ()
             | first :: rest -> List.fold_left Store.inter_lang first rest)
       in
       NMap.add n h acc)
@@ -515,8 +511,11 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
      neither its determinization nor any product of it would be reused.
      The compacted handles are small and keyed, so the intersections
      and emptiness checks of later combinations answer from the store's
-     memos. A single slice is left raw: it is the whole root for a Tmp,
-     and minimizing a long literal chain costs more than the solve. *)
+     memos, and so do the subset checks that prune, maximize and
+     validate the disjuncts they are bound in: a variable's handle is
+     always a compacted slice or an intersection of them. A Tmp's
+     single slice is left raw: it is the whole root, and minimizing a
+     long literal chain costs more than the solve. *)
   let compacted : (int * (Nfa.state * Nfa.state), Store.handle) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -528,10 +527,14 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
         h
     | None ->
         Telemetry.Metrics.Counter.incr c_slices ~labels:[ ("outcome", "miss") ] 1;
-        let h = Store.compacted (Store.intern (slice_language r ends)) in
+        (* trimmed: a slice keeps its root's dead states, and they
+           multiply the subsets its determinization builds *)
+        let m, _ = Nfa.trim (slice_language r ends) in
+        let h = Store.compacted (Store.intern m) in
         Hashtbl.add compacted (i, ends) h;
         h
   in
+  let is_var = function Depgraph.Var _ -> true | _ -> false in
   let solutions = ref [] in
   let found = ref 0 in
   Seq.iter
@@ -546,6 +549,7 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
             let h =
               match slices with
               | [] -> NMap.find n base
+              | [ slice ] when is_var n -> compacted_slice choice slice
               | [ (_, r, s) ] -> Store.intern (slice_language r (endpoints r choice s))
               | first :: rest ->
                   List.fold_left
@@ -553,8 +557,7 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
                     (compacted_slice choice first) rest
             in
             if Store.is_empty h then raise Dead
-            else if match n with Depgraph.Var _ -> true | _ -> false then
-              (n, h) :: acc
+            else if is_var n then (n, h) :: acc
             else acc)
           [] member_slices
       with
@@ -564,7 +567,7 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
               (List.map
                  (fun (n, h) ->
                    match n with
-                   | Depgraph.Var v -> (v, Store.minimized h)
+                   | Depgraph.Var v -> (v, h)
                    | _ -> assert false)
                  bindings)
           in
@@ -620,7 +623,7 @@ let solve_graph ~max_solutions ~combination_limit system =
           | [ (Depgraph.Var v as n) ] ->
               let h = NMap.find n base in
               if Store.is_empty h then unsat (Empty_variable v)
-              else Some [ Assignment.of_list [ (v, Store.minimized h) ] ]
+              else Some [ Assignment.of_list [ (v, h) ] ]
           | members ->
               let member_set = NSet.of_list members in
               let group_roots =
@@ -739,9 +742,7 @@ let solve_system (cfg : Config.t) system =
             match a.Analyze.witnesses with
             | [] -> Sat sols
             | ws ->
-                let extra =
-                  List.map (fun (v, w) -> (v, Store.nfa (Store.of_word w))) ws
-                in
+                let extra = List.map (fun (v, w) -> (v, Store.of_word w)) ws in
                 Sat
                   (List.map
                      (fun s ->

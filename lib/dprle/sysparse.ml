@@ -173,13 +173,13 @@ let parse_const_value st =
   | Tpattern body ->
       bump st;
       (match Regex.Parser.parse_pattern body with
-      | Ok p -> Regex.Compile.pattern_to_nfa p
+      | Ok p -> Regex.Compile.pattern_handle p
       | Error e -> fail_at st.lx (Fmt.str "bad pattern: %a" Regex.Parser.pp_error e))
   | Tstring s ->
       bump st;
       (* via the store's word path so repeated literals share one
          keyed handle *)
-      Automata.Store.nfa (Automata.Store.of_word s)
+      Automata.Store.of_word s
   | _ -> fail_at st.lx "expected /pattern/ or \"string\""
 
 let parse st =

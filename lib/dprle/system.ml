@@ -25,12 +25,10 @@ module SMap = Map.Make (String)
 module SSet = Set.Make (String)
 
 type t = {
-  consts : Automata.Nfa.t SMap.t;
-  (* Interned views of [consts], built on first use so systems
-     assembled programmatically (tests, bench) don't pay for keys they
-     never query. Per-system rather than global: handles are plain
-     lookups here, invalidation is the store's problem. *)
-  handles : Automata.Store.handle SMap.t Lazy.t;
+  (* each constant is bound to the handle its builder produced, so no
+     language is keyed again because a system or a derived system
+     carries it *)
+  consts : Automata.Store.handle SMap.t;
   order : string list;
   constrs : constr list;
   goals : string list;
@@ -69,14 +67,7 @@ let make ~consts ~constraints =
           (Printf.sprintf "%S is used both as a variable and as a constant"
              (SSet.min_elt clashing))
       else
-        Ok
-          {
-            consts = map;
-            handles = lazy (SMap.map Automata.Store.intern map);
-            order;
-            constrs = constraints;
-            goals = [];
-          }
+        Ok { consts = map; order; constrs = constraints; goals = [] }
 
 let make_exn ~consts ~constraints =
   match make ~consts ~constraints with
@@ -100,14 +91,14 @@ let with_goals t goals =
   in
   { t with goals }
 
-let const_of_regex s = Regex.Compile.to_nfa (Regex.Parser.parse_exn s)
+let const_of_regex s = Regex.Compile.handle (Regex.Parser.parse_exn s)
 
 let const_of_pattern s =
-  Regex.Compile.pattern_to_nfa (Regex.Parser.parse_pattern_exn s)
+  Regex.Compile.pattern_handle (Regex.Parser.parse_pattern_exn s)
 
 (* Via the store's word fast path so repeated literals share one
    keyed handle without paying the canonical key again. *)
-let const_of_word w = Automata.Store.nfa (Automata.Store.of_word w)
+let const_of_word = Automata.Store.of_word
 
 let constants t = List.map (fun name -> (name, SMap.find name t.consts)) t.order
 
@@ -115,18 +106,13 @@ let constraints t = t.constrs
 
 let goals t = t.goals
 
-(* Constraint-subset view used by the pre-solve analyzer: constants,
-   goals, and the lazy handle table are shared, so interned lookups
-   made on the original system stay warm on the reduced one. *)
+(* Constraint-subset view used by the pre-solve analyzer: constants
+   and goals are shared, so the reduced system holds the original's
+   handles. *)
 let with_constraints t constrs = { t with constrs }
 
-let const_lang t name =
-  match SMap.find_opt name t.consts with
-  | Some lang -> lang
-  | None -> invalid_arg (Printf.sprintf "System.const_lang: unknown constant %S" name)
-
 let const_handle t name =
-  match SMap.find_opt name (Lazy.force t.handles) with
+  match SMap.find_opt name t.consts with
   | Some h -> h
   | None ->
       invalid_arg (Printf.sprintf "System.const_handle: unknown constant %S" name)

@@ -44,14 +44,20 @@ type t
 (** [make ~consts ~constraints] checks that every constant reference
     resolves and that no name is both a constant and a variable.
     Constant names must be unique. The goal set starts empty; see
-    {!with_goals}. *)
+    {!with_goals}.
+
+    Each constant is bound to the {!Automata.Store} handle it is given,
+    which is how the solver's modules pass it on: a language is keyed
+    once, when its builder interns it, and never again because it
+    crossed a function boundary. Handles are domain-local, so a
+    [System.t] is too: build it in the domain that solves it. *)
 val make :
-  consts:(string * Automata.Nfa.t) list ->
+  consts:(string * Automata.Store.handle) list ->
   constraints:constr list ->
   (t, string) result
 
 val make_exn :
-  consts:(string * Automata.Nfa.t) list -> constraints:constr list -> t
+  consts:(string * Automata.Store.handle) list -> constraints:constr list -> t
 
 (** [with_goals t gs] declares the variables whose values the caller
     actually queries (the [goal] statement of the surface syntax); the
@@ -62,20 +68,20 @@ val with_goals : t -> string list -> t
 
 (** Convenience constructors for constant languages. *)
 
-val const_of_regex : string -> Automata.Nfa.t
+val const_of_regex : string -> Automata.Store.handle
 (** [const_of_regex "a(b|c)*"] — exact (fully anchored) language.
     Raises [Invalid_argument] on a malformed regex. *)
 
-val const_of_pattern : string -> Automata.Nfa.t
+val const_of_pattern : string -> Automata.Store.handle
 (** [const_of_pattern "/[\\d]+$/"] — the language {e accepted} by a
     [preg_match]-style check, honoring its anchors. *)
 
-val const_of_word : string -> Automata.Nfa.t
+val const_of_word : string -> Automata.Store.handle
 (** Singleton language. *)
 
 (** {1 Accessors} *)
 
-val constants : t -> (string * Automata.Nfa.t) list
+val constants : t -> (string * Automata.Store.handle) list
 
 val constraints : t -> constr list
 
@@ -83,17 +89,14 @@ val constraints : t -> constr list
 val goals : t -> string list
 
 (** [with_constraints t cs] is [t] with its constraint list replaced —
-    constants, goals, and interned handles are shared with [t]. No
+    constants (with their handles) and goals are shared with [t]. No
     validation is re-run; the intended use is shrinking to a subset of
     [constraints t] (slices, unsat cores). *)
 val with_constraints : t -> constr list -> t
 
-val const_lang : t -> string -> Automata.Nfa.t
-
-(** Interned {!Automata.Store} handle for a constant, so the solver's
-    memoized operations key on it across disjuncts and across solves.
-    Handles for all constants are created lazily on the first call.
-    Raises [Invalid_argument] on an unknown name. *)
+(** The handle a constant is bound to, so the solver's memoized
+    operations key on it across disjuncts and across solves. Raises
+    [Invalid_argument] on an unknown name. *)
 val const_handle : t -> string -> Automata.Store.handle
 
 (** Variables occurring anywhere in the system, sorted. *)

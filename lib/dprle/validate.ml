@@ -8,13 +8,11 @@ module Lang = Automata.Lang
    admitted ε-cut combination, mostly over repeated languages. *)
 let rec expr_handle system a : System.expr -> Store.handle = function
   | System.Const c -> System.const_handle system c
-  | System.Var v -> Store.intern (Assignment.find a v)
+  | System.Var v -> Assignment.find a v
   | System.Concat (e1, e2) ->
       Store.concat_lang (expr_handle system a e1) (expr_handle system a e2)
   | System.Union (e1, e2) ->
       Store.union_lang (expr_handle system a e1) (expr_handle system a e2)
-
-let expr_lang system a expr = Store.nfa (expr_handle system a expr)
 
 let constraint_holds system a { System.lhs; rhs } =
   Store.subset (expr_handle system a lhs) (System.const_handle system rhs)
@@ -39,22 +37,22 @@ let ci_all_solutions ~c1 ~c2 ~c3 solutions =
    constraint constant but missing from the assigned language. These
    are the plausible ways an assignment could fail to be maximal. *)
 let extension_candidates ?(samples = 5) system a v =
-  let lang = Assignment.find a v in
+  let lang = Store.nfa (Assignment.find a v) in
   List.concat_map
     (fun (_, const) ->
-      let missing = Lang.difference const lang in
+      let missing = Lang.difference (Store.nfa const) lang in
       Nfa.sample_words missing ~max_len:8 ~max_count:samples)
     (System.constants system)
 
 let maximal_probe ?(samples = 5) system a =
   List.for_all
     (fun v ->
-      let lang = Assignment.find a v in
+      let h = Assignment.find a v in
       List.for_all
         (fun w ->
           let extended =
             Assignment.of_list
-              ((v, Ops.union_lang lang (Nfa.of_word w))
+              ((v, Store.union_lang h (Store.of_word w))
               :: List.remove_assoc v (Assignment.bindings a))
           in
           not (satisfying system extended))

@@ -7,9 +7,6 @@
     against randomized instances, which is this reproduction's
     substitute for the mechanized proof (see DESIGN.md §4). *)
 
-(** [expr_lang system a e] is [⟦e⟧] under assignment [a]. *)
-val expr_lang : System.t -> Assignment.t -> System.expr -> Automata.Nfa.t
-
 (** One constraint of the system holds under the assignment. *)
 val constraint_holds : System.t -> Assignment.t -> System.constr -> bool
 

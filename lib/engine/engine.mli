@@ -21,9 +21,9 @@
     [Domain.spawn] per batch. [map] itself remains the one-shot
     convenience wrapper: it builds a transient pool and shuts it down.
 
-    NFA handles from a {!Automata.Store} must not cross domains; jobs
-    should take plain inputs (paths, parsed systems) and build their
-    automata inside [f]. *)
+    NFA handles from a {!Automata.Store} must not cross domains, and a
+    parsed [Dprle.System.t] holds them; jobs should take plain inputs
+    (paths, texts) and parse or build their systems inside [f]. *)
 
 module Budget = Automata.Budget
 

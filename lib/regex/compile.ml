@@ -17,7 +17,9 @@ let rec compile : Ast.t -> Nfa.t = function
    constraint files, Fig. 12 rows, and symexec paths collapse to one
    handle, so every downstream memo (determinization, subset, ci) hits
    across those repetitions. *)
-let to_nfa ast = Store.canon (compile ast)
+let handle ast = Store.intern (compile ast)
+
+let to_nfa ast = Store.nfa (handle ast)
 
 let pattern_handle { Ast.re; anchored_start; anchored_end } =
   let core = compile re in

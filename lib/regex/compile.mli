@@ -10,6 +10,10 @@
 
 val to_nfa : Ast.t -> Automata.Nfa.t
 
+(** The store handle whose machine {!to_nfa} returns, for callers
+    that go on to memoized store operations. *)
+val handle : Ast.t -> Automata.Store.handle
+
 (** Language of inputs {e accepted by} a [preg_match]-style check: an
     unanchored side is padded with Σ*, so e.g. the paper's faulty
     [/[\d]+$/] compiles to [Σ* · [0-9]+] — every string that merely

@@ -15,7 +15,7 @@ let prune_alternatives r =
     | Ast.Alt _ ->
         let branches = List.map go (flatten_alt r) in
         let compiled =
-          List.map (fun b -> (b, Automata.Store.intern (Compile.to_nfa b))) branches
+          List.map (fun b -> (b, Compile.handle b)) branches
         in
         let subset = Automata.Store.subset in
         let keep =

@@ -54,7 +54,7 @@ let normalize sym =
   go sym
 
 (* A path condition: the symbolic value must lie in the language. *)
-type obligation = { sym : sym; lang : Nfa.t }
+type obligation = { sym : sym; lang : Store.handle }
 
 type query = {
   path_id : int;
@@ -95,7 +95,7 @@ let concrete_cond env c =
 let obligation_of_cond env value c =
   {
     sym = normalize (eval_sym env (Semantics.cond_operand c));
-    lang = Store.nfa (Semantics.cond_lang value c);
+    lang = Semantics.cond_lang value c;
   }
 
 (* Build a System.t from the accumulated obligations. Literals become
@@ -110,7 +110,7 @@ let system_of_obligations obligations =
     | None ->
         let name = Printf.sprintf "lit%d" (Hashtbl.length lit_table) in
         Hashtbl.add lit_table s name;
-        consts := (name, Nfa.of_word s) :: !consts;
+        consts := (name, Store.of_word s) :: !consts;
         name
   in
   let leaf_expr = function
@@ -144,7 +144,7 @@ let analyze ?(max_paths = 256) ?(max_unroll = 16) ~attack program =
   Telemetry.Metrics.Timer.time t_analyze @@ fun () ->
   (* one interned attack language for every sink on every path — and,
      in directory mode, for every file sharing the attack pattern *)
-  let attack = Store.canon attack in
+  let attack = Store.intern attack in
   let results = ref [] in
   let path_count = ref 0 in
   let truncated = ref false in
@@ -264,9 +264,13 @@ let analyze ?(max_paths = 256) ?(max_unroll = 16) ~attack program =
 
 (* A transformed read constrains the transformed value; pull the
    solved language back to the raw input through the chain's
-   transducer preimages, outermost first. *)
-let pull_back chain lang =
-  List.fold_left (fun acc t -> Automata.Fst.preimage (Semantics.fst t) acc) lang chain
+   transducer preimages, outermost first. A plain read keeps the
+   solver's handle. *)
+let pull_back chain h =
+  if chain = [] then h
+  else
+    let preimage acc t = Automata.Fst.preimage (Semantics.fst t) acc in
+    Store.intern (List.fold_left preimage (Store.minimized h) chain)
 
 (* The RMA solver treats [x] and [lower(x)] as independent variables;
    a disjunct is usable only if, per input, the intersection of all
@@ -290,13 +294,8 @@ let input_languages query assignment =
               match langs with
               | [] -> None
               | first :: rest ->
-                  let h =
-                    List.fold_left
-                      (fun acc l -> Store.inter_lang acc (Store.intern l))
-                      (Store.intern first) rest
-                  in
-                  if Store.is_empty h then raise Dead
-                  else Some (input, Store.nfa h))
+                  let h = List.fold_left Store.inter_lang first rest in
+                  if Store.is_empty h then raise Dead else Some (input, h))
             query.input_vars))
   with Dead -> None
 
@@ -310,7 +309,7 @@ let pp_provenance ppf = function
 
 type verdict = {
   assignment : Dprle.Assignment.t option;
-  slot_languages : (string * Nfa.t) list;
+  slot_languages : (string * Store.handle) list;
   budget : budget_status;
   provenance : provenance;
 }
@@ -427,8 +426,8 @@ let exploit_inputs query assignment =
   List.map
     (fun input ->
       match Dprle.Assignment.find_opt assignment input with
-      | Some lang -> (
-          match Nfa.shortest_word lang with
+      | Some h -> (
+          match Nfa.shortest_word (Store.minimized h) with
           | Some w -> (input, w)
           | None -> (input, default_value))
       | None -> (input, default_value))

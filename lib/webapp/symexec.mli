@@ -100,7 +100,7 @@ type verdict = {
           (the constraint system is unsatisfiable — as for the fixed
           filter of §2 — or no disjunct survives the pull-back
           intersection). *)
-  slot_languages : (string * Automata.Nfa.t) list;
+  slot_languages : (string * Automata.Store.handle) list;
       (** the winning disjunct's language per {e slot} variable
           (before pull-back): what each transformed read may evaluate
           to at the sink. Empty when there is no exploit. *)

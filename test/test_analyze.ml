@@ -113,7 +113,7 @@ let unit_tests =
         (* witness satisfies the dropped constraint *)
         let w = List.assoc "x" a.Analyze.witnesses in
         check_bool "witness admissible" true
-          (Automata.Nfa.accepts (re "cd?") w));
+          (Automata.Nfa.accepts (Automata.Store.nfa (re "cd?")) w));
     test "no goals means no slicing" (fun () ->
         let s =
           mk_system

@@ -11,10 +11,13 @@ module Validate = Dprle.Validate
 module Residual = Dprle.Residual
 
 let re = System.const_of_regex
-let lang_of s = re s
+let lang_of s = Automata.Store.nfa (re s)
+
+(* the machine a solution binds [v] to *)
+let find a v = Automata.Store.nfa (Assignment.find a v)
 
 let check_lang name expected actual =
-  if not (Lang.equal (re expected) actual) then
+  if not (Lang.equal (lang_of expected) actual) then
     Alcotest.failf "%s: expected /%s/, got /%s/" name expected
       (Regex.State_elim.to_string actual)
 
@@ -29,9 +32,10 @@ let ci_tests =
         (* [Lang.compact] gives the small machines the paper draws in
            Fig. 4 (an unminimized Thompson machine for c3 has a second
            ε-cut describing the same solution) *)
-        let c1 = Lang.compact (System.const_of_word "nid_") in
-        let c2 = Lang.compact (System.const_of_pattern "/[\\d]+$/") in
-        let c3 = Lang.compact (System.const_of_pattern "/'/") in
+        let compact h = Lang.compact (Automata.Store.nfa h) in
+        let c1 = compact (System.const_of_word "nid_") in
+        let c2 = compact (System.const_of_pattern "/[\\d]+$/") in
+        let c3 = compact (System.const_of_pattern "/'/") in
         let { Ci.solutions; _ } = Ci.concat_intersect c1 c2 c3 in
         check_int "one cut" 1 (List.length solutions);
         let { Ci.v1; v2; _ } = List.hd solutions in
@@ -179,7 +183,7 @@ let depgraph_tests =
         | Ok _ -> Alcotest.fail "undefined constant accepted");
         match
           System.make
-            ~consts:[ ("x", Nfa.sigma_star) ]
+            ~consts:[ ("x", Automata.Store.top ()) ]
             ~constraints:[ { lhs = Var "x"; rhs = "x" } ]
         with
         | Error _ -> ()
@@ -204,7 +208,7 @@ let solver_tests =
             [ { lhs = Var "v1"; rhs = "c1" }; { lhs = Var "v1"; rhs = "c2" } ]
         in
         match solve_exn s with
-        | [ a ] -> check_lang "v1" "(xx)+y" (Assignment.find a "v1")
+        | [ a ] -> check_lang "v1" "(xx)+y" (find a "v1")
         | sols -> Alcotest.failf "expected 1 solution, got %d" (List.length sols));
     test "disjunctive system (§3.1.1 ex. 2) — paper's A1 and A2" (fun () ->
         let s =
@@ -224,8 +228,8 @@ let solver_tests =
             true
             (List.exists
                (fun a ->
-                 Lang.equal (Assignment.find a "v1") (re v1_re)
-                 && Lang.equal (Assignment.find a "v2") (re v2_re))
+                 Lang.equal (find a "v1") (lang_of v1_re)
+                 && Lang.equal (find a "v2") (lang_of v2_re))
                sols)
         in
         (* the paper's A1 and A2 verbatim *)
@@ -240,7 +244,7 @@ let solver_tests =
     test "motivating example: exploit language" (fun () ->
         let sols = solve_exn fig6_system in
         check_int "one solution" 1 (List.length sols);
-        let v1 = Assignment.find (List.hd sols) "v1" in
+        let v1 = find (List.hd sols) "v1" in
         check_bool "attack" true (Nfa.accepts v1 "' OR 1=1 ; DROP news --9");
         check_bool "benign blocked" false (Nfa.accepts v1 "42"));
     test "fixed filter makes the system unsat" (fun () ->
@@ -297,9 +301,9 @@ let solver_tests =
             true
             (List.exists
                (fun a ->
-                 Lang.equal (Assignment.find a "va") (re va)
-                 && Lang.equal (Assignment.find a "vb") (re vb)
-                 && Lang.equal (Assignment.find a "vc") (re vc))
+                 Lang.equal (find a "va") (lang_of va)
+                 && Lang.equal (find a "vb") (lang_of vb)
+                 && Lang.equal (find a "vc") (lang_of vc))
                sols)
         in
         expect "op{2}" "p{3}q{2}" "q{2}r";
@@ -339,9 +343,8 @@ let solver_tests =
            concatenations to v1 *)
         List.iter
           (fun a ->
-            let v1 = Assignment.find a "v1" in
             check_bool "v1 bounded" true
-              (Lang.subset v1 (re "a|aa")))
+              (Lang.subset (find a "v1") (lang_of "a|aa")))
           sols);
     test "same variable twice in one concat" (fun () ->
         let s =
@@ -357,14 +360,14 @@ let solver_tests =
         List.iter
           (fun a ->
             check_bool "satisfying" true (Validate.satisfying s a);
-            check_lang "v" "aa" (Assignment.find a "v"))
+            check_lang "v" "aa" (find a "v"))
           sols);
     test "unconstrained variable gets sigma-star" (fun () ->
         let s =
           mk_system [ ("c", "a*") ] [ { lhs = Var "v"; rhs = "c" } ]
         in
         match solve_exn s with
-        | [ a ] -> check_lang "v" "a*" (Assignment.find a "v")
+        | [ a ] -> check_lang "v" "a*" (find a "v")
         | _ -> Alcotest.fail "expected one solution");
     test "two independent groups multiply" (fun () ->
         let s =
@@ -380,7 +383,7 @@ let solver_tests =
         let sols = solve_exn s in
         check_int "2 disjuncts × 1" 2 (List.length sols);
         List.iter
-          (fun a -> check_lang "w" "q+" (Assignment.find a "w"))
+          (fun a -> check_lang "w" "q+" (find a "w"))
           sols);
     test "multi-word constant operand: universal semantics" (fun () ->
         (* a* ∘ v ⊆ (ab)* must quantify over ALL of a*, forcing v = ∅:
@@ -403,7 +406,7 @@ let solver_tests =
         in
         match solve_exn s' with
         | [ a ] ->
-            check_lang "v" "a*b" (Assignment.find a "v");
+            check_lang "v" "a*b" (find a "v");
             check_bool "satisfying" true (Validate.satisfying s' a)
         | sols -> Alcotest.failf "expected 1 solution, got %d" (List.length sols));
     test "multi-word constant on the right edge" (fun () ->
@@ -415,7 +418,7 @@ let solver_tests =
         in
         match solve_exn s with
         | [ a ] ->
-            check_lang "v" "ba*" (Assignment.find a "v");
+            check_lang "v" "ba*" (find a "v");
             check_bool "satisfying" true (Validate.satisfying s a)
         | sols -> Alcotest.failf "expected 1 solution, got %d" (List.length sols));
     test "interior multi-word constant stays sound" (fun () ->
@@ -465,8 +468,8 @@ let solver_tests =
         in
         match solve_exn s with
         | [ a ] ->
-            check_lang "v" "a{1,3}" (Assignment.find a "v");
-            check_lang "w" "a{1,3}" (Assignment.find a "w")
+            check_lang "v" "a{1,3}" (find a "v");
+            check_lang "w" "a{1,3}" (find a "w")
         | sols -> Alcotest.failf "expected 1 solution, got %d" (List.length sols));
     test "union distributes over concatenation" (fun () ->
         (* (p|q) . v ⊆ c: v must be safe after both prefixes *)
@@ -482,7 +485,7 @@ let solver_tests =
             check_bool "satisfying" true (Validate.satisfying s a);
             (* x·v ⊆ x{2,3} gives v ⊆ x{1,2}; xx·v ⊆ x{2,3} gives
                v ⊆ x{0,1}; both ⇒ v = x *)
-            check_lang "v" "x" (Assignment.find a "v"))
+            check_lang "v" "x" (find a "v"))
           sols);
     test "union in validate matches Ops.union semantics" (fun () ->
         let s =
@@ -505,11 +508,17 @@ let solver_tests =
         let lit =
           String.make 167 'x' ^ " SELECT * FROM news WHERE id=nid_"
         in
+        (* a fresh domain has its own metrics registry and store, so
+           the histogram maxima below cover this system alone; the
+           system's handles are built there too *)
+        Domain.join
+        @@ Domain.spawn
+        @@ fun () ->
         let s =
           System.make_exn
             ~consts:
               [
-                ("lit", Nfa.of_word lit);
+                ("lit", System.const_of_word lit);
                 ("digit", re ".*[0-9]");
                 ("from", re ".*FROM.*");
                 ("where", re ".*WHERE.*");
@@ -523,11 +532,6 @@ let solver_tests =
                 { lhs = Concat (Const "lit", Var "v"); rhs = "quote" };
               ]
         in
-        (* a fresh domain has its own metrics registry and store, so
-           the histogram maxima below cover this system alone *)
-        Domain.join
-        @@ Domain.spawn
-        @@ fun () ->
         let module Snapshot = Telemetry.Metrics.Snapshot in
         let largest_product () =
           List.fold_left
@@ -582,8 +586,9 @@ let residual_tests =
         (* {w | a·w·b ∈ L(a(ab)*b)} = (ab)*: stripping the fixed a/b
            context leaves w ∈ (ab)* *)
         let m =
-          Residual.max_middle ~pre:(lang_of "a") ~post:(lang_of "b")
-            ~upper:(lang_of "a(ab)*b")
+          Automata.Store.nfa
+            (Residual.max_middle ~pre:(re "a") ~post:(re "b")
+               ~upper:(re "a(ab)*b"))
         in
         check_bool "eps" true (Nfa.accepts m "");
         check_bool "ab" true (Nfa.accepts m "ab");
@@ -593,15 +598,18 @@ let residual_tests =
     test "max_middle with multiple pre words" (fun () ->
         (* pre = a|aa, upper = a{1,2}b* ⇒ w must work after both *)
         let m =
-          Residual.max_middle ~pre:(lang_of "a|aa") ~post:(lang_of "b")
-            ~upper:(lang_of "a{1,2}b*")
+          Automata.Store.nfa
+            (Residual.max_middle ~pre:(re "a|aa") ~post:(re "b")
+               ~upper:(re "a{1,2}b*"))
         in
         check_bool "b*" true (Nfa.accepts m "bbb");
         check_bool "a fails (aaa not in upper)" false (Nfa.accepts m "a"));
     test "empty pre is unconstraining" (fun () ->
         let m =
-          Residual.max_middle ~pre:Nfa.empty_lang ~post:(lang_of "b")
-            ~upper:(lang_of "ab")
+          Automata.Store.nfa
+            (Residual.max_middle
+               ~pre:(Automata.Store.intern Nfa.empty_lang)
+               ~post:(re "b") ~upper:(re "ab"))
         in
         check_bool "sigma-star" true (Lang.equal m Nfa.sigma_star));
     test "maximize grows to the paper's merged solution" (fun () ->
@@ -620,8 +628,49 @@ let residual_tests =
           Assignment.of_list [ ("v1", re "xyyyy"); ("v2", re "z") ]
         in
         let m = Residual.maximize s a in
-        check_lang "v1" "x(yy|yyyy)" (Assignment.find m "v1");
-        check_lang "v2" "z" (Assignment.find m "v2"));
+        check_lang "v1" "x(yy|yyyy)" (find m "v1");
+        check_lang "v2" "z" (find m "v2"));
+    test "keyed handles are not re-keyed on a warm store" (fun () ->
+        (* assignments bind handles, so maximizing, pruning and
+           validating pass them along: once the store is warm, none of
+           the three pays a canonical key again *)
+        let s =
+          mk_system
+            [ ("c1", "x(yy)+"); ("c2", "(yy)*z"); ("c3", "xyyz|xyyyyz") ]
+            [
+              { lhs = Var "v1"; rhs = "c1" };
+              { lhs = Var "v2"; rhs = "c2" };
+              { lhs = Concat (Var "v1", Var "v2"); rhs = "c3" };
+            ]
+        in
+        let narrow = Assignment.of_list [ ("v1", re "xyyyy"); ("v2", re "z") ] in
+        let other = Assignment.of_list [ ("v1", re "xyy"); ("v2", re "z") ] in
+        let keyed () =
+          match
+            Telemetry.Metrics.Snapshot.timer_stat
+              ~labels:[ ("op", "intern") ]
+              (Telemetry.Metrics.Snapshot.of_default ())
+              "store.ledger.key"
+          with
+          | Some st -> st.Telemetry.Metrics.Snapshot.count
+          | None -> 0
+        in
+        let work () =
+          let grown = Residual.maximize s narrow in
+          ( Assignment.prune_subsumed [ narrow; other; grown ],
+            Validate.satisfying s grown )
+        in
+        ignore (work ());
+        (* rotate the store's small pointer-identity cache so a
+           re-intern of a handle's own machine would pay its key *)
+        for i = 1 to 16 do
+          ignore (Automata.Store.intern (Nfa.of_word (string_of_int i)))
+        done;
+        let before = keyed () in
+        let kept, satisfying = work () in
+        check_int "keyed interns" 0 (keyed () - before);
+        check_int "only the grown disjunct is kept" 1 (List.length kept);
+        check_bool "grown disjunct satisfies" true satisfying);
   ]
 
 let solver_props =
@@ -657,9 +706,8 @@ let solver_props =
             List.for_all (fun a -> Validate.maximal_probe ~samples:3 s a) sols);
     qtest ~count:40 "solver: coverage of the concat language" sys_gen (fun s ->
         (* every word of (c1∘c2) ∩ c3 appears in v1∘v2 of some disjunct *)
-        let c1 = System.const_lang s "c1"
-        and c2 = System.const_lang s "c2"
-        and c3 = System.const_lang s "c3" in
+        let const c = Automata.Store.nfa (System.const_handle s c) in
+        let c1 = const "c1" and c2 = const "c2" and c3 = const "c3" in
         let target = Ops.inter_lang (Ops.concat_lang c1 c2) c3 in
         match run_solver s with
         | Solver.Unsat _ -> Nfa.is_empty_lang target
@@ -668,15 +716,14 @@ let solver_props =
               List.fold_left
                 (fun acc a ->
                   Ops.union_lang acc
-                    (Ops.concat_lang (Assignment.find a "v1")
-                       (Assignment.find a "v2")))
+                    (Ops.concat_lang (find a "v1")
+                       (find a "v2")))
                 Nfa.empty_lang sols
             in
             Lang.equal covered target);
     qtest ~count:40 "solver: unsat iff concat language empty" sys_gen (fun s ->
-        let c1 = System.const_lang s "c1"
-        and c2 = System.const_lang s "c2"
-        and c3 = System.const_lang s "c3" in
+        let const c = Automata.Store.nfa (System.const_handle s c) in
+        let c1 = const "c1" and c2 = const "c2" and c3 = const "c3" in
         let target = Ops.inter_lang (Ops.concat_lang c1 c2) c3 in
         match run_solver s with
         | Solver.Unsat _ -> Nfa.is_empty_lang target

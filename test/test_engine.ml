@@ -408,10 +408,10 @@ let api_tests =
             | Some _ -> ()
             | None -> Alcotest.fail "expected exploit");
             match v.Webapp.Symexec.slot_languages with
-            | [ (var, lang) ] ->
+            | [ (var, h) ] ->
                 check_bool "slot var" true (String.length var > 0);
                 check_bool "slot language nonempty" false
-                  (Nfa.is_empty_lang lang)
+                  (Automata.Store.is_empty h)
             | _ -> Alcotest.fail "expected one slot language")
         | _ -> Alcotest.fail "expected one candidate");
     test "symexec reports the budget stop instead of claiming safe" (fun () ->

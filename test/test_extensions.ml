@@ -12,7 +12,7 @@ module Eval = Webapp.Eval
 module Symexec = Webapp.Symexec
 module Attack = Webapp.Attack
 
-let re = Dprle.System.const_of_regex
+let re s = Automata.Store.nfa (Dprle.System.const_of_regex s)
 
 let relabel_tests =
   [

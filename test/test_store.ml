@@ -10,6 +10,9 @@ module Lang = Automata.Lang
 module Store = Automata.Store
 module Metrics = Telemetry.Metrics
 
+(* a freshly compiled machine, as the store's representative for it *)
+let regex s = Regex.Compile.to_nfa (Regex.Parser.parse_exn s)
+
 (* Tests below toggle global store state; always restore. *)
 let with_store_reset f =
   Fun.protect
@@ -77,7 +80,7 @@ let memo_tests =
         check_int "computed twice total" 2 !runs);
     test "intern hits on a re-built machine" (fun () ->
         with_store_reset @@ fun () ->
-        let mk () = Dprle.System.const_of_regex "ab(c|d)*" in
+        let mk () = regex "ab(c|d)*" in
         let h1 = Store.intern (mk ()) in
         let h2 = Store.intern (mk ()) in
         check_int "same id" (Store.id h1) (Store.id h2));
@@ -138,7 +141,7 @@ let memo_tests =
     test "disabled store is a passthrough" (fun () ->
         with_store_reset @@ fun () ->
         Store.set_enabled false;
-        let m = Dprle.System.const_of_regex "a+" in
+        let m = regex "a+" in
         let h1 = Store.intern m and h2 = Store.intern m in
         check_bool "fresh handles" true (Store.id h1 <> Store.id h2);
         check_bool "same machine back" true (Store.nfa h1 == m);
@@ -222,7 +225,7 @@ let gate_tests =
           (timer_count diff "store.ledger.key" [ ("op", "intern") ]));
     test "compacted is memoized and idempotent" (fun () ->
         with_store_reset @@ fun () ->
-        let h = Store.intern (Dprle.System.const_of_regex "ab(c|d)*e") in
+        let h = Dprle.System.const_of_regex "ab(c|d)*e" in
         let c1 = Store.compacted h in
         let before = Metrics.Snapshot.of_default () in
         let c2 = Store.compacted h in
@@ -236,7 +239,7 @@ let gate_tests =
           (timer_count diff "store.ledger.key" [ ("op", "intern") ]));
     test "physically equal machines intern without a second key" (fun () ->
         with_store_reset @@ fun () ->
-        let m = Dprle.System.const_of_regex "xy(z|w)*" in
+        let m = regex "xy(z|w)*" in
         let h1 = Store.intern m in
         let before = Metrics.Snapshot.of_default () in
         let h2 = Store.intern m in

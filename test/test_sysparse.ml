@@ -27,7 +27,7 @@ let unit_tests =
         let s = Sysparse.parse_exn fig1_source in
         match run_solver s with
         | Solver.Sat [ a ] ->
-            let v1 = Assignment.find a "v1" in
+            let v1 = Automata.Store.nfa (Assignment.find a "v1") in
             check_bool "attack" true (Nfa.accepts v1 "' OR 1=1 ; DROP news --9");
             check_bool "benign" false (Nfa.accepts v1 "17")
         | Solver.Sat sols ->
@@ -36,14 +36,14 @@ let unit_tests =
     test "string escapes" (fun () ->
         let s = Sysparse.parse_exn {|let c = "a\n\t\"\\";  v <= c;|} in
         check_bool "lang" true
-          (Automata.Lang.equal (System.const_lang s "c") (Nfa.of_word "a\n\t\"\\")));
+          (Automata.Lang.equal (Automata.Store.nfa (System.const_handle s "c")) (Nfa.of_word "a\n\t\"\\")));
     test "escaped slash in pattern" (fun () ->
         let s = Sysparse.parse_exn {|let c = /^a\/b$/; v <= c;|} in
-        check_bool "a/b" true (Nfa.accepts (System.const_lang s "c") "a/b"));
+        check_bool "a/b" true (Nfa.accepts (Automata.Store.nfa (System.const_handle s "c")) "a/b"));
     test "anchored vs unanchored constants" (fun () ->
         let s = Sysparse.parse_exn {|let exact = /^ab$/; let loose = /ab/; v <= exact; w <= loose;|} in
-        check_bool "exact" false (Nfa.accepts (System.const_lang s "exact") "xaby");
-        check_bool "loose" true (Nfa.accepts (System.const_lang s "loose") "xaby"));
+        check_bool "exact" false (Nfa.accepts (Automata.Store.nfa (System.const_handle s "exact")) "xaby");
+        check_bool "loose" true (Nfa.accepts (Automata.Store.nfa (System.const_handle s "loose")) "xaby"));
     test "multi-operand concatenation" (fun () ->
         let s = Sysparse.parse_exn {|let c = /^abc$/; x . y . z <= c;|} in
         match System.constraints s with
@@ -83,8 +83,8 @@ let unit_tests =
         match run_solver s with
         | Solver.Sat [ a ] ->
             check_bool "x" true
-              (Automata.Lang.equal (Assignment.find a "x")
-                 (Dprle.System.const_lang s "c"))
+              (Automata.Store.equal (Assignment.find a "x")
+                 (Dprle.System.const_handle s "c"))
         | _ -> Alcotest.fail "expected one solution");
     test "unbalanced parens rejected" (fun () ->
         List.iter
