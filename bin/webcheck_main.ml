@@ -330,9 +330,11 @@ let () =
       & opt int Analysis.Prepass.default_path_budget
       & info [ "prepass-paths" ] ~docv:"N"
           ~doc:
-            "Skip the static analysis on loop-free programs with at most $(docv) \
-             estimated paths (symbolic execution alone is exact and cheaper \
-             there). 0 always runs the static analysis.")
+            "Skip the static analysis when symbolic execution's own path \
+             walk, counted without building constraints, finishes within \
+             --max-paths and predicts at most $(docv) candidates (symbolic \
+             execution alone is exact and cheaper there). 0 always runs \
+             the static analysis.")
   in
   let trace_arg =
     Arg.(

@@ -68,12 +68,39 @@ module Work = Set.Make (struct
   let compare = compare
 end)
 
+(* The blocks from which a sink block is reachable: backward
+   reachability over [preds] from every block holding a [Query] with a
+   sink id. States flow only forward, so a block outside this set
+   never contributes to a sink language; and every predecessor of a
+   live block is live, so the live blocks see exactly the states (and
+   the drain order) of the full iteration. *)
+let live_blocks cfg =
+  let live = Array.make (Cfg.num_blocks cfg) false in
+  let rec mark b =
+    if not live.(b) then begin
+      live.(b) <- true;
+      List.iter (fun (e : Cfg.edge) -> mark e.src) cfg.Cfg.preds.(b)
+    end
+  in
+  Array.iter
+    (fun (block : Cfg.block) ->
+      if
+        List.exists
+          (function Cfg.Query (id, _) -> id >= 0 | Cfg.Assign _ -> false)
+          block.instrs
+      then mark block.id)
+    cfg.Cfg.blocks;
+  live
+
 let analyze ?(widen_states = 64) ?(widen_delay = 3) ~attack program =
   let cfg = Cfg.build program in
+  let live = live_blocks cfg in
   Span.with_span ~name:"analysis.fixpoint"
     ~attrs:
       [
         ("blocks", `Int (Cfg.num_blocks cfg));
+        ( "live_blocks",
+          `Int (Array.fold_left (fun n l -> if l then n + 1 else n) 0 live) );
         ("sinks", `Int cfg.num_sinks);
       ]
   @@ fun () ->
@@ -92,8 +119,10 @@ let analyze ?(widen_states = 64) ?(widen_delay = 3) ~attack program =
       work := Work.add (rank.(b), b) !work
     end
   in
-  state.(cfg.entry) <- Some Absdom.top;
-  enqueue cfg.entry;
+  if live.(cfg.entry) then begin
+    state.(cfg.entry) <- Some Absdom.top;
+    enqueue cfg.entry
+  end;
   let iterations = ref 0 in
   let widenings = ref 0 in
   while not (Work.is_empty !work) do
@@ -136,7 +165,7 @@ let analyze ?(widen_states = 64) ?(widen_delay = 3) ~attack program =
                   state.(d) <- Some candidate;
                   enqueue d
                 end)
-          cfg.succs.(b)
+          (List.filter (fun (e : Cfg.edge) -> live.(e.dst)) cfg.succs.(b))
   done;
   (* Converged: one more transfer pass per reachable block collects
      the sink languages under the stable entry states. *)

@@ -15,6 +15,17 @@
     there; [abstract ∩ attack = ∅] therefore proves the sink safe on
     {e all} paths, loops included.
 
+    {b Sink-directed.} Only {e live} blocks are iterated: those from
+    which a block holding a sink is reachable, found once per CFG by
+    backward reachability over [Cfg.preds]. No other block is enqueued
+    or joined into. This changes no sink verdict: an entry state flows
+    only forward along edges, so a block that reaches no sink block
+    never contributes to a sink language; and every predecessor of a
+    live block is itself live, so each live block receives exactly the
+    states — in the same drain order, hence with the same widening —
+    as in an iteration over the whole graph. Code after a page's last
+    sink therefore costs nothing.
+
     Runs under the ambient {!Automata.Budget} (ticked each iteration
     and inside every automata operation); callers wanting graceful
     degradation wrap the call in {!Automata.Budget.run} and treat an
@@ -22,7 +33,8 @@
 
     Metrics: [analysis.fixpoint.iterations], [analysis.widen.count],
     [analysis.prune.hit]/[analysis.prune.miss] (sinks proved safe /
-    left for symexec); span: [analysis.fixpoint]. *)
+    left for symexec); span: [analysis.fixpoint], with [blocks],
+    [live_blocks] and [sinks] attributes. *)
 
 type sink_verdict = {
   sink_id : int;  (** {!Webapp.Ast.sink_id} *)
@@ -33,9 +45,9 @@ type sink_verdict = {
 
 type result = {
   verdicts : sink_verdict list;  (** one per sink, in sink-id order *)
-  iterations : int;  (** blocks processed before convergence *)
+  iterations : int;  (** live blocks processed before convergence *)
   widenings : int;  (** keys collapsed by the widening operator *)
-  blocks : int;
+  blocks : int;  (** all CFG blocks, live or not *)
 }
 
 (** Sinks the verdict list proves safe — the prune set. *)

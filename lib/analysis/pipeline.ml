@@ -15,7 +15,7 @@ type t = {
   paths_truncated : bool;
 }
 
-let default_max_paths = 4096
+let default_max_paths = Prepass.default_max_paths
 
 (* An unlimited scan budget leaves the fixpoint unwrapped so that an
    enclosing budget still unwinds past it. *)
@@ -34,10 +34,11 @@ let plan ?(budget = Budget.unlimited) ?(static_prune = true) ?prepass_paths
   let fixpoint =
     if not static_prune then Disabled
     else
-      (* the fixpoint only prunes; when the cheap pre-pass sees that
-         exhaustive symbolic execution is already exact and small,
-         paying for both layers is the recorded regression *)
-      let decision = Prepass.decide ?path_budget:prepass_paths program in
+      (* the fixpoint only prunes; when the pre-pass's count-only walk
+         shows that symbolic execution at this [max_paths] is already
+         exhaustive and small, paying for both layers is the recorded
+         regression *)
+      let decision = Prepass.decide ?path_budget:prepass_paths ~max_paths program in
       if decision.Prepass.run_fixpoint then run_fixpoint budget ~attack program
       else Skipped decision.Prepass.reason
   in

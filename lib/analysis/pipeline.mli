@@ -2,11 +2,14 @@
     solves: the one place that decides which (path, sink) systems a
     page turns into and which of them are solved.
 
-    {!plan} runs, in order: the {!Prepass} decision, the {!Fixpoint}
+    {!plan} runs, in order: the {!Prepass} decision (the executor's
+    own walk, counted at the plan's [max_paths]), the {!Fixpoint}
     prune, the all-sinks-pruned skip (every sink proved safe ⇒ no path
     enumeration), {!Webapp.Symexec.analyze}, and the filter that drops
-    candidates at statically-safe sinks. {!solve} then solves the
-    surviving candidates lazily, in enumeration order. The callers
+    candidates at statically-safe sinks. Both path layers are
+    sink-directed: code that reaches no sink is neither enumerated nor
+    iterated. {!solve} then solves the surviving candidates lazily, in
+    enumeration order. The callers
     ([webcheck], the wire [webcheck] request, [dprle profile --corpus])
     keep only their rendering.
 
@@ -39,13 +42,16 @@ type t = {
 }
 
 (** Path bound of the webcheck CLI and [dprle profile --corpus]
-    (4096). The wire request carries its own [max_paths]. *)
+    (4096, {!Prepass.default_max_paths}). The wire request carries its
+    own [max_paths]. *)
 val default_max_paths : int
 
 (** [plan ?budget ?static_prune ?prepass_paths ?max_paths ~attack
     program]: [static_prune] (default [true]) enables the fixpoint;
-    [prepass_paths] is {!Prepass.decide}'s [path_budget]; [budget]
-    (default unlimited) is the scan budget of the rule above. *)
+    [prepass_paths] is {!Prepass.decide}'s [path_budget], and
+    [max_paths] bounds both the pre-pass walk and the enumeration;
+    [budget] (default unlimited) is the scan budget of the rule
+    above. *)
 val plan :
   ?budget:Automata.Budget.t ->
   ?static_prune:bool ->

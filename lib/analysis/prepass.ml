@@ -8,77 +8,49 @@ type decision = {
   run_fixpoint : bool;
   reason : string;
   sinks : int;
-  has_loop : bool;
-  est_paths : int;
+  candidates : int;
+  forks : int;
+  truncated : bool;
 }
 
-(* Taint: the set of variables whose value may depend on an input
-   read. Control flow is ignored (any assignment taints), and the
-   statement list is scanned twice so a read-before-write of a
-   variable assigned later in program order still registers — an
-   over-approximation, which errs toward running the fixpoint. *)
-let rec expr_tainted tainted = function
-  | Ast.Str _ -> false
-  | Ast.Input _ -> true
-  | Ast.Var v -> List.mem v tainted
-  | Ast.Concat (a, b) -> expr_tainted tainted a || expr_tainted tainted b
-  | Ast.Sanitize (_, e) -> expr_tainted tainted e
-
-let taint_pass program tainted =
-  let tainted = ref tainted in
-  let rec stmt = function
-    | Ast.Assign (v, e) ->
-        if expr_tainted !tainted e && not (List.mem v !tainted) then
-          tainted := v :: !tainted
-    | Ast.If (_, t, f) ->
-        List.iter stmt t;
-        List.iter stmt f
-    | Ast.While (_, body) -> List.iter stmt body
-    | Ast.Exit | Ast.Query _ | Ast.Echo _ -> ()
-  in
-  List.iter stmt program;
-  !tainted
-
-(* Count the branches the symbolic executor will actually fork on: a
-   guard over a tainted operand doubles the path space; a guard over
-   concrete data is constant-folded and forks nothing. The estimate
-   is capped (it only ever feeds a ≤ comparison). *)
-let cap = 1 lsl 20
-
-let estimate program tainted =
-  let has_loop = ref false in
-  let paths = ref 1 in
-  let double () = if !paths < cap then paths := !paths * 2 in
-  let rec stmt = function
-    | Ast.Assign _ | Ast.Exit | Ast.Query _ | Ast.Echo _ -> ()
-    | Ast.If (c, t, f) ->
-        if expr_tainted tainted (Webapp.Semantics.cond_operand c) then double ();
-        List.iter stmt t;
-        List.iter stmt f
-    | Ast.While (_, body) ->
-        has_loop := true;
-        List.iter stmt body
-  in
-  List.iter stmt program;
-  (!has_loop, !paths)
-
 let default_path_budget = 8
+let default_max_paths = 4096
 
-let decide ?(path_budget = default_path_budget) program =
-  let sinks = List.length (Ast.sinks program) in
-  let tainted = taint_pass program (taint_pass program []) in
-  let has_loop, est_paths = estimate program tainted in
-  let skip reason =
-    Metrics.Counter.incr c_skip 1;
-    { run_fixpoint = false; reason; sinks; has_loop; est_paths }
+let plural n word = Printf.sprintf "%d %s%s" n word (if n = 1 then "" else "s")
+
+let decide ?(path_budget = default_path_budget) ?(max_paths = default_max_paths)
+    program =
+  let decision ~run_fixpoint reason
+      { Webapp.Symexec.candidates; forks; truncated } =
+    Metrics.Counter.incr (if run_fixpoint then c_run else c_skip) 1;
+    {
+      run_fixpoint;
+      reason;
+      sinks = List.length (Ast.sinks program);
+      candidates;
+      forks;
+      truncated;
+    }
   in
-  let run reason =
-    Metrics.Counter.incr c_run 1;
-    { run_fixpoint = true; reason; sinks; has_loop; est_paths }
-  in
-  if path_budget <= 0 then run "prepass disabled"
-  else if sinks = 0 then skip "no sinks"
-  else if has_loop then run "loops need widening"
-  else if est_paths <= path_budget then
-    skip (Printf.sprintf "loop-free, ~%d path(s)" est_paths)
-  else run (Printf.sprintf "~%d paths exceed the enumeration budget" est_paths)
+  if path_budget <= 0 then
+    decision ~run_fixpoint:true "prepass disabled"
+      { candidates = 0; forks = 0; truncated = false }
+  else
+    match Webapp.Symexec.census ~max_paths program with
+    | exception Invalid_argument msg ->
+        (* the walk read a variable no statement on its path assigned;
+           the fixpoint reads it as any string and may still prove the
+           sinks safe, so symbolic execution need never run *)
+        decision ~run_fixpoint:true ("walk failed: " ^ msg)
+          { candidates = 0; forks = 0; truncated = true }
+    | c ->
+        let found =
+          plural c.candidates "candidate" ^ " in " ^ plural c.forks "fork"
+        in
+        if c.truncated then
+          decision ~run_fixpoint:true ("truncated walk, " ^ found) c
+        else if c.candidates > path_budget then
+          decision ~run_fixpoint:true
+            (Printf.sprintf "%s exceed the budget of %d" found path_budget)
+            c
+        else decision ~run_fixpoint:false ("exhaustive walk, " ^ found) c

@@ -1,19 +1,23 @@
-(** Cheap pre-pass deciding whether the {!Fixpoint} analysis is worth
-    running at all.
+(** Pre-pass deciding whether the {!Fixpoint} analysis is worth running
+    at all.
 
     The fixpoint is a {e pruning} layer: it can only prove sinks safe,
     never find exploits, so skipping it never changes soundness — just
-    how much work the path-sensitive pipeline does afterwards. On a
-    loop-free program whose (constant-folding-aware) path count fits
-    the executor's enumeration budget, symbolic execution alone is
-    exact and usually cheaper than one abstract iteration per block;
-    paying for both was the recorded [--static-prune] regression on
-    small inputs. The pre-pass is a single linear AST walk — two taint
-    passes plus a branch count — so its own cost is noise.
+    how much work the path-sensitive pipeline does afterwards. When
+    symbolic execution enumerates every path to a sink and emits only
+    a few candidates, it is exact and cheaper than the fixpoint;
+    paying for both was the recorded [--static-prune] regression.
 
-    The decision errs toward running the fixpoint: variables are
-    tainted flow-insensitively, so a guard that merely might be
-    input-dependent counts as a path doubling.
+    The prediction is the executor's own: {!Webapp.Symexec.census}
+    runs the sink-directed walk of {!Webapp.Symexec.analyze} in
+    count-only mode (constant folding included, no obligations and no
+    automata), bounded by the same [max_paths] forks. The fixpoint is
+    skipped if and only if that walk finishes untruncated with at most
+    [path_budget] candidates. A loop whose unrolling runs out of fuel
+    before a sink, or a page with too many paths, truncates the walk,
+    so the fixpoint runs there. So does a page whose walk reads a
+    variable it never assigned (symbolic execution would raise): the
+    fixpoint reads it as any string and may prove every sink safe.
 
     {!Pipeline.plan} is the one caller in the program: the webcheck
     CLI, the wire [webcheck] request and [dprle profile --corpus]
@@ -23,21 +27,29 @@
 
 type decision = {
   run_fixpoint : bool;
-  reason : string;  (** human-readable, stable across runs *)
+  reason : string;
+      (** human-readable, stable across runs, naming the three
+          figures below, e.g. ["exhaustive walk, 1 candidate in 29 forks"] *)
   sinks : int;
-  has_loop : bool;
-  est_paths : int;  (** forking branches only; capped at 2^20 *)
+  candidates : int;  (** candidates the walk predicts; 0 when disabled *)
+  forks : int;  (** forks the walk took, at most [max_paths] *)
+  truncated : bool;
+      (** the walk cut a fork that could reach a sink, or failed *)
 }
 
-(** The loop-free path count at or below which symbolic execution
-    alone is judged cheaper (8): the default of [decide], and so of
+(** The candidate count at or below which symbolic execution alone is
+    judged cheaper (8): the default of [decide], and so of
     [webcheck --prepass-paths] and the wire [webcheck] request. *)
 val default_path_budget : int
 
-(** [decide ?path_budget program] recommends whether to run the
-    fixpoint. Skips when the program has no sinks, or is loop-free
-    with at most [path_budget] (default {!default_path_budget})
-    estimated paths; a
-    [path_budget] of 0 disables the pre-pass (always run — the
-    ablation escape hatch). *)
-val decide : ?path_budget:int -> Webapp.Ast.program -> decision
+(** The enumeration's fork bound (4096): [decide]'s default, and
+    {!Pipeline.default_max_paths}, the webcheck CLI's [--max-paths]. *)
+val default_max_paths : int
+
+(** [decide ?path_budget ?max_paths program] recommends whether to run
+    the fixpoint ahead of a {!Webapp.Symexec.analyze} bounded by
+    [max_paths] (default {!default_max_paths}). Skips when the walk
+    finishes untruncated with at most [path_budget] (default
+    {!default_path_budget}) candidates; a [path_budget] of 0 disables
+    the pre-pass (always run, no walk — the ablation escape hatch). *)
+val decide : ?path_budget:int -> ?max_paths:int -> Webapp.Ast.program -> decision

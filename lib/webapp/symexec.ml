@@ -137,7 +137,133 @@ let system_of_obligations obligations =
 
 type exploration = { candidates : query list; paths_truncated : bool }
 
-let analyze ?(max_paths = 256) ?(max_unroll = 16) ~attack program =
+(* Sink reachability, computed once per statement-list suffix: [reach]
+   says control entering the suffix may issue a [query] before an
+   [exit], [falls] that it may run off the suffix's end. Both ignore
+   constant folding, so they over-approximate what the walk can do;
+   a suffix with [reach = false] can never emit a candidate, which is
+   all the walk below relies on. *)
+type code = { reach : bool; falls : bool; step : step }
+
+and step =
+  | End
+  | Exit
+  | Assign of string * Ast.expr * code
+  | Echo of code
+  | Query of Ast.stmt * Ast.expr * code  (** the statement: its sink id *)
+  | If of Ast.cond * code * code * code  (** then-arm, else-arm, rest *)
+  | While of Ast.cond * code * code  (** body, rest *)
+
+let rec annotate : Ast.program -> code = function
+  | [] -> { reach = false; falls = true; step = End }
+  | stmt :: rest ->
+      let next = annotate rest in
+      (* may the statement itself reach a query / complete normally *)
+      let here reach falls step =
+        { reach = reach || (falls && next.reach); falls = falls && next.falls; step }
+      in
+      (match stmt with
+      | Ast.Exit -> here false false Exit
+      | Ast.Assign (v, e) -> here false true (Assign (v, e, next))
+      | Ast.Echo _ -> here false true (Echo next)
+      | Ast.Query e -> here true true (Query (stmt, e, next))
+      | Ast.If (c, t, f) ->
+          let t = annotate t and f = annotate f in
+          here (t.reach || f.reach) (t.falls || f.falls) (If (c, t, f, next))
+      | Ast.While (c, body) ->
+          let body = annotate body in
+          here body.reach true (While (c, body, next)))
+
+(* The continuation of the code being walked: the suffixes to resume,
+   innermost first, each paired with the reach of itself and
+   everything below it, so asking whether a position can still reach
+   a sink costs O(1) however deep the nesting. *)
+let reaches code k =
+  code.reach || (code.falls && match k with [] -> false | (_, r) :: _ -> r)
+
+let push code k = (code, reaches code k) :: k
+
+(* Loop iterations unrolled along one path, by [analyze] and [census]
+   alike, so a census predicts the enumeration exactly. *)
+let max_unroll = 16
+
+(* The one path walk, shared by [analyze] and [census]. A DFS over
+   branch decisions that extends a path value ['p] at every decision
+   ([branch env value cond p]) and hands each reached sink to [sink].
+   A fork is an [If]/[While] whose condition is not constant; an arm
+   whose continuation can reach no sink is not explored, and a fork
+   with one live arm still counts as one fork (path ids stay the
+   DFS's fork count). [max_paths] bounds the forks; [fuel] bounds the
+   loop iterations unrolled along one path. Cutting a live arm — past
+   [max_paths], or a loop out of fuel — marks the walk truncated;
+   cutting code that reaches no sink does not. *)
+let walk ~max_paths ~branch ~sink init program =
+  let forks = ref 0 in
+  let truncated = ref false in
+  let rec exec env p sink_index fuel code k =
+    if reaches code k then
+      match code.step with
+      | End -> (
+          match k with
+          | [] -> ()
+          | (code, _) :: k -> exec env p sink_index fuel code k)
+      | Exit -> ()
+      | Assign (v, e, next) ->
+          exec ((v, normalize (eval_sym env e)) :: List.remove_assoc v env)
+            p sink_index fuel next k
+      | Echo next -> exec env p sink_index fuel next k
+      | Query (stmt, e, next) ->
+          sink env stmt e p ~sink_index:!sink_index ~path_id:!forks;
+          incr sink_index;
+          exec env p sink_index fuel next k
+      | If (c, t, f, next) -> (
+          let k = push next k in
+          match concrete_cond env c with
+          | Some true -> exec env p sink_index fuel t k
+          | Some false -> exec env p sink_index fuel f k
+          | None -> fork env p sink_index c (t, fuel, k) (f, fuel, k))
+      | While (c, body, next) -> (
+          (* unroll: the taken arm re-queues the loop itself, so a sink
+             inside the body keeps its physical identity (and hence its
+             sink id) across iterations *)
+          let again = push code k in
+          match concrete_cond env c with
+          | Some false -> exec env p sink_index fuel next k
+          | Some true ->
+              (* concretely spinning with no fuel left: this path's
+                 suffix is unexplored *)
+              if fuel > 0 then exec env p sink_index (fuel - 1) body again
+              else truncated := true
+          | None -> fork env p sink_index c (body, fuel - 1, again) (next, fuel, k))
+  and fork env p sink_index c (t, t_fuel, t_k) (f, f_fuel, f_k) =
+    let t_live = reaches t t_k and f_live = reaches f f_k in
+    if t_live || f_live then
+      if !forks >= max_paths then truncated := true
+      else begin
+        incr forks;
+        if t_live then
+          if t_fuel < 0 then truncated := true
+          else exec env (branch env true c p) (ref !sink_index) t_fuel t t_k;
+        if f_live then
+          exec env (branch env false c p) (ref !sink_index) f_fuel f f_k
+      end
+  in
+  exec [] init (ref 0) max_unroll (annotate program) [];
+  (!forks, !truncated)
+
+type census = { candidates : int; forks : int; truncated : bool }
+
+let census ~max_paths program =
+  let candidates = ref 0 in
+  let forks, truncated =
+    walk ~max_paths
+      ~branch:(fun _ _ _ () -> ())
+      ~sink:(fun _ _ _ () ~sink_index:_ ~path_id:_ -> incr candidates)
+      () program
+  in
+  { candidates = !candidates; forks; truncated }
+
+let analyze ?(max_paths = 256) ~attack program =
   Telemetry.Span.with_span ~name:"symexec.analyze"
     ~attrs:[ ("max_paths", `Int max_paths); ("max_unroll", `Int max_unroll) ]
   @@ fun () ->
@@ -146,77 +272,16 @@ let analyze ?(max_paths = 256) ?(max_unroll = 16) ~attack program =
      in directory mode, for every file sharing the attack pattern *)
   let attack = Store.intern attack in
   let results = ref [] in
-  let path_count = ref 0 in
-  let truncated = ref false in
-  (* DFS over branch decisions; [obligations] accumulates in reverse.
-     [fuel] bounds the total loop iterations unrolled along one path:
-     loops make the path space infinite, so exhausting it (like
-     exceeding [max_paths]) marks the enumeration truncated. *)
-  let rec exec env obligations sink_index fuel stmts =
-    match stmts with
-    | [] -> finish_path ()
-    | stmt :: rest -> (
-        match stmt with
-        | Ast.Exit -> finish_path ()
-        | Ast.Assign (v, e) ->
-            exec ((v, normalize (eval_sym env e)) :: List.remove_assoc v env)
-              obligations sink_index fuel rest
-        | Ast.Echo _ -> exec env obligations sink_index fuel rest
-        | Ast.Query e ->
-            let sink =
-              { sym = normalize (eval_sym env e); lang = attack }
-            in
-            emit stmt (sink :: obligations) !sink_index;
-            incr sink_index;
-            exec env obligations sink_index fuel rest
-        | Ast.If (c, t, f) -> (
-            match concrete_cond env c with
-            | Some true -> exec env obligations sink_index fuel (t @ rest)
-            | Some false -> exec env obligations sink_index fuel (f @ rest)
-            | None ->
-                if !path_count < max_paths then begin
-                  let taken = obligation_of_cond env true c in
-                  let fallen = obligation_of_cond env false c in
-                  incr path_count;
-                  exec env (taken :: obligations) (ref !sink_index) fuel (t @ rest);
-                  exec env (fallen :: obligations) (ref !sink_index) fuel (f @ rest)
-                end
-                else truncated := true)
-        | Ast.While (c, body) -> (
-            (* unroll: the taken branch re-queues the same [stmt] so a
-               sink inside the body keeps its physical identity (and
-               hence its sink id) across iterations *)
-            match concrete_cond env c with
-            | Some false -> exec env obligations sink_index fuel rest
-            | Some true ->
-                if fuel > 0 then
-                  exec env obligations sink_index (fuel - 1)
-                    (body @ (stmt :: rest))
-                else begin
-                  (* concretely spinning with no fuel left: this path's
-                     suffix is unexplored *)
-                  truncated := true;
-                  finish_path ()
-                end
-            | None ->
-                if !path_count < max_paths then begin
-                  let taken = obligation_of_cond env true c in
-                  let fallen = obligation_of_cond env false c in
-                  incr path_count;
-                  if fuel > 0 then
-                    exec env (taken :: obligations) (ref !sink_index) (fuel - 1)
-                      (body @ (stmt :: rest))
-                  else truncated := true;
-                  exec env (fallen :: obligations) (ref !sink_index) fuel rest
-                end
-                else truncated := true))
-  and finish_path () = ()
-  and emit stmt obligations sink_index =
+  (* the path value: its obligations, in reverse *)
+  let branch env value c obligations =
+    obligation_of_cond env value c :: obligations
+  in
+  let emit env stmt e obligations ~sink_index ~path_id =
     let sink_id = Option.value (Ast.sink_id program stmt) ~default:(-1) in
-    let obligations = List.rev obligations in
+    let benign_obligations = List.rev obligations in
     (* the sink obligation is the last one *)
-    let benign_obligations =
-      List.filteri (fun i _ -> i < List.length obligations - 1) obligations
+    let obligations =
+      benign_obligations @ [ { sym = normalize (eval_sym env e); lang = attack } ]
     in
     (* drop obligations on purely-literal symbolic values only if they
        are trivially satisfiable; keep them otherwise so infeasible
@@ -248,7 +313,7 @@ let analyze ?(max_paths = 256) ?(max_unroll = 16) ~attack program =
     in
     results :=
       {
-        path_id = !path_count;
+        path_id;
         sink_index;
         sink_id;
         system;
@@ -259,8 +324,10 @@ let analyze ?(max_paths = 256) ?(max_unroll = 16) ~attack program =
       }
       :: !results
   in
-  exec [] [] (ref 0) max_unroll program;
-  { candidates = List.rev !results; paths_truncated = !truncated }
+  let _forks, truncated =
+    walk ~max_paths ~branch ~sink:emit [] program
+  in
+  { candidates = List.rev !results; paths_truncated = truncated }
 
 (* A transformed read constrains the transformed value; pull the
    solved language back to the raw input through the chain's

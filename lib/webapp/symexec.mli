@@ -2,9 +2,9 @@
     constraint systems.
 
     This plays the role of the "simple prototype program analysis"
-    of the paper's §4: walk every loop-free path, keep a symbolic
-    store mapping locals to concatenations of string literals and
-    input reads, translate each branch decision into a subset
+    of the paper's §4: walk every loop-free path to a sink, keep a
+    symbolic store mapping locals to concatenations of string literals
+    and input reads, translate each branch decision into a subset
     constraint on the inputs along it, and at every [query] sink emit
     the vulnerability query "can the issued SQL land in the attack
     language?" as one more subset constraint. The resulting system is
@@ -49,26 +49,49 @@ type query = {
 }
 
 (** Result of path enumeration. [paths_truncated] is set whenever the
-    DFS dropped work: a branch fork past [max_paths], or a loop
-    iteration past [max_unroll]. A truncated enumeration with no
-    solvable candidate does {e not} establish safety — callers must
-    surface it (webcheck prints a warning; statically-proved sinks
-    are unaffected since their verdict never relies on enumeration). *)
+    DFS dropped work that could reach a sink: a fork past [max_paths],
+    or a loop iteration past the unroll bound (16). Code that reaches no sink
+    is never explored, so cutting it truncates nothing. A truncated
+    enumeration with no solvable candidate does {e not} establish
+    safety — callers must surface it (webcheck prints a warning;
+    statically-proved sinks are unaffected since their verdict never
+    relies on enumeration). *)
 type exploration = {
   candidates : query list;  (** one per explored (path, sink) *)
   paths_truncated : bool;
 }
 
-(** Explore all paths (bounded by [max_paths], default 256; loops
-    unrolled up to [max_unroll] iterations per path, default 16) and
-    return one candidate query per (path, sink). Paths that
-    concretely cannot reach a sink (ended by [exit]) yield nothing. *)
+(** Explore all paths to a sink and return one candidate query per
+    (path, sink). The walk is sink-directed: at a fork (an [if] or
+    [while] whose condition is not constant-folded) an arm whose
+    continuation reaches no [query] before an [exit] is not explored
+    — its obligations are not built and it costs no fork. A fork with
+    at least one live arm counts once toward [max_paths] (default
+    256); loops are unrolled up to 16 iterations per path. A candidate's [path_id] is the number of forks taken
+    before it in DFS order. Reachability is computed once per
+    statement, so the walk stays linear in the path length. *)
 val analyze :
   ?max_paths:int ->
-  ?max_unroll:int ->
   attack:Automata.Nfa.t ->
   Ast.program ->
   exploration
+
+(** What {!analyze} would enumerate, without building it. *)
+type census = {
+  candidates : int;  (** [List.length (analyze …).candidates] *)
+  forks : int;  (** forks taken, at most [max_paths] *)
+  truncated : bool;  (** [(analyze …).paths_truncated] *)
+}
+
+(** [census] runs {!analyze}'s walk — the same function — in
+    count-only mode: constant folding still follows the symbolic
+    store, but no obligation, system or automaton is built. The
+    prediction is exact for an {!analyze} with the same [max_paths],
+    which is why it has no default; both unroll loops equally. The
+    static pre-pass ([Analysis.Prepass]) predicts the executor with
+    it. Like {!analyze}, it raises [Invalid_argument] when the walk
+    reads a variable no statement on the path has assigned. *)
+val census : max_paths:int -> Ast.program -> census
 
 (** Whether a solve finished inside its configured budget. *)
 type budget_status =

@@ -76,3 +76,35 @@ let run_solver ?max_solutions ?combination_limit system =
   | Error err ->
       Alcotest.failf "unexpected solver error: %s"
         (Dprle.Solver.Error.to_string err)
+
+(* A mini-PHP suffix from which no sink is reachable: 9–12
+   input-dependent branches (more forks than symbolic execution's
+   default bound of 256), a loop on an input, echoes, then an [exit]
+   in front of a dead query — the dead query is what makes
+   reachability's [exit] rule observable. Appended after a program's
+   last sink it may change no analysis result. The statements are
+   allocated per draw: sink ids rest on physical identity. *)
+let sink_free_suffix_gen : Webapp.Ast.program QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let module Ast = Webapp.Ast in
+  let tainted name =
+    Ast.Preg_match (Regex.Parser.parse_pattern_exn "/^[0-9]+$/", Ast.Input name)
+  in
+  let branch =
+    let* name = oneofl [ "a"; "b" ] in
+    let* exits = bool in
+    return
+      (Ast.If
+         ( tainted name,
+           [ Ast.Echo (Ast.Input name) ],
+           if exits then [ Ast.Exit ] else [ Ast.Echo (Ast.Str "x") ] ))
+  in
+  let* branches = list_size (int_range 9 12) branch in
+  return
+    (branches
+    @ [
+        Ast.While (Ast.Not (tainted "a"), [ Ast.Echo (Ast.Input "b") ]);
+        Ast.Echo (Ast.Str "done");
+        Ast.Exit;
+        Ast.Query (Ast.Input "a");
+      ])

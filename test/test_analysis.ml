@@ -154,6 +154,73 @@ let fixpoint_tests =
           (Fixpoint.safe_sink_ids r1 = Fixpoint.safe_sink_ids r4));
   ]
 
+let prepass_tests =
+  let module Prepass = Analysis.Prepass in
+  [
+    test "a guarded sink: one candidate, the fixpoint is skipped" (fun () ->
+        let d = Prepass.decide (parse fixed_source) in
+        check_bool "skip" false d.Prepass.run_fixpoint;
+        check_int "candidates" 1 d.candidates;
+        check_int "forks" 1 d.forks;
+        check_bool "untruncated" false d.truncated;
+        Alcotest.(check string)
+          "reason" "exhaustive walk, 1 candidate in 1 fork" d.reason);
+    test "a loop before the sink runs out of fuel: the fixpoint runs" (fun () ->
+        let d = Prepass.decide (parse loop_source) in
+        check_bool "run" true d.Prepass.run_fixpoint;
+        check_bool "truncated" true d.truncated;
+        check_int "one candidate per unrolling" 17 d.candidates);
+    test "more candidates than the budget: the fixpoint runs" (fun () ->
+        let two_forks =
+          parse
+            {|$a = input("a");
+              if (preg_match(/x/, $a)) { $q = "1"; } else { $q = $a; }
+              if (preg_match(/y/, input("b"))) { query($q); } else { query("c" . $q); }|}
+        in
+        let d = Prepass.decide ~path_budget:3 two_forks in
+        check_bool "run" true d.Prepass.run_fixpoint;
+        check_int "candidates" 4 d.candidates;
+        Alcotest.(check string)
+          "reason" "4 candidates in 3 forks exceed the budget of 3" d.reason;
+        check_bool "within the budget: skip" false
+          (Prepass.decide ~path_budget:4 two_forks).Prepass.run_fixpoint);
+    test "code after the last sink costs no fork" (fun () ->
+        let d =
+          Prepass.decide
+            (parse
+               (fixed_source
+               ^ String.concat ""
+                   (List.init 14 (fun i ->
+                        Printf.sprintf
+                          {|if (preg_match(/x/, input("f%d"))) { echo "%d"; }|}
+                          i i))))
+        in
+        check_bool "skip" false d.Prepass.run_fixpoint;
+        check_int "forks" 1 d.forks);
+    test "a walk that reads an unassigned variable runs the fixpoint"
+      (fun () ->
+        let program =
+          parse
+            {|while (preg_match(/^x/, input("b"))) { echo "x"; }
+              if (!preg_match(/^[0-9]+$/, $y)) { exit; }
+              query("S" . $y);|}
+        in
+        let d = Prepass.decide program in
+        check_bool "run" true d.Prepass.run_fixpoint;
+        check_bool "reported as truncated" true d.truncated;
+        (* the fixpoint proves the sink safe, so symbolic execution —
+           which would raise on [$y] — never runs *)
+        let plan =
+          Analysis.Pipeline.plan ~attack:Attack.contains_quote program
+        in
+        check_bool "all sinks pruned" true
+          (Analysis.Pipeline.all_sinks_pruned plan));
+    test "path budget 0 disables the walk" (fun () ->
+        let d = Prepass.decide ~path_budget:0 (parse fixed_source) in
+        check_bool "run" true d.Prepass.run_fixpoint;
+        check_int "no walk" 0 d.forks);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
 
@@ -221,6 +288,46 @@ let loopy_gen =
       Ast.Query (Ast.Concat (Ast.Str "SELECT ", Ast.Var "t"));
     ]
 
+(* Loop-free programs with two-armed branches, nested two deep, whose
+   conditions test an input (a fork) or a variable that may hold a
+   literal (folded to a constant by the executor), with sinks anywhere:
+   path counts from one to a few hundred. *)
+let branchy_gen =
+  let open QCheck2.Gen in
+  let cond_gen =
+    let* pat = oneofl [ "/^[0-9]+$/"; "/[0-9]$/"; "/^[a-z]*$/" ] in
+    let* operand = oneofl [ Ast.Input "a"; Ast.Input "b"; Ast.Var "t" ] in
+    return (Ast.Preg_match (Regex.Parser.parse_pattern_exn pat, operand))
+  in
+  let leaf_gen =
+    let* name = oneofl input_names in
+    let* lit = oneofl [ "7"; "x" ] in
+    oneofl
+      [
+        Ast.Query (Ast.Concat (Ast.Str "q=", Ast.Var "t"));
+        Ast.Query (Ast.Input name);
+        Ast.Assign ("t", Ast.Str lit);
+        Ast.Assign ("t", Ast.Input name);
+        Ast.Echo (Ast.Var "t");
+        Ast.Exit;
+      ]
+  in
+  let rec stmts_gen depth = list_size (int_range 1 4) (stmt_gen depth)
+  and stmt_gen depth =
+    if depth = 0 then leaf_gen
+    else
+      let branch =
+        let* c = cond_gen in
+        let* t = stmts_gen (depth - 1) in
+        let* f = stmts_gen (depth - 1) in
+        return (Ast.If (c, t, f))
+      in
+      oneof [ leaf_gen; branch; branch ]
+  in
+  let* first = oneofl [ Ast.Str "7"; Ast.Input "a" ] in
+  let* body = list_size (int_range 1 5) (stmt_gen 2) in
+  return (Ast.Assign ("t", first) :: body)
+
 let inputs_gen =
   let open QCheck2.Gen in
   let* va = word_gen in
@@ -258,11 +365,41 @@ let props =
       (fun program ->
         let r = Fixpoint.analyze ~attack:Attack.contains_quote program in
         List.length r.Fixpoint.verdicts = List.length (Ast.sinks program));
+    (* the fixpoint iterates only blocks that reach a sink: code past
+       the last one adds no iteration and moves no sink language *)
+    qtest ~count:40 "a sink-free suffix changes no fixpoint verdict or iteration"
+      (pair (oneof [ straightline_gen; loopy_gen ]) sink_free_suffix_gen)
+      (fun (program, suffix) ->
+        let analyze p = Fixpoint.analyze ~attack:Attack.contains_quote p in
+        let a = analyze program and b = analyze (program @ suffix) in
+        let n = List.length a.verdicts in
+        let same (v : Fixpoint.sink_verdict) (v' : Fixpoint.sink_verdict) =
+          v.sink_id = v'.sink_id && v.safe = v'.safe && Store.equal v.lang v'.lang
+        in
+        a.iterations = b.iterations
+        && a.widenings = b.widenings
+        && List.equal same a.verdicts (List.filteri (fun i _ -> i < n) b.verdicts)
+        && List.for_all
+             (fun (v : Fixpoint.sink_verdict) -> v.safe)
+             (List.filteri (fun i _ -> i >= n) b.verdicts));
+    (* the pre-pass predicts the executor with its own walk: a skip is
+       only ever taken when enumeration at the same bound is complete
+       and small, and the prediction is exact *)
+    qtest ~count:200 "a pre-pass skip means exhaustive, small enumeration"
+      (triple branchy_gen (int_range 1 8) (int_range 1 16))
+      (fun (program, path_budget, max_paths) ->
+        let d = Analysis.Prepass.decide ~path_budget ~max_paths program in
+        let e = Webapp.Symexec.analyze ~max_paths ~attack:Attack.contains_quote program in
+        let n = List.length e.candidates in
+        d.candidates = n
+        && d.truncated = e.paths_truncated
+        && (d.run_fixpoint || ((not e.paths_truncated) && n <= path_budget)));
   ]
 
 let suite =
   [
     ("analysis:cfg", cfg_tests);
     ("analysis:fixpoint", fixpoint_tests);
+    ("analysis:prepass", prepass_tests);
     ("analysis:props", props);
   ]

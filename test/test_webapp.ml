@@ -273,6 +273,25 @@ let symexec_props =
                 Eval.vulnerable_run ~attack:Attack.contains_quote program
                   ~inputs:(constrained @ defaults))
           candidates);
+    qtest ~count:40 "a sink-free suffix changes no candidate"
+      (QCheck2.Gen.pair program_gen sink_free_suffix_gen)
+      (fun (program, suffix) ->
+        let explore p = Symexec.analyze ~attack:Attack.contains_quote p in
+        let a = explore program and b = explore (program @ suffix) in
+        let same_system x y =
+          Dprle.System.constraints x = Dprle.System.constraints y
+          && List.equal
+               (fun (n, h) (n', h') -> n = n' && Store.equal h h')
+               (Dprle.System.constants x) (Dprle.System.constants y)
+        in
+        let same (q : Symexec.query) (q' : Symexec.query) =
+          q.path_id = q'.path_id && q.sink_index = q'.sink_index
+          && q.sink_id = q'.sink_id && same_system q.system q'.system
+          && same_system q.benign_system q'.benign_system
+          && q.slots = q'.slots && q.constraint_count = q'.constraint_count
+        in
+        a.paths_truncated = b.paths_truncated
+        && List.equal same a.candidates b.candidates);
   ]
 
 (* Symbolic execution and the dataflow domain read a branch's
