@@ -3,11 +3,11 @@
    systems, and prints exploit inputs (verified against the concrete
    interpreter). This is the workflow of the paper's §4 evaluation. *)
 
+let positioned path e = Fmt.str "%s: %a" path Webapp.Lang_parser.pp_error e
+
 let read_program path =
   let source = In_channel.with_open_text path In_channel.input_all in
-  match Webapp.Lang_parser.parse source with
-  | Ok program -> Ok program
-  | Error e -> Error (Fmt.str "%s: %a" path Webapp.Lang_parser.pp_error e)
+  Result.map_error (positioned path) (Webapp.Lang_parser.parse_located source)
 
 let attack_conv =
   let parse s =
@@ -44,8 +44,10 @@ let structural_verdict program q exploit_inputs =
 (* Scan one file, writing the report to [ppf] (and errors to [err] —
    directory mode points both at a per-file buffer so the output stays
    deterministic under parallel workers). Exit code: 0 vulnerable,
-   1 safe, 2 parse error, 4 no vulnerability found but at least one
-   candidate's solve ran out of budget (verdict unknown).
+   1 safe, 2 parse error (or a path that reads an unassigned
+   variable, reported at the read like a parse error), 4 no
+   vulnerability found but at least one candidate's solve ran out of
+   budget (verdict unknown).
 
    The candidates come from [Analysis.Pipeline]: with [static_prune]
    the sound dataflow analysis runs first, and sinks whose abstract
@@ -55,16 +57,24 @@ let structural_verdict program q exploit_inputs =
    This function only renders the plan and the solves. *)
 let check_one ~ppf ~err path attack all structural max_paths static_prune
     prepass_paths config =
-  match read_program path with
+  let module P = Analysis.Pipeline in
+  match
+    Result.bind (read_program path) (fun (program, reads) ->
+        match
+          P.plan ~budget:config.Dprle.Solver.Config.budget ~static_prune
+            ~prepass_paths ~max_paths ~attack program
+        with
+        | plan -> Ok (program, plan)
+        | exception (Webapp.Symexec.Unassigned_variable read as e) ->
+            Error
+              (positioned path
+                 (Webapp.Lang_parser.read_error reads read
+                    ~message:(Printexc.to_string e))))
+  with
   | Error msg ->
       Fmt.pf err "error: %s@." msg;
       2
-  | Ok program ->
-      let module P = Analysis.Pipeline in
-      let plan =
-        P.plan ~budget:config.Dprle.Solver.Config.budget ~static_prune
-          ~prepass_paths ~max_paths ~attack program
-      in
+  | Ok (program, plan) ->
       (match plan.P.fixpoint with
       | P.Skipped reason ->
           (* debug-only: stdout must stay byte-identical with

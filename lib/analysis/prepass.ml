@@ -37,11 +37,11 @@ let decide ?(path_budget = default_path_budget) ?(max_paths = default_max_paths)
       { candidates = 0; forks = 0; truncated = false }
   else
     match Webapp.Symexec.census ~max_paths program with
-    | exception Invalid_argument msg ->
+    | exception (Webapp.Symexec.Unassigned_variable _ as e) ->
         (* the walk read a variable no statement on its path assigned;
            the fixpoint reads it as any string and may still prove the
            sinks safe, so symbolic execution need never run *)
-        decision ~run_fixpoint:true ("walk failed: " ^ msg)
+        decision ~run_fixpoint:true ("walk failed: " ^ Printexc.to_string e)
           { candidates = 0; forks = 0; truncated = true }
     | c ->
         let found =

@@ -486,7 +486,9 @@ let witness_ok system comp_constrs witness_of =
 
 let slice ~goals system contribs constrs =
   let vars = vars_of_constrs constrs in
-  let goals = List.filter (fun g -> List.mem g vars) goals in
+  let is_var = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace is_var v ()) vars;
+  let goals = List.filter (Hashtbl.mem is_var) goals in
   if goals = [] then (constrs, [], [])
   else begin
     (* union-find over variables, joined by co-occurrence *)
@@ -503,59 +505,60 @@ let slice ~goals system contribs constrs =
       let ra = find a and rb = find b in
       if ra <> rb then Hashtbl.replace parent ra rb
     in
+    (* each constraint with its variables' component, if it has any *)
+    let rooted =
+      List.map
+        (fun c ->
+          match System.expr_variables c.System.lhs with
+          | [] -> (c, None)
+          | first :: rest ->
+              List.iter (union first) rest;
+              (c, Some first))
+        constrs
+    in
+    let rooted = List.map (fun (c, v) -> (c, Option.map find v)) rooted in
+    let goal_roots = Hashtbl.create 8 in
+    List.iter (fun g -> Hashtbl.replace goal_roots (find g) ()) goals;
+    (* the variables and constraints of each component, in order *)
+    let members table root x =
+      Hashtbl.replace table root
+        (x :: Option.value (Hashtbl.find_opt table root) ~default:[])
+    in
+    let comp_vars = Hashtbl.create 16 and comp_constrs = Hashtbl.create 16 in
+    List.iter (fun v -> members comp_vars (find v) v) vars;
     List.iter
-      (fun c ->
-        match System.expr_variables c.System.lhs with
-        | [] -> ()
-        | first :: rest -> List.iter (union first) rest)
-      constrs;
-    let goal_roots = List.sort_uniq String.compare (List.map find goals) in
-    let in_cone c =
-      match System.expr_variables c.System.lhs with
-      | [] -> true (* constant-only: kept (discharge already ran) *)
-      | v :: _ -> List.mem (find v) goal_roots
+      (function c, Some root -> members comp_constrs root c | _, None -> ())
+      rooted;
+    let component table root =
+      List.rev (Option.value (Hashtbl.find_opt table root) ~default:[])
     in
     let out_roots =
-      List.sort_uniq String.compare
-        (List.filter_map
-           (fun v ->
-             let r = find v in
-             if List.mem r goal_roots then None else Some r)
-           vars)
+      List.sort String.compare
+        (Hashtbl.fold
+           (fun root _ acc ->
+             if Hashtbl.mem goal_roots root then acc else root :: acc)
+           comp_vars [])
     in
     let dropped = Hashtbl.create 8 in
     List.iter
       (fun root ->
-        let comp_vars = List.filter (fun v -> find v = root) vars in
-        let comp_constrs =
-          List.filter
-            (fun c ->
-              match System.expr_variables c.System.lhs with
-              | [] -> false
-              | v :: _ -> find v = root)
-            constrs
-        in
         let witnesses =
           List.map
             (fun v ->
               match shortest_of_bound contribs v with
               | Some w -> (v, w)
               | None -> assert false (* empty bounds refuted earlier *))
-            comp_vars
+            (component comp_vars root)
         in
         let witness_of v = List.assoc v witnesses in
-        if witness_ok system comp_constrs witness_of then
+        if witness_ok system (component comp_constrs root) witness_of then
           Hashtbl.replace dropped root witnesses)
       out_roots;
+    (* constant-only constraints are kept (discharge already ran) *)
     let kept =
-      List.filter
-        (fun c ->
-          in_cone c
-          ||
-          match System.expr_variables c.System.lhs with
-          | [] -> true
-          | v :: _ -> not (Hashtbl.mem dropped (find v)))
-        constrs
+      List.filter_map
+        (function _, Some r when Hashtbl.mem dropped r -> None | c, _ -> Some c)
+        rooted
     in
     let witnesses =
       List.sort compare

@@ -13,6 +13,8 @@ let find t v =
 
 let find_opt t v = SMap.find_opt v t
 
+let union a b = SMap.union (fun _ _ hb -> Some hb) a b
+
 let bindings t = SMap.bindings t
 
 let variables t = List.map fst (SMap.bindings t)

@@ -10,6 +10,12 @@ val find : t -> string -> Automata.Store.handle
 
 val find_opt : t -> string -> Automata.Store.handle option
 
+(** [union a b] binds every variable of [a] and of [b]; where both
+    bind one, [b]'s binding wins, as in [of_list (bindings a @ bindings
+    b)]. Merging disjoint assignments costs O(m log(n/m + 1)), not a
+    rebuild of both. *)
+val union : t -> t -> t
+
 val bindings : t -> (string * Automata.Store.handle) list
 
 val variables : t -> string list

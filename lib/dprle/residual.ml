@@ -76,25 +76,66 @@ let universal_subset_machine (dfa : Dfa.t) t0 good =
   done;
   Nfa.Builder.finish b ~start ~final
 
+(* The states [q] of the complete DFA [dfa] with [L(post) ⊆ L(dfa
+   from q)], all at once: one product of [post] with [dfa], explored
+   from every seed [(post start, q)], then one backward sweep from the
+   pairs where [post] accepts and [dfa] rejects. [q] is good exactly
+   when the sweep does not reach its seed. *)
+let good_states (dfa : Dfa.t) (post : Dfa.t) =
+  let n = Dfa.num_states dfa in
+  let pair p d = (p * n) + d in
+  let seen = Hashtbl.create 64 in
+  let preds = Hashtbl.create 64 in
+  let frontier = Stack.create () in
+  let bad = Queue.create () in
+  let visit p d =
+    let k = pair p d in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.replace seen k ();
+      if Dfa.is_final post p && not (Dfa.is_final dfa d) then Queue.add k bad;
+      Stack.push (p, d) frontier
+    end
+  in
+  let p0 = Dfa.start post in
+  for q = 0 to n - 1 do
+    visit p0 q
+  done;
+  while not (Stack.is_empty frontier) do
+    let p, d = Stack.pop frontier in
+    List.iter
+      (fun (cs, p') ->
+        List.iter
+          (fun (cs', d') ->
+            if Charset.intersects cs cs' then begin
+              Hashtbl.add preds (pair p' d') (pair p d);
+              visit p' d'
+            end)
+          (Dfa.transitions dfa d))
+      (Dfa.transitions post p)
+  done;
+  let doomed = Hashtbl.create 16 in
+  Queue.iter (fun k -> Hashtbl.replace doomed k ()) bad;
+  while not (Queue.is_empty bad) do
+    List.iter
+      (fun k ->
+        if not (Hashtbl.mem doomed k) then begin
+          Hashtbl.replace doomed k ();
+          Queue.add k bad
+        end)
+      (Hashtbl.find_all preds (Queue.take bad))
+  done;
+  let good = ref IS.empty in
+  for q = n - 1 downto 0 do
+    if not (Hashtbl.mem doomed (pair p0 q)) then good := IS.add q !good
+  done;
+  !good
+
 let max_middle_uncached ~pre ~post ~upper =
   (* complement-free: complete the DFA so every word has a run *)
   let dfa = Dfa.complement (Dfa.complement (Dfa.of_nfa upper)) in
   let t0 = reach_set dfa pre in
   if IS.is_empty t0 then Nfa.sigma_star
-  else begin
-    let post_dfa = Dfa.of_nfa post in
-    let as_nfa = Dfa.to_nfa dfa in
-    let good =
-      List.fold_left
-        (fun acc q ->
-          (* is post ⊆ L(dfa started at q)? *)
-          let from_q = Nfa.induce_from_start as_nfa q in
-          if Dfa.subset post_dfa (Dfa.of_nfa from_q) then IS.add q acc else acc)
-        IS.empty
-        (List.init (Dfa.num_states dfa) Fun.id)
-    in
-    universal_subset_machine dfa t0 good
-  end
+  else universal_subset_machine dfa t0 (good_states dfa (Dfa.of_nfa post))
 
 (* The maximalization loop re-poses the same (pre, post, upper)
    residual once per occurrence per iteration, and the solver's
@@ -115,56 +156,97 @@ let max_middle ~pre ~post ~upper =
           (max_middle_uncached ~pre:(Store.nfa pre) ~post:(Store.nfa post)
              ~upper:(Store.nfa upper)))
 
+let c_growth = Telemetry.Metrics.Counter.make "solver.maximize.growth"
+
 let leaf_handle system a = function
   | System.Const c -> System.const_handle system c
   | System.Var v -> Assignment.find a v
   | System.Concat _ | System.Union _ -> assert false
 
-(* Bounds from one union-free alternative of the left-hand side: for
-   each occurrence of [v], the concatenation of the leaf languages
-   before and after it under the current assignment. *)
-let alternative_bounds system a v upper alternative =
-  let arr = Array.of_list (System.leaves alternative) in
-  let n = Array.length arr in
+(* The occurrences of one variable in one union-free alternative of a
+   constraint: the constraint's bounding constant, the alternative's
+   leaves, and the variable's positions among them, ascending. *)
+type occurrences = {
+  upper : Store.handle;
+  leaves : System.expr array;
+  positions : int list;
+}
+
+type index = {
+  system : System.t;
+  by_var : (string, occurrences list) Hashtbl.t;
+  occurrence_count : int;
+}
+
+(* One pass over the system: every union-free alternative of [e ⊆ c]
+   is a conjunct, so each alternative holding a variable lists under
+   it, in constraint and alternative order. *)
+let index system =
+  let by_var = Hashtbl.create 16 in
+  let occurrence_count = ref 0 in
+  List.iter
+    (fun { System.lhs; rhs } ->
+      let upper = System.const_handle system rhs in
+      List.iter
+        (fun alternative ->
+          let leaves = Array.of_list (System.leaves alternative) in
+          (* right to left, so each alternative's positions come out
+             ascending *)
+          for i = Array.length leaves - 1 downto 0 do
+            match leaves.(i) with
+            | System.Var v ->
+                incr occurrence_count;
+                Hashtbl.replace by_var v
+                  (match Hashtbl.find_opt by_var v with
+                  | Some (occ :: rest) when occ.leaves == leaves ->
+                      { occ with positions = i :: occ.positions } :: rest
+                  | occs ->
+                      { upper; leaves; positions = [ i ] }
+                      :: Option.value occs ~default:[])
+            | System.Const _ | System.Concat _ | System.Union _ -> ()
+          done)
+        (System.expand_unions lhs))
+    (System.constraints system);
+  Hashtbl.filter_map_inplace (fun _ occs -> Some (List.rev occs)) by_var;
+  { system; by_var; occurrence_count = !occurrence_count }
+
+let vars t = Hashtbl.length t.by_var
+
+let occurrences t = t.occurrence_count
+
+(* The bound from the occurrence at [i]: the concatenation of the leaf
+   languages before and after it under the current assignment. *)
+let occurrence_bound system a { upper; leaves; _ } i =
+  let n = Array.length leaves in
   let side lo hi =
     let rec build j h =
       if j > hi then h
-      else build (j + 1) (Store.concat_lang h (leaf_handle system a arr.(j)))
+      else build (j + 1) (Store.concat_lang h (leaf_handle system a leaves.(j)))
     in
     build lo (Store.of_word "")
   in
-  let rec collect i acc =
-    if i >= n then acc
-    else if arr.(i) = System.Var v then
-      let pre = side 0 (i - 1) and post = side (i + 1) (n - 1) in
-      collect (i + 1) (max_middle ~pre ~post ~upper :: acc)
-    else collect (i + 1) acc
-  in
-  collect 0 []
+  let pre = side 0 (i - 1) and post = side (i + 1) (n - 1) in
+  max_middle ~pre ~post ~upper
 
-(* Every union-free alternative of [e ⊆ c] is a conjunct, so each
-   alternative containing [v] contributes its bounds. *)
-let occurrence_bounds system a v { System.lhs; rhs } =
-  let upper = System.const_handle system rhs in
-  List.concat_map
-    (alternative_bounds system a v upper)
-    (System.expand_unions lhs)
-
-let maximize_var system a v =
+(* The meet of [v]'s occurrence bounds. Each alternative's bounds are
+   computed by ascending position and met by descending position. *)
+let maximize_var t a v =
   match
-    List.concat_map (occurrence_bounds system a v) (System.constraints system)
+    List.concat_map
+      (fun occ -> List.rev_map (occurrence_bound t.system a occ) occ.positions)
+      (Option.value (Hashtbl.find_opt t.by_var v) ~default:[])
   with
   | [] -> Assignment.find a v (* unconstrained: leave as-is *)
   | first :: rest -> List.fold_left Store.inter_lang first rest
 
-let maximize system a =
+let maximize t a =
   let vars = Assignment.variables a in
   let rec loop a iterations =
     let a', grew =
       List.fold_left
         (fun (a, grew) v ->
           let current = Assignment.find a v in
-          let bigger = maximize_var system a v in
+          let bigger = maximize_var t a v in
           if Store.subset bigger current then (a, grew)
           else begin
             let candidate =
@@ -175,7 +257,11 @@ let maximize system a =
             (* When [v] occurs more than once in a constraint, the
                occurrence bounds were computed against the old value
                of the other occurrences; re-check before accepting. *)
-            if Validate.satisfying system candidate then (candidate, true) else (a, grew)
+            let accepted = Validate.satisfying t.system candidate in
+            Telemetry.Metrics.Counter.incr c_growth
+              ~labels:[ ("outcome", if accepted then "accepted" else "rejected") ]
+              1;
+            if accepted then (candidate, true) else (a, grew)
           end)
         (a, false) vars
     in

@@ -12,11 +12,16 @@
 
     {v X = { w | ∀u ∈ pre, ∀u' ∈ post.  u·w·u' ∈ upper } v}
 
-    Computed on the DFA of [upper]: let [T₀] be the states reachable
-    from the start via [pre] and [Good] the states [p] with
+    Computed on the completed DFA of [upper]: let [T₀] be the states
+    reachable from the start via [pre] and [Good] the states [p] with
     [post ⊆ L(p → F)]; then [X] is recognized by the subset automaton
     from [T₀] that accepts exactly when the tracked set stays inside
-    [Good] — a universal-acceptance subset construction.
+    [Good] — a universal-acceptance subset construction. [Good] comes
+    from one product of [post]'s DFA with [upper]'s, explored from
+    every [(post start, p)], and one backward sweep from the pairs
+    where [post] accepts and [upper] rejects: [p] is good exactly when
+    the sweep does not reach [(post start, p)]. No per-state
+    determinization or inclusion check is made.
 
     If [pre] or [post] is empty the occurrence constrains nothing and
     the result is Σ*. Operands and result are store handles; the
@@ -27,12 +32,30 @@ val max_middle :
   upper:Automata.Store.handle ->
   Automata.Store.handle
 
-(** [maximize system a] grows every variable of [a] in round-robin
-    fashion to the largest language that keeps every constraint
-    satisfied, holding the other variables (and other occurrences of
-    the same variable) at their current value, until a fixpoint.
-    Languages only grow, and each lives in the finite lattice induced
-    by the constraint DFAs, so the iteration terminates. The result
-    satisfies the system whenever [a] does, subsumes [a], and is
-    maximal in each variable separately. *)
-val maximize : System.t -> Assignment.t -> Assignment.t
+(** The occurrence index of a system: for each variable, the
+    union-free alternatives of the constraints it occurs in, with its
+    positions there. Built in one pass over the system, so growing a
+    variable reads only its own occurrences. *)
+type index
+
+val index : System.t -> index
+
+(** Distinct variables in the index. *)
+val vars : index -> int
+
+(** Variable occurrences in the index, over every union-free
+    alternative. *)
+val occurrences : index -> int
+
+(** [maximize (index system) a] grows every variable of [a] in
+    round-robin fashion to the largest language that keeps every
+    constraint satisfied, holding the other variables (and other
+    occurrences of the same variable) at their current value, until a
+    fixpoint. Languages only grow, and each lives in the finite lattice
+    induced by the constraint DFAs, so the iteration terminates. The
+    result satisfies the system whenever [a] does, subsumes [a], and is
+    maximal in each variable separately. Build the index once per
+    system and apply it to each disjunct. Each growth is validated
+    against the whole system and counted in
+    [solver.maximize.growth{outcome=accepted|rejected}]. *)
+val maximize : index -> Assignment.t -> Assignment.t

@@ -267,15 +267,20 @@ let group_needs_verification (g : Depgraph.t) members =
    fast path) reuse the same handles for their own cached queries. *)
 let base_languages (g : Depgraph.t) =
   let const_handle c = System.const_handle g.system c in
-  let inbound n =
-    List.filter_map
-      (fun (c, n') ->
-        if Depgraph.node_equal n n' then
+  (* each node's inbound ⊆-edges, in edge order, indexed in one pass *)
+  let inbound_edges =
+    List.fold_left
+      (fun acc (c, n) ->
+        let h =
           match c with
-          | Depgraph.Const name -> Some (const_handle name)
+          | Depgraph.Const name -> const_handle name
           | _ -> assert false (* RHS of ⊆ is a constant by the grammar *)
-        else None)
-      g.subsets
+        in
+        NMap.update n (fun hs -> Some (h :: Option.value hs ~default:[])) acc)
+      NMap.empty g.subsets
+  in
+  let inbound n =
+    Option.fold ~none:[] ~some:List.rev (NMap.find_opt n inbound_edges)
   in
   List.fold_left
     (fun acc n ->
@@ -669,10 +674,7 @@ let solve_graph ~max_solutions ~combination_limit system =
           let merged =
             List.concat_map
               (fun a ->
-                List.map
-                  (fun b ->
-                    Assignment.of_list (Assignment.bindings a @ Assignment.bindings b))
-                  sols)
+                List.map (fun b -> Assignment.union a b) sols)
               acc
           in
           (* keep the cap loose until the end so disjunct order stays
@@ -693,8 +695,10 @@ let solve_graph ~max_solutions ~combination_limit system =
         ~attrs:[ ("disjuncts_in", `Int (List.length combined)) ]
       @@ fun () ->
       timed "maximize" @@ fun () ->
-      Assignment.prune_subsumed
-        (List.map (Residual.maximize g.system) combined)
+      let index = Residual.index g.system in
+      Span.add_attr "vars" (`Int (Residual.vars index));
+      Span.add_attr "occurrences" (`Int (Residual.occurrences index));
+      Assignment.prune_subsumed (List.map (Residual.maximize index) combined)
     in
     let capped = List.filteri (fun i _ -> i < max_solutions) maximized in
     Log.debug (fun m ->
@@ -742,11 +746,13 @@ let solve_system (cfg : Config.t) system =
             match a.Analyze.witnesses with
             | [] -> Sat sols
             | ws ->
-                let extra = List.map (fun (v, w) -> (v, Store.of_word w)) ws in
+                let extra =
+                  Assignment.of_list
+                    (List.map (fun (v, w) -> (v, Store.of_word w)) ws)
+                in
                 Sat
                   (List.map
-                     (fun s ->
-                       Assignment.of_list (Assignment.bindings s @ extra))
+                     (fun s -> Assignment.union s extra)
                      sols)))
 
 let run (cfg : Config.t) system =

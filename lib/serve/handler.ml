@@ -82,9 +82,9 @@ let prepass_paths = Analysis.Prepass.default_path_budget
    unwinds out of the fixpoint too and becomes one [Budget_exceeded]
    error response. *)
 let webcheck (p : Api.Request.webcheck_params) =
-  match Webapp.Lang_parser.parse p.program with
+  match Webapp.Lang_parser.parse_located p.program with
   | Error e -> parse_reject Webapp.Lang_parser.pp_error e
-  | Ok program -> (
+  | Ok (program, reads) -> (
       match Webapp.Attack.lookup p.attack with
       | None ->
           Api.Response.Error
@@ -96,45 +96,52 @@ let webcheck (p : Api.Request.webcheck_params) =
             }
       | Some attack ->
           let module P = Analysis.Pipeline in
-          let plan =
+          match
             P.plan ~static_prune:p.static_prune ~max_paths:p.max_paths ~attack
               program
-          in
-          let sink ?(path_id = -1) ?(sink_index = -1) ?(exploit = []) sink_id
-              status =
-            {
-              Api.Response.path_id;
-              sink_index;
-              sink_id;
-              status = P.status_name status;
-              exploit;
-            }
-          in
-          let pruned =
-            List.map (fun id -> sink id P.Proved_safe_statically) plan.safe_sink_ids
-          in
-          let solved =
-            List.of_seq
-              (Seq.map
-                 (fun ((q : Webapp.Symexec.query), verdict) ->
-                   let status = P.classify verdict in
-                   let exploit =
-                     match (status, verdict.Webapp.Symexec.assignment) with
-                     | P.Vulnerable, Some a -> Webapp.Symexec.exploit_inputs q a
-                     | _ -> []
-                   in
-                   ( status,
-                     sink ~path_id:q.path_id ~sink_index:q.sink_index ~exploit
-                       q.sink_id status ))
-                 (P.solve plan))
-          in
-          Api.Response.Webcheck_report
-            {
-              sinks = pruned @ List.map snd solved;
-              vulnerable =
-                List.length (List.filter (fun (s, _) -> s = P.Vulnerable) solved);
-              paths_truncated = plan.paths_truncated;
-            })
+          with
+          | exception (Webapp.Symexec.Unassigned_variable read as e) ->
+              (* a page the executor cannot evaluate is rejected at
+                 the read, as webcheck does *)
+              parse_reject Webapp.Lang_parser.pp_error
+                (Webapp.Lang_parser.read_error reads read
+                   ~message:(Printexc.to_string e))
+          | plan ->
+              let sink ?(path_id = -1) ?(sink_index = -1) ?(exploit = []) sink_id
+                  status =
+                {
+                  Api.Response.path_id;
+                  sink_index;
+                  sink_id;
+                  status = P.status_name status;
+                  exploit;
+                }
+              in
+              let pruned =
+                List.map (fun id -> sink id P.Proved_safe_statically) plan.safe_sink_ids
+              in
+              let solved =
+                List.of_seq
+                  (Seq.map
+                     (fun ((q : Webapp.Symexec.query), verdict) ->
+                       let status = P.classify verdict in
+                       let exploit =
+                         match (status, verdict.Webapp.Symexec.assignment) with
+                         | P.Vulnerable, Some a -> Webapp.Symexec.exploit_inputs q a
+                         | _ -> []
+                       in
+                       ( status,
+                         sink ~path_id:q.path_id ~sink_index:q.sink_index ~exploit
+                           q.sink_id status ))
+                     (P.solve plan))
+              in
+              Api.Response.Webcheck_report
+                {
+                  sinks = pruned @ List.map snd solved;
+                  vulnerable =
+                    List.length (List.filter (fun (s, _) -> s = P.Vulnerable) solved);
+                  paths_truncated = plan.paths_truncated;
+                })
 
 let stats ~requests () =
   Api.Response.Stats_report

@@ -5,7 +5,14 @@ let pp_error ppf { line; col; message } =
 
 exception Failed of error
 
-type cursor = { input : string; mutable pos : int; mutable line : int; mutable bol : int }
+type cursor = {
+  input : string;
+  mutable pos : int;
+  mutable line : int;
+  mutable bol : int;
+  mutable reads : (Ast.expr * (int * int)) list;
+      (** every [Ast.Var] node built, with the line and column of its [$] *)
+}
 
 let fail cur message =
   raise (Failed { line = cur.line; col = cur.pos - cur.bol + 1; message })
@@ -118,8 +125,11 @@ let rec parse_atom cur =
   match peek cur with
   | Some '"' -> Ast.Str (lex_string cur)
   | Some '$' ->
+      let at = (cur.line, cur.pos - cur.bol + 1) in
       advance cur;
-      Ast.Var (lex_name cur)
+      let read = Ast.Var (lex_name cur) in
+      cur.reads <- (read, at) :: cur.reads;
+      read
   | Some c when is_name_char c -> (
       let name = lex_name cur in
       match name with
@@ -313,8 +323,10 @@ and parse_stmt cur =
       | kw -> fail cur (Printf.sprintf "unknown statement '%s'" kw))
   | _ -> fail cur "expected statement"
 
-let parse input =
-  let cur = { input; pos = 0; line = 1; bol = 0 } in
+type reads = (Ast.expr * (int * int)) list
+
+let parse_located input =
+  let cur = { input; pos = 0; line = 1; bol = 0; reads = [] } in
   match
     let program = parse_stmts cur in
     skip_trivia cur;
@@ -323,8 +335,14 @@ let parse input =
     | Some _ -> fail cur "trailing input");
     program
   with
-  | program -> Ok program
+  | program -> Ok (program, cur.reads)
   | exception Failed e -> Error e
+
+let parse input = Result.map fst (parse_located input)
+
+let read_error reads read ~message =
+  let line, col = List.assq read reads in
+  { line; col; message }
 
 let parse_exn input =
   match parse input with

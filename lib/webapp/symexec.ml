@@ -33,13 +33,23 @@ let map_sym t sym =
       | In (x, chain) -> In (x, extend t chain))
     sym
 
+exception Unassigned_variable of Ast.expr
+
+let () =
+  Printexc.register_printer (function
+    | Unassigned_variable (Ast.Var v) ->
+        Some (Printf.sprintf "unassigned variable $%s" v)
+    | _ -> None)
+
+(* The symbolic store: each assigned local's symbolic value. *)
+module Env = Map.Make (String)
+
 let rec eval_sym env : Ast.expr -> sym = function
   | Ast.Str s -> if s = "" then [] else [ Lit s ]
-  | Ast.Var v -> (
-      match List.assoc_opt v env with
+  | Ast.Var v as read -> (
+      match Env.find_opt v env with
       | Some s -> s
-      | None ->
-          invalid_arg (Printf.sprintf "Webapp.Symexec: unassigned variable $%s" v))
+      | None -> raise (Unassigned_variable read))
   | Ast.Input name -> [ In (name, []) ]
   | Ast.Concat (a, b) -> eval_sym env a @ eval_sym env b
   | Ast.Sanitize (t, e) -> map_sym t (eval_sym env e)
@@ -209,8 +219,8 @@ let walk ~max_paths ~branch ~sink init program =
           | (code, _) :: k -> exec env p sink_index fuel code k)
       | Exit -> ()
       | Assign (v, e, next) ->
-          exec ((v, normalize (eval_sym env e)) :: List.remove_assoc v env)
-            p sink_index fuel next k
+          exec (Env.add v (normalize (eval_sym env e)) env) p sink_index fuel
+            next k
       | Echo next -> exec env p sink_index fuel next k
       | Query (stmt, e, next) ->
           sink env stmt e p ~sink_index:!sink_index ~path_id:!forks;
@@ -248,7 +258,7 @@ let walk ~max_paths ~branch ~sink init program =
           exec env (branch env false c p) (ref !sink_index) f_fuel f f_k
       end
   in
-  exec [] init (ref 0) max_unroll (annotate program) [];
+  exec Env.empty init (ref 0) max_unroll (annotate program) [];
   (!forks, !truncated)
 
 type census = { candidates : int; forks : int; truncated : bool }

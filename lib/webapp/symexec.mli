@@ -61,6 +61,13 @@ type exploration = {
   paths_truncated : bool;
 }
 
+(** Raised by {!analyze} and {!census} when a path reads a variable
+    that no statement on it has assigned. It carries the [Ast.Var]
+    node of the read, which {!Lang_parser.parse_located} can place in
+    the source; [Printexc.to_string] gives
+    ["unassigned variable $v"]. *)
+exception Unassigned_variable of Ast.expr
+
 (** Explore all paths to a sink and return one candidate query per
     (path, sink). The walk is sink-directed: at a fork (an [if] or
     [while] whose condition is not constant-folded) an arm whose
@@ -69,7 +76,8 @@ type exploration = {
     at least one live arm counts once toward [max_paths] (default
     256); loops are unrolled up to 16 iterations per path. A candidate's [path_id] is the number of forks taken
     before it in DFS order. Reachability is computed once per
-    statement, so the walk stays linear in the path length. *)
+    statement and the symbolic store is a map, so the walk stays
+    linear in the path length. Raises {!Unassigned_variable}. *)
 val analyze :
   ?max_paths:int ->
   attack:Automata.Nfa.t ->
@@ -89,8 +97,7 @@ type census = {
     prediction is exact for an {!analyze} with the same [max_paths],
     which is why it has no default; both unroll loops equally. The
     static pre-pass ([Analysis.Prepass]) predicts the executor with
-    it. Like {!analyze}, it raises [Invalid_argument] when the walk
-    reads a variable no statement on the path has assigned. *)
+    it. Like {!analyze}, it raises {!Unassigned_variable}. *)
 val census : max_paths:int -> Ast.program -> census
 
 (** Whether a solve finished inside its configured budget. *)

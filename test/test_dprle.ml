@@ -627,7 +627,7 @@ let residual_tests =
         let a =
           Assignment.of_list [ ("v1", re "xyyyy"); ("v2", re "z") ]
         in
-        let m = Residual.maximize s a in
+        let m = Residual.(maximize (index s)) a in
         check_lang "v1" "x(yy|yyyy)" (find m "v1");
         check_lang "v2" "z" (find m "v2"));
     test "keyed handles are not re-keyed on a warm store" (fun () ->
@@ -656,7 +656,7 @@ let residual_tests =
           | None -> 0
         in
         let work () =
-          let grown = Residual.maximize s narrow in
+          let grown = Residual.(maximize (index s)) narrow in
           ( Assignment.prune_subsumed [ narrow; other; grown ],
             Validate.satisfying s grown )
         in
@@ -671,6 +671,316 @@ let residual_tests =
         check_int "keyed interns" 0 (keyed () - before);
         check_int "only the grown disjunct is kept" 1 (List.length kept);
         check_bool "grown disjunct satisfies" true satisfying);
+  ]
+
+(* Reference copies of the residual constructions before the
+   occurrence index and the one-product [Good]: [max_middle] decided
+   [Good] with one determinization and one DFA inclusion per state of
+   the upper DFA, and [maximize] rescanned every constraint for every
+   variable. The properties below hold the indexed versions to them. *)
+module Reference = struct
+  module Dfa = Automata.Dfa
+  module Store = Automata.Store
+  module IS = Set.Make (Int)
+
+  let reach_set (dfa : Dfa.t) (lang : Nfa.t) =
+    let visited = Hashtbl.create 64 in
+    let worklist = Queue.create () in
+    let push pair =
+      if not (Hashtbl.mem visited pair) then begin
+        Hashtbl.add visited pair ();
+        Queue.add pair worklist
+      end
+    in
+    push (Nfa.start lang, Dfa.start dfa);
+    let acc = ref IS.empty in
+    while not (Queue.is_empty worklist) do
+      let n, d = Queue.take worklist in
+      if n = Nfa.final lang then acc := IS.add d !acc;
+      List.iter (fun n' -> push (n', d)) (Nfa.eps_transitions_from lang n);
+      List.iter
+        (fun (cs, n') ->
+          List.iter
+            (fun (cs', d') -> if Charset.intersects cs cs' then push (n', d'))
+            (Dfa.transitions dfa d))
+        (Nfa.char_transitions lang n)
+    done;
+    !acc
+
+  let universal_subset_machine (dfa : Dfa.t) t0 good =
+    let b = Nfa.Builder.create () in
+    let final = Nfa.Builder.add_state b in
+    let table = Hashtbl.create 64 in
+    let worklist = Queue.create () in
+    let materialize set =
+      let key = IS.elements set in
+      match Hashtbl.find_opt table key with
+      | Some q -> q
+      | None ->
+          let q = Nfa.Builder.add_state b in
+          Hashtbl.add table key q;
+          if IS.subset set good then Nfa.Builder.add_eps b q final;
+          Queue.add (set, q) worklist;
+          q
+    in
+    let start = materialize t0 in
+    while not (Queue.is_empty worklist) do
+      let set, src = Queue.take worklist in
+      let labels =
+        IS.fold (fun q acc -> List.map fst (Dfa.transitions dfa q) @ acc) set []
+      in
+      List.iter
+        (fun block ->
+          let c = Charset.choose block in
+          let image =
+            IS.fold
+              (fun q acc ->
+                match Dfa.step dfa q c with
+                | Some q' -> IS.add q' acc
+                | None -> acc)
+              set IS.empty
+          in
+          Nfa.Builder.add_trans b src block (materialize image))
+        (Charset.refine labels)
+    done;
+    Nfa.Builder.finish b ~start ~final
+
+  let max_middle ~pre ~post ~upper =
+    if Store.is_empty pre || Store.is_empty post then Nfa.sigma_star
+    else
+      let dfa = Dfa.complement (Dfa.complement (Dfa.of_nfa (Store.nfa upper))) in
+      let t0 = reach_set dfa (Store.nfa pre) in
+      if IS.is_empty t0 then Nfa.sigma_star
+      else begin
+        let post_dfa = Dfa.of_nfa (Store.nfa post) in
+        let as_nfa = Dfa.to_nfa dfa in
+        let good =
+          List.fold_left
+            (fun acc q ->
+              let from_q = Nfa.induce_from_start as_nfa q in
+              if Dfa.subset post_dfa (Dfa.of_nfa from_q) then IS.add q acc
+              else acc)
+            IS.empty
+            (List.init (Dfa.num_states dfa) Fun.id)
+        in
+        universal_subset_machine dfa t0 good
+      end
+
+  let leaf_handle system a = function
+    | System.Const c -> System.const_handle system c
+    | System.Var v -> Assignment.find a v
+    | System.Concat _ | System.Union _ -> assert false
+
+  let alternative_bounds system a v upper alternative =
+    let arr = Array.of_list (System.leaves alternative) in
+    let n = Array.length arr in
+    let side lo hi =
+      let rec build j h =
+        if j > hi then h
+        else build (j + 1) (Store.concat_lang h (leaf_handle system a arr.(j)))
+      in
+      build lo (Store.of_word "")
+    in
+    let rec collect i acc =
+      if i >= n then acc
+      else if arr.(i) = System.Var v then
+        let pre = side 0 (i - 1) and post = side (i + 1) (n - 1) in
+        collect (i + 1) (Residual.max_middle ~pre ~post ~upper :: acc)
+      else collect (i + 1) acc
+    in
+    collect 0 []
+
+  let maximize_var system a v =
+    match
+      List.concat_map
+        (fun { System.lhs; rhs } ->
+          List.concat_map
+            (alternative_bounds system a v (System.const_handle system rhs))
+            (System.expand_unions lhs))
+        (System.constraints system)
+    with
+    | [] -> Assignment.find a v
+    | first :: rest -> List.fold_left Store.inter_lang first rest
+
+  let maximize system a =
+    let vars = Assignment.variables a in
+    let rec loop a iterations =
+      let a', grew =
+        List.fold_left
+          (fun (a, grew) v ->
+            let current = Assignment.find a v in
+            let bigger = maximize_var system a v in
+            if Store.subset bigger current then (a, grew)
+            else
+              let candidate =
+                Assignment.of_list
+                  ((v, Store.union_lang current bigger)
+                  :: List.remove_assoc v (Assignment.bindings a))
+              in
+              if Validate.satisfying system candidate then (candidate, true)
+              else (a, grew))
+          (a, false) vars
+      in
+      if grew && iterations < 16 then loop a' (iterations + 1) else a'
+    in
+    loop a 0
+end
+
+let residual_props =
+  let module Store = Automata.Store in
+  let operand =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, nfa_gen);
+          (1, return Nfa.empty_lang);
+          (1, return Nfa.sigma_star);
+        ])
+  in
+  let triple = QCheck2.Gen.triple operand operand nfa_gen in
+  (* Systems over three variables and five constants, with repeated
+     occurrences of one variable, unions and shared variables. *)
+  let consts =
+    [
+      ("c0", "a*");
+      ("c1", "(ab)*");
+      ("c2", "[ab]{0,3}");
+      ("c3", "a|b|ab");
+      ("c4", "b");
+      ("c5", "[ab]*");
+    ]
+  in
+  let system_gen =
+    QCheck2.Gen.(
+      let leaf =
+        oneof
+          [
+            map (fun v -> System.Var v) (oneofl [ "v1"; "v2"; "v3" ]);
+            map (fun c -> System.Const c) (oneofl [ "c3"; "c4" ]);
+          ]
+      in
+      let expr =
+        sized_size (int_bound 3)
+        @@ fix (fun self n ->
+               if n = 0 then leaf
+               else
+                 frequency
+                   [
+                     (2, leaf);
+                     (3, map2 (fun a b -> System.Concat (a, b)) (self (n / 2)) (self (n / 2)));
+                     (1, map2 (fun a b -> System.Union (a, b)) (self (n / 2)) (self (n / 2)));
+                   ])
+      in
+      let constr =
+        map2
+          (fun lhs rhs -> { System.lhs; rhs })
+          expr
+          (oneofl [ "c0"; "c1"; "c2"; "c5" ])
+      in
+      let* constraints = list_size (int_range 1 4) constr in
+      (* one constraint repeats a variable, so growths need the
+         re-check *)
+      let* repeated = oneofl [ "v1"; "v2"; "v3" ] in
+      let* rhs = oneofl [ "c2"; "c5" ] in
+      let repeat =
+        { System.lhs = Concat (Var repeated, Concat (Const "c4", Var repeated)); rhs }
+      in
+      let* bound = list_repeat 3 (oneofl [ ""; "a"; "ab"; "b"; "aba" ]) in
+      let s = mk_system consts (repeat :: constraints) in
+      let a =
+        Assignment.of_list
+          (List.mapi
+             (fun i v -> (v, Store.of_word (List.nth bound i)))
+             (System.variables s))
+      in
+      return (s, a))
+  in
+  let print_system (s, _) = Fmt.str "%a" System.pp s in
+  [
+    qtest ~count:150 "residual: max_middle equals the per-state construction"
+      triple (fun (pre, post, upper) ->
+        let pre = Store.intern pre
+        and post = Store.intern post
+        and upper = Store.intern upper in
+        Store.equal
+          (Residual.max_middle ~pre ~post ~upper)
+          (Store.intern (Reference.max_middle ~pre ~post ~upper)));
+    test "a wide system solves to disjuncts the full scan leaves as they are"
+      (fun () ->
+        (* the shape of a wide sink system: one filter per input the
+           path reads, and a sink over two of them *)
+        let n = 200 in
+        let filters = [| "[0-9]+"; "[a-z']*"; "x.*" |] in
+        let consts =
+          ("lit", "id=") :: ("attack", ".*'.*")
+          :: List.init n (fun i ->
+                 (Printf.sprintf "c%d" i, filters.(i mod Array.length filters)))
+        in
+        let x i = System.Var (Printf.sprintf "x%d" i) in
+        let s =
+          mk_system consts
+            ({
+               System.lhs =
+                 Concat (Concat (Const "lit", x 1), Concat (Const "lit", x 2));
+               rhs = "attack";
+             }
+            :: List.init n (fun i ->
+                   { System.lhs = x i; rhs = Printf.sprintf "c%d" i }))
+        in
+        let index = Residual.index s in
+        check_int "vars" n (Residual.vars index);
+        check_int "occurrences" (n + 2) (Residual.occurrences index);
+        match run_solver s with
+        | Solver.Unsat _ -> Alcotest.fail "the sink is reachable"
+        | Solver.Sat sols ->
+            check_bool "solutions" true (sols <> []);
+            List.iter
+              (fun d ->
+                check_bool "maximal under the full scan" true
+                  (Assignment.equal (Reference.maximize s d) d);
+                check_bool "maximal under the index" true
+                  (Assignment.equal (Residual.maximize index d) d);
+                (* narrowed to one word per variable, both grow it back
+                   the same way *)
+                let narrow =
+                  Assignment.of_list
+                    (List.map
+                       (fun (v, w) -> (v, Automata.Store.of_word w))
+                       (Option.get (Assignment.witness d)))
+                in
+                check_bool "same growth" true
+                  (Assignment.equal
+                     (Residual.maximize index narrow)
+                     (Reference.maximize s narrow)))
+              sols);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:80 ~print:print_system
+         ~name:"residual: indexed maximize equals the full scan" system_gen
+         (fun (s, a) ->
+           (* the drawn assignment, which may violate the system, and
+              each solver disjunct narrowed to one word per variable,
+              which satisfies it and so has room to grow *)
+           let narrowed =
+             match run_solver s with
+             | Solver.Unsat _ -> []
+             | Solver.Sat sols ->
+                 List.filter_map
+                   (fun d ->
+                     Option.map
+                       (fun ws ->
+                         Assignment.of_list
+                           (List.map
+                              (fun (v, w) -> (v, Automata.Store.of_word w))
+                              ws))
+                       (Assignment.witness d))
+                   sols
+           in
+           let index = Residual.index s in
+           List.for_all
+             (fun a ->
+               Assignment.equal (Residual.maximize index a)
+                 (Reference.maximize s a))
+             (a :: narrowed)));
   ]
 
 let solver_props =
@@ -849,5 +1159,6 @@ let suite =
     ("depgraph:unit", depgraph_tests);
     ("solver:unit", solver_tests);
     ("residual:unit", residual_tests);
+    ("residual:props", residual_props);
     ("solver:props", solver_props);
   ]

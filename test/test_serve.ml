@@ -212,6 +212,16 @@ let handler_tests =
         in
         let resp = Serve.Handler.handle (req ~id:"w" (Request.Webcheck p)) in
         check_string "code" "parse_error" (error_code resp));
+    test "a page that reads an unassigned variable is a positioned parse_error"
+      (fun () ->
+        let resp =
+          webcheck_req "wu" "$x = input(\"a\");\nquery(\"S\" . $x . $y);"
+        in
+        check_string "code" "parse_error" (error_code resp);
+        match resp.payload with
+        | Response.Error { message; _ } ->
+            check_string "message" "2:18: unassigned variable $y" message
+        | _ -> Alcotest.fail "expected an error");
     test "webcheck reports a vulnerable sink with its exploit inputs" (fun () ->
         let resp = webcheck_req "wv" vulnerable_page in
         let sinks, vulnerable = webcheck_report resp in
