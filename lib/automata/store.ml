@@ -48,7 +48,7 @@ type handle = {
   id : int;
   nfa : Nfa.t;
   (* [keyed] = this handle's id is stable for its language in this
-     domain (it came out of the intern/word table), so it is usable as
+     domain (it came out of the intern or text table), so it is usable as
      a memo key. An over-ceiling or disabled-store handle is not: its
      id never repeats, and memoizing on it would only fill tables with
      garbage. *)
@@ -62,10 +62,14 @@ type handle = {
          its own because the canonical key of the minimized machine is
          itself the expensive part, and [min_dfa_memo] alone would
          leave every caller re-paying it *)
+  mutable word : string option;
+      (* [Some w] once [of_word w] has returned this handle: its
+         language is exactly [{w}] *)
 }
 
 let nfa h = h.nfa
 let id h = h.id
+let word h = h.word
 
 (* ------------------------------------------------------------------ *)
 (* Canonical key *)
@@ -82,86 +86,149 @@ let id h = h.id
    edges ordered by (label, old destination id) and then its ε-edges
    ordered by old destination id. Trim guarantees every state but the
    final state of an empty-language machine is reachable; any
-   leftovers are appended in old-id order so the key is total. *)
+   leftovers are appended in old-id order so the key is total. Each
+   state is then written with its char edges ordered by (label, new
+   destination id) and its ε-edges by new destination id.
+
+   Each state's char edges are sorted once, for the traversal; the
+   write only re-orders runs of one label by their new ids, and such
+   runs are short. Keys are interned thousands of times per workload,
+   so the write allocates nothing per edge and puts every digit
+   directly — a [Printf.sprintf] here once cost more than the rest of
+   the traversal combined. *)
+
+let compare_edge ((c1 : Charset.t), (d1 : int)) (c2, d2) =
+  let c = Charset.compare c1 c2 in
+  if c <> 0 then c else Int.compare d1 d2
+
+(* in-place insertion sort of [a.(lo) .. a.(hi - 1)]: ε-lists,
+   same-label runs and most states' edge lists hold a handful of
+   entries *)
+let insertion_sort cmp a lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && cmp a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* a dense determinized state has up to 256 edges, where an O(k²)
+   sort would dominate *)
+let sort_edges (a : (Charset.t * int) array) =
+  let k = Array.length a in
+  if k > 16 then Array.sort compare_edge a else insertion_sort compare_edge a 0 k
+
+(* non-negative only: state ids, state counts and byte bounds *)
+let rec add_int buf i =
+  if i >= 10 then add_int buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+let rec add_ranges buf = function
+  | [] -> ()
+  | (lo, hi) :: rest ->
+      add_int buf lo;
+      Buffer.add_char buf '-';
+      add_int buf hi;
+      Buffer.add_char buf ',';
+      add_ranges buf rest
+
 let canonical_key m0 =
   (* op results arrive already trim; checking costs two array sweeps
      while [trim] rebuilds the machine through a Builder *)
   let m = if Nfa.is_trim m0 then m0 else fst (Nfa.trim m0) in
   let n = Nfa.num_states m in
   let order = Array.make (max n 1) (-1) in
+  let inv = Array.make (max n 1) 0 in
   let next = ref 0 in
-  let queue = Queue.create () in
-  let enqueue q =
+  let number q =
     if order.(q) < 0 then begin
       order.(q) <- !next;
-      incr next;
-      Queue.add q queue
-    end
-  in
-  enqueue (Nfa.start m);
-  while not (Queue.is_empty queue) do
-    let q = Queue.pop queue in
-    let chars =
-      List.sort
-        (fun (c1, d1) (c2, d2) ->
-          let c = Charset.compare c1 c2 in
-          if c <> 0 then c else compare (d1 : int) d2)
-        (Nfa.char_transitions m q)
-    in
-    List.iter (fun (_, d) -> enqueue d) chars;
-    List.iter enqueue (List.sort compare (Nfa.eps_transitions_from m q))
-  done;
-  for q = 0 to n - 1 do
-    if order.(q) < 0 then begin
-      order.(q) <- !next;
+      inv.(!next) <- q;
       incr next
     end
+  in
+  (* a state's char edges by (label, old destination), built on first
+     use *)
+  let sorted = Array.make (max n 1) [||] in
+  let char_edges q =
+    match Nfa.char_transitions m q with
+    | [] -> [||]
+    | edges ->
+        if Array.length sorted.(q) = 0 then begin
+          let a = Array.of_list edges in
+          sort_edges a;
+          sorted.(q) <- a
+        end;
+        sorted.(q)
+  in
+  let eps = ref (Array.make 8 0) in
+  (* the ε-successors of [q] mapped through [f] into [!eps], sorted;
+     returns their count *)
+  let eps_edges q f =
+    let ds = Nfa.eps_transitions_from m q in
+    let k = List.length ds in
+    if k > Array.length !eps then eps := Array.make (2 * k) 0;
+    List.iteri (fun i d -> !eps.(i) <- f d) ds;
+    insertion_sort Int.compare !eps 0 k;
+    k
+  in
+  (* BFS: the numbering order is the visiting order *)
+  number (Nfa.start m);
+  let head = ref 0 in
+  while !head < !next do
+    let q = inv.(!head) in
+    incr head;
+    Array.iter (fun (_, d) -> number d) (char_edges q);
+    let k = eps_edges q Fun.id in
+    for i = 0 to k - 1 do
+      number !eps.(i)
+    done
   done;
-  let inv = Array.make (max n 1) 0 in
   for q = 0 to n - 1 do
-    inv.(order.(q)) <- q
+    number q
   done;
-  (* The emit path runs per edge per state and the keys are interned
-     thousands of times per workload, so every byte is written
-     directly — a [Printf.sprintf] here costs more than the rest of
-     the traversal combined on dense 256-char machines. *)
   let buf = Buffer.create 1024 in
-  let add_int i = Buffer.add_string buf (string_of_int i) in
-  add_int n;
+  add_int buf n;
   Buffer.add_char buf '#';
-  add_int order.(Nfa.start m);
+  add_int buf order.(Nfa.start m);
   Buffer.add_char buf '#';
-  add_int order.(Nfa.final m);
+  add_int buf order.(Nfa.final m);
+  let dests = ref (Array.make 8 0) in
   for i = 0 to n - 1 do
     let q = inv.(i) in
     Buffer.add_char buf '|';
-    let chars =
-      List.sort
-        (fun (c1, d1) (c2, d2) ->
-          let c = Charset.compare c1 c2 in
-          if c <> 0 then c else compare (d1 : int) d2)
-        (List.map (fun (cs, d) -> (cs, order.(d))) (Nfa.char_transitions m q))
-    in
-    List.iter
-      (fun (cs, d) ->
-        List.iter
-          (fun (lo, hi) ->
-            add_int lo;
-            Buffer.add_char buf '-';
-            add_int hi;
-            Buffer.add_char buf ',')
-          (Charset.ranges cs);
+    let edges = char_edges q in
+    let k = Array.length edges in
+    if k > Array.length !dests then dests := Array.make (2 * k) 0;
+    let dests = !dests in
+    for j = 0 to k - 1 do
+      dests.(j) <- order.(snd edges.(j))
+    done;
+    let j = ref 0 in
+    while !j < k do
+      let label = fst edges.(!j) in
+      let stop = ref (!j + 1) in
+      while !stop < k && Charset.compare (fst edges.(!stop)) label = 0 do
+        incr stop
+      done;
+      insertion_sort Int.compare dests !j !stop;
+      for e = !j to !stop - 1 do
+        add_ranges buf (Charset.ranges label);
         Buffer.add_char buf '>';
-        add_int d;
-        Buffer.add_char buf ';')
-      chars;
+        add_int buf dests.(e);
+        Buffer.add_char buf ';'
+      done;
+      j := !stop
+    done;
     Buffer.add_char buf '!';
-    List.iter
-      (fun d ->
-        add_int d;
-        Buffer.add_char buf ',')
-      (List.sort compare
-         (List.map (fun d -> order.(d)) (Nfa.eps_transitions_from m q)))
+    let k = eps_edges q (fun d -> order.(d)) in
+    for e = 0 to k - 1 do
+      add_int buf !eps.(e);
+      Buffer.add_char buf ','
+    done
   done;
   Buffer.contents buf
 
@@ -193,6 +260,7 @@ let fresh_handle m =
     minimized_memo = None;
     empty_memo = None;
     compact_memo = None;
+    word = None;
   }
 
 (* Physical-identity fast path: callers that hold one machine value
@@ -270,33 +338,45 @@ let intern m =
 (* ------------------------------------------------------------------ *)
 (* Constant fast paths *)
 
-(* The dominant intern traffic in the analysis layers is re-interning
-   machines rebuilt from the same constant — word literals evaluated
-   once per fixpoint iteration, the implicit-top Σ* looked up on every
-   absent binding. Both have a far cheaper stable key than the
-   canonical serialization: the string itself, or nothing at all. The
-   handles they return are [keyed] (their ids are stable per domain),
-   so downstream op memos work at full strength without the tax. *)
+(* The dominant intern traffic is re-interning machines rebuilt from
+   the same constant text — word literals evaluated once per fixpoint
+   iteration, the same [/pattern/] in every request a warm wire store
+   parses, the implicit-top Σ* looked up on every absent binding. Each
+   has a far cheaper stable key than the canonical serialization: its
+   source text, or nothing at all. The handles they return are [keyed]
+   (their ids are stable per domain), so downstream op memos work at
+   full strength without the tax. *)
 
-let word_table_key : (string, handle) Hashtbl.t Domain.DLS.key =
+type source = Word | Pattern
+
+let text_table_key : (source * string, handle) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
-let of_word w =
-  if not (enabled ()) then fresh_handle (Nfa.of_word w)
+(* [build] must be a function of [text] alone; an exception it raises
+   propagates and leaves the table untouched. *)
+let of_text source text build =
+  if not (enabled ()) then fresh_handle (build ())
   else
-    let table = Domain.DLS.get word_table_key in
-    match Hashtbl.find_opt table w with
+    let table = Domain.DLS.get text_table_key in
+    match Hashtbl.find_opt table (source, text) with
     | Some h ->
         Metrics.Counter.incr intern_hit 1;
         h
     | None ->
         (* one canonical-key toll (unless over the ceiling) so an equal
            machine arriving via another construction path still shares
-           the handle; every later ask for this word is a string hash *)
-        let h = intern (Nfa.of_word w) in
+           the handle; every later ask for this text is a string hash *)
+        let h = intern (build ()) in
         h.keyed <- true;
-        Hashtbl.replace table w h;
+        Hashtbl.replace table (source, text) h;
         h
+
+let of_word w =
+  let h = of_text Word w (fun () -> Nfa.of_word w) in
+  h.word <- Some w;
+  h
+
+let of_pattern text build = of_text Pattern text build
 
 let top_handle_key : handle option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -643,7 +723,7 @@ end
 
 let clear () =
   Hashtbl.reset (intern_table ());
-  Hashtbl.reset (Domain.DLS.get word_table_key);
+  Hashtbl.reset (Domain.DLS.get text_table_key);
   Domain.DLS.get top_handle_key := None;
   Domain.DLS.get physeq_key := [];
   List.iter (fun f -> f ()) !Memo.clearers

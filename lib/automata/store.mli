@@ -59,11 +59,32 @@ type handle
 val intern : Nfa.t -> handle
 
 (** [of_word w] = the interned handle of [Nfa.of_word w], served from
-    a per-domain word table keyed by [w] itself — no machine rebuild,
-    no canonical key after the first ask. The fast path for constant
-    hot loops (abstract interpretation re-evaluating the same literal
-    every iteration). Counts as an intern hit. *)
+    the per-domain text table keyed by [w] itself — no machine
+    rebuild, no canonical key after the first ask. The fast path for
+    constant hot loops (abstract interpretation re-evaluating the same
+    literal every iteration). A table hit counts as an intern hit. *)
 val of_word : string -> handle
+
+(** [of_pattern text build] = [intern (build ())], served from the
+    same text table as {!of_word} under a key of its own for [text]:
+    a warm store answers a repeated [/pattern/] without parsing,
+    compiling or keying it again. [build] must be a function of [text]
+    alone; an exception it raises propagates and caches nothing. A
+    table hit counts as an intern hit. The table is per domain, reset
+    by {!clear} and bypassed when the store is disabled (then every
+    call builds a fresh handle). *)
+val of_pattern : string -> (unit -> Nfa.t) -> handle
+
+(** [Some w] iff the handle came out of [of_word w] (its language is
+    exactly [{w}]); [None] says nothing about the language. O(1). *)
+val word : handle -> string option
+
+(** The key {!intern} files a machine under: its {!Nfa.trim}med form
+    serialized under a breadth-first renumbering that visits each
+    state's edges by (label, old destination). Equal keys imply
+    isomorphic trimmed machines, hence equal languages. One sort of
+    each state's edges, no allocation per edge. *)
+val canonical_key : Nfa.t -> string
 
 (** The interned handle of [Nfa.sigma_star] (Σ*, the implicit top of
     the analysis domain), cached per domain. Counts as an intern
@@ -196,8 +217,8 @@ val enabled : unit -> bool
     ablation run ([--no-cache]) holds no stale state. *)
 val set_enabled : bool -> unit
 
-(** Drop the calling domain's intern table and every op-cache
-    (outstanding handles stay valid; their memo slots are
+(** Drop the calling domain's intern and text tables and every
+    op-cache (outstanding handles stay valid; their memo slots are
     unaffected). Benchmarks call this between arms. *)
 val clear : unit -> unit
 

@@ -86,7 +86,18 @@ let is_full t = t = full
 
 let equal (a : t) (b : t) = a = b
 
-let compare (a : t) (b : t) = Stdlib.compare a b
+(* Lexicographic over the intervals, a proper prefix first: the order
+   [Stdlib.compare] gives the list, without its polymorphic walk (the
+   store's canonical key sorts every state's edges by label). *)
+let rec compare (a : t) (b : t) =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | (lo1, hi1) :: ta, (lo2, hi2) :: tb ->
+      if lo1 <> lo2 then Int.compare lo1 lo2
+      else if hi1 <> hi2 then Int.compare hi1 hi2
+      else compare ta tb
 
 let rec intersects (a : t) (b : t) =
   match (a, b) with

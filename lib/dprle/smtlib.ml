@@ -53,9 +53,12 @@ let symbol v =
   else "|" ^ v ^ "|"
 
 let singleton_word h =
-  match Automata.Nfa.shortest_word (Automata.Store.nfa h) with
-  | Some w when Automata.Store.equal h (Automata.Store.of_word w) -> Some w
-  | _ -> None
+  match Automata.Store.word h with
+  | Some _ as w -> w
+  | None -> (
+      match Automata.Nfa.shortest_word (Automata.Store.nfa h) with
+      | Some w when Automata.Store.equal h (Automata.Store.of_word w) -> Some w
+      | _ -> None)
 
 let of_system system =
   let lines = ref [] in

@@ -153,17 +153,21 @@ let unsat reason = raise (Unsatisfiable reason)
    before being admitted (sound, possibly incomplete; noted in
    DESIGN.md). *)
 
-(* Memoized on the handle id: the answer survives across disjuncts,
-   constraint files, and repeated solves of shared constants. *)
+(* A literal's handle says it is one: the store records the word it
+   was built from, so every system the symbolic executor emits answers
+   in O(1). Any other constant is decided once, memoized on the handle
+   id: the answer survives across disjuncts, constraint files, and
+   repeated solves of shared constants. *)
 let singleton_memo : bool Store.Memo.t = Store.Memo.create ~op:"is_singleton"
 
 let is_singleton_handle h =
-  Store.Memo.find_or_compute singleton_memo ~key:[ Store.id h ] (fun () ->
-      match Nfa.shortest_word (Store.nfa h) with
-      | None -> false
-      (* [w] is drawn from the language, so {w} ⊆ L always holds; one
-         inclusion check decides equality. *)
-      | Some w -> Store.subset h (Store.of_word w))
+  Option.is_some (Store.word h)
+  || Store.Memo.find_or_compute singleton_memo ~key:[ Store.id h ] (fun () ->
+         match Nfa.shortest_word (Store.nfa h) with
+         | None -> false
+         (* [w] is drawn from the language, so {w} ⊆ L always holds; one
+            inclusion check decides equality. *)
+         | Some w -> Store.subset h (Store.of_word w))
 
 let preprocess system =
   let const_handle = System.const_handle system in
@@ -518,9 +522,14 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
      and emptiness checks of later combinations answer from the store's
      memos, and so do the subset checks that prune, maximize and
      validate the disjuncts they are bound in: a variable's handle is
-     always a compacted slice or an intersection of them. A Tmp's
-     single slice is left raw: it is the whole root, and minimizing a
-     long literal chain costs more than the solve. *)
+     always a compacted slice or an intersection of them.
+
+     A Tmp binds nothing, so of its single slice only emptiness is
+     asked. The slice is a view of its root (the O(1) re-roots of the
+     paper's Fig. 3), so it is non-empty iff its exit is reachable from
+     its entry in that root: one reachability sweep per (root, entry),
+     shared by every combination that resolves the entry alike, and no
+     slice is built, trimmed or keyed. *)
   let compacted : (int * (Nfa.state * Nfa.state), Store.handle) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -539,6 +548,19 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
         Hashtbl.add compacted (i, ends) h;
         h
   in
+  let reachable : (int * Nfa.state, Nfa.Flags.set) Hashtbl.t = Hashtbl.create 16 in
+  let slice_inhabited choice (i, r, s) =
+    let entry, exit_ = endpoints r choice s in
+    let flags =
+      match Hashtbl.find_opt reachable (i, entry) with
+      | Some f -> f
+      | None ->
+          let f = Nfa.reachable_flags r.nfa entry in
+          Hashtbl.add reachable (i, entry) f;
+          f
+    in
+    Nfa.Flags.mem flags exit_
+  in
   let is_var = function Depgraph.Var _ -> true | _ -> false in
   let solutions = ref [] in
   let found = ref 0 in
@@ -551,19 +573,20 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
       match
         List.fold_left
           (fun acc (n, slices) ->
-            let h =
-              match slices with
-              | [] -> NMap.find n base
-              | [ slice ] when is_var n -> compacted_slice choice slice
-              | [ (_, r, s) ] -> Store.intern (slice_language r (endpoints r choice s))
-              | first :: rest ->
-                  List.fold_left
-                    (fun h slice -> Store.inter_lang h (compacted_slice choice slice))
-                    (compacted_slice choice first) rest
+            let bind h =
+              if Store.is_empty h then raise Dead
+              else if is_var n then (n, h) :: acc
+              else acc
             in
-            if Store.is_empty h then raise Dead
-            else if is_var n then (n, h) :: acc
-            else acc)
+            match slices with
+            | [] -> bind (NMap.find n base)
+            | [ slice ] when is_var n -> bind (compacted_slice choice slice)
+            | [ slice ] -> if slice_inhabited choice slice then acc else raise Dead
+            | first :: rest ->
+                bind
+                  (List.fold_left
+                     (fun h slice -> Store.inter_lang h (compacted_slice choice slice))
+                     (compacted_slice choice first) rest))
           [] member_slices
       with
       | bindings ->

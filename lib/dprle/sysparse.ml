@@ -172,8 +172,10 @@ let parse_const_value st =
   match st.tok with
   | Tpattern body ->
       bump st;
-      (match Regex.Parser.parse_pattern body with
-      | Ok p -> Regex.Compile.pattern_handle p
+      (* keyed by its text, so a warm store that already holds this
+         pattern hands its handle back without compiling it *)
+      (match Regex.Compile.pattern_of_text body with
+      | Ok h -> h
       | Error e -> fail_at st.lx (Fmt.str "bad pattern: %a" Regex.Parser.pp_error e))
   | Tstring s ->
       bump st;

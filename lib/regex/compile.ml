@@ -21,14 +21,24 @@ let handle ast = Store.intern (compile ast)
 
 let to_nfa ast = Store.nfa (handle ast)
 
-let pattern_handle { Ast.re; anchored_start; anchored_end } =
+let padded { Ast.re; anchored_start; anchored_end } =
   let core = compile re in
   let with_prefix =
     if anchored_start then core else Ops.concat_lang Nfa.sigma_star core
   in
-  let padded =
-    if anchored_end then with_prefix else Ops.concat_lang with_prefix Nfa.sigma_star
-  in
-  Store.intern padded
+  if anchored_end then with_prefix else Ops.concat_lang with_prefix Nfa.sigma_star
+
+let pattern_handle pattern = Store.intern (padded pattern)
+
+let pattern_of_text text =
+  let exception Bad of Parser.error in
+  match
+    Store.of_pattern text (fun () ->
+        match Parser.parse_pattern text with
+        | Ok p -> padded p
+        | Error e -> raise (Bad e))
+  with
+  | h -> Ok h
+  | exception Bad e -> Error e
 
 let pattern_to_nfa pattern = Store.nfa (pattern_handle pattern)

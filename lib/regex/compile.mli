@@ -24,3 +24,9 @@ val pattern_to_nfa : Ast.pattern -> Automata.Nfa.t
     callers that go on to memoized store operations (one intern, not
     a second one of the already-interned machine). *)
 val pattern_handle : Ast.pattern -> Automata.Store.handle
+
+(** [pattern_of_text text] = [pattern_handle] of the parsed [text]
+    ({!Parser.parse_pattern} syntax), keyed on a warm store by [text]
+    itself through {!Automata.Store.of_pattern}: a repeated pattern is
+    neither parsed, nor compiled, nor canonically keyed again. *)
+val pattern_of_text : string -> (Automata.Store.handle, Parser.error) result

@@ -80,6 +80,10 @@ let prop_tests =
     qtest "inter subset of operands" pair_char (fun (a, b, _) ->
         let i = Charset.inter a b in
         Charset.subset i a && Charset.subset i b);
+    qtest "compare orders as the polymorphic compare of the ranges" pair_char
+      (fun (a, b, _) ->
+        Int.compare (Charset.compare a b) 0
+        = Int.compare (compare (Charset.ranges a) (Charset.ranges b)) 0);
     qtest "intersects agrees with inter" pair_char (fun (a, b, _) ->
         Charset.intersects a b = not (Charset.is_empty (Charset.inter a b)));
     qtest "cardinal of union" pair_char (fun (a, b, _) ->

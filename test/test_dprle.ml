@@ -346,6 +346,26 @@ let solver_tests =
             check_bool "v1 bounded" true
               (Lang.subset (find a "v1") (lang_of "a|aa")))
           sols);
+    test "an empty temporary slice kills its combination" (fun () ->
+        (* a combination leaves v1 and v2 a word each, but no path
+           runs from the temporary's entry to its exit in the root:
+           the solver proper (analyzer off) must reject it on the
+           temporary's emptiness alone *)
+        let s =
+          mk_system
+            [ ("c1", "(ab)*"); ("c2", "ab"); ("c", "ab"); ("t", "[ab]{1,3}|(a|b)*a") ]
+            [
+              { lhs = Var "v1"; rhs = "c1" };
+              { lhs = Var "v2"; rhs = "c2" };
+              { lhs = Concat (Concat (Var "v1", Var "v2"), Const "c"); rhs = "t" };
+            ]
+        in
+        match Solver.run (Solver.Config.make ~analyze:false ()) s with
+        | Ok (Solver.Unsat r) ->
+            check_string "reason"
+              "every ε-cut combination of a CI-group forces an empty language"
+              (Solver.unsat_message r.Solver.reason)
+        | _ -> Alcotest.fail "expected unsat");
     test "same variable twice in one concat" (fun () ->
         let s =
           mk_system
@@ -984,23 +1004,58 @@ let residual_props =
   ]
 
 let solver_props =
-  let sys_gen =
+  let draw_gen =
     QCheck2.Gen.(
       let pool = [ "a*"; "ab|b*"; "(ab)*"; "a+b?"; "[ab]{1,3}"; "b+a*"; "a|b|ab" ] in
       let* r1 = oneofl pool in
       let* r2 = oneofl pool in
       let* r3 = oneofl pool in
       let* r4 = oneofl pool in
-      return
-        (mk_system
-           [ ("c1", r1); ("c2", r2); ("c3", r3 ^ "|" ^ r4) ]
-           [
-             { lhs = Var "v1"; rhs = "c1" };
-             { lhs = Var "v2"; rhs = "c2" };
-             { lhs = Concat (Var "v1", Var "v2"); rhs = "c3" };
-           ]))
+      return (r1, r2, r3 ^ "|" ^ r4))
+  in
+  let sys_gen =
+    QCheck2.Gen.map
+      (fun (r1, r2, r3) ->
+        mk_system
+          [ ("c1", r1); ("c2", r2); ("c3", r3) ]
+          [
+            { lhs = Var "v1"; rhs = "c1" };
+            { lhs = Var "v2"; rhs = "c2" };
+            { lhs = Concat (Var "v1", Var "v2"); rhs = "c3" };
+          ])
+      draw_gen
+  in
+  (* the same draw as the text a client sends, so that parsing goes
+     through the store's text table too *)
+  let text_of (r1, r2, r3) =
+    Printf.sprintf
+      "let c1 = /^(%s)$/;\nlet c2 = /^(%s)$/;\nlet c3 = /^(%s)$/;\n\
+       v1 <= c1;\nv2 <= c2;\nv1 . v2 <= c3;\n"
+      r1 r2 r3
+  in
+  let rendered text =
+    match run_solver (Dprle.Sysparse.parse_exn text) with
+    | Solver.Unsat r -> [ Solver.unsat_message r.Solver.reason ]
+    | Solver.Sat sols ->
+        List.map
+          (fun a -> Fmt.str "%a | %a" Assignment.pp a Assignment.pp_witnesses a)
+          sols
   in
   [
+    qtest ~count:40 "solver: same disjuncts cold, warm and with the store off"
+      draw_gen (fun draw ->
+        let text = text_of draw in
+        Automata.Store.clear ();
+        let cold = rendered text in
+        let warm = rendered text in
+        let off =
+          Fun.protect
+            ~finally:(fun () -> Automata.Store.set_enabled true)
+            (fun () ->
+              Automata.Store.set_enabled false;
+              rendered text)
+        in
+        cold = warm && cold = off);
     qtest ~count:40 "solver: all disjuncts satisfy" sys_gen (fun s ->
         match run_solver s with
         | Solver.Unsat _ -> true

@@ -333,9 +333,151 @@ let endtoend_tests =
         check_bool "same witnesses" true (cached = uncached));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Text table: a warm store answers a repeated constant by its text *)
+
+let text_system =
+  "let filter = /[\\d]+$/;\nlet prefix = \"nid_\";\nlet unsafe = /'/;\n\
+   let bound = /^[a-z]+$/;\nv1 <= filter;\nprefix . v1 <= unsafe;\nv2 <= bound;\n"
+
+let parse_consts () =
+  List.map snd (Dprle.System.constants (Dprle.Sysparse.parse_exn text_system))
+
+let intern_keys diff = timer_count diff "store.ledger.key" [ ("op", "intern") ]
+
+let text_tests =
+  [
+    test "a second parse keys nothing and shares every handle" (fun () ->
+        with_store_reset @@ fun () ->
+        let first = parse_consts () in
+        let before = Metrics.Snapshot.of_default () in
+        let second = parse_consts () in
+        let diff =
+          Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before
+        in
+        check_int "no canonical key" 0 (intern_keys diff);
+        check_int "each constant an intern hit" (List.length first)
+          (Metrics.Snapshot.counter_value diff "store.intern.hit");
+        check_bool "physically equal handles" true (List.for_all2 ( == ) first second));
+    test "a disabled store parses to fresh handles" (fun () ->
+        with_store_reset @@ fun () ->
+        Store.set_enabled false;
+        let first = parse_consts () and second = parse_consts () in
+        check_bool "fresh ids" true
+          (List.for_all2 (fun a b -> Store.id a <> Store.id b) first second));
+    test "after clear the constants get new ids" (fun () ->
+        with_store_reset @@ fun () ->
+        let first = parse_consts () in
+        Store.clear ();
+        let second = parse_consts () in
+        check_bool "new ids" true
+          (List.for_all2 (fun a b -> Store.id a <> Store.id b) first second));
+    test "each domain keeps its own text table" (fun () ->
+        with_store_reset @@ fun () ->
+        let mine = List.map Store.id (parse_consts ()) in
+        let theirs =
+          Domain.join
+            (Domain.spawn (fun () ->
+                 let a = List.map Store.id (parse_consts ()) in
+                 let b = List.map Store.id (parse_consts ()) in
+                 (a, b)))
+        in
+        check_bool "shared within the worker" true (fst theirs = snd theirs);
+        check_bool "not with the parent" true
+          (List.for_all2 ( <> ) mine (fst theirs));
+        check_bool "the parent's table is intact" true
+          (mine = List.map Store.id (parse_consts ())));
+    test "a handle built from a word says so" (fun () ->
+        with_store_reset @@ fun () ->
+        check_bool "literal" true (Store.word (Store.of_word "nid_") = Some "nid_");
+        check_bool "pattern" true
+          (Store.word (Dprle.System.const_of_pattern "/^nid_$/") = None);
+        Store.set_enabled false;
+        check_bool "literal, store disabled" true
+          (Store.word (Store.of_word "x") = Some "x"));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Canonical key against the serializer it replaced *)
+
+(* [m] with its states renumbered by a random permutation *)
+let renumbered_gen =
+  let open QCheck2.Gen in
+  let* m = nfa_gen in
+  let n = Nfa.num_states m in
+  let* perm = shuffle_a (Array.init n Fun.id) in
+  let b = Nfa.Builder.create () in
+  let first = Nfa.Builder.add_states b n in
+  let img q = first + perm.(q) in
+  List.iter
+    (fun q ->
+      List.iter (fun (cs, d) -> Nfa.Builder.add_trans b (img q) cs (img d))
+        (Nfa.char_transitions m q);
+      List.iter (fun d -> Nfa.Builder.add_eps b (img q) (img d))
+        (Nfa.eps_transitions_from m q))
+    (Nfa.states m);
+  return (m, Nfa.Builder.finish b ~start:(img (Nfa.start m)) ~final:(img (Nfa.final m)))
+
+(* one state fanning out over more edges than the short-list sort
+   handles, many of them sharing a label *)
+let fan_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 2 6 in
+  let* edges =
+    list_size (int_range 17 40)
+      (pair (oneofl [ 'a'; 'b'; 'c' ]) (int_bound (n - 1)))
+  in
+  let b = Nfa.Builder.create () in
+  let first = Nfa.Builder.add_states b n in
+  List.iter
+    (fun (c, d) -> Nfa.Builder.add_trans b first (Charset.singleton c) (first + d))
+    edges;
+  for q = 1 to n - 1 do
+    Nfa.Builder.add_trans b (first + q) (Charset.singleton 'z') (first + 1)
+  done;
+  return (Nfa.Builder.finish b ~start:first ~final:(first + 1))
+
+let key_tests =
+  let same_relation (a, b) =
+    (Store.canonical_key a = Store.canonical_key b)
+    = (Key_reference.canonical_key a = Key_reference.canonical_key b)
+  in
+  [
+    qtest ~count:300 "canonical key writes the reference serializer's bytes"
+      nfa_gen (fun m -> Store.canonical_key m = Key_reference.canonical_key m);
+    qtest ~count:100 "canonical key on wide fan-outs" fan_gen (fun m ->
+        Store.canonical_key m = Key_reference.canonical_key m);
+    qtest ~count:300 "canonical key relates renumbered copies as the reference"
+      renumbered_gen same_relation;
+    qtest ~count:300 "canonical key relates random pairs as the reference"
+      nfa_pair same_relation;
+  ]
+
+(* A gci temporary's emptiness is a reachability question in its root *)
+let reach_tests =
+  let open QCheck2.Gen in
+  let gen =
+    let* m = nfa_gen in
+    let n = Nfa.num_states m in
+    let* entry = int_bound (n - 1) in
+    let* exit_ = int_bound (n - 1) in
+    return (m, entry, exit_)
+  in
+  [
+    qtest ~count:300 "exit reachable from entry iff the induced slice is non-empty"
+      gen (fun (m, entry, exit_) ->
+        Nfa.Flags.mem (Nfa.reachable_flags m entry) exit_
+        = not
+            (Nfa.is_empty_lang
+               (Nfa.induce_from_final (Nfa.induce_from_start m entry) exit_)));
+  ]
+
 let suite =
   [
     ("store:props", prop_tests);
+    ("store:text", text_tests);
+    ("store:key", key_tests);
+    ("store:reach", reach_tests);
     ("store:memo", memo_tests);
     ("store:gate", gate_tests);
     ("store:endtoend", endtoend_tests);
