@@ -1,7 +1,6 @@
 type state = int
 
 module StateSet = Set.Make (Int)
-module StateMap = Map.Make (Int)
 
 (* Peak BFS frontier width per reachability query; together with
    automata.subset.visited this is the observable the hot-path
@@ -88,66 +87,129 @@ let induce_from_start m q =
   { m with start = q }
 
 module Builder = struct
+  (* Edges are kept per source state, in arrays that grow by doubling
+     with the state count, so [finish] dedupes each state's lists on
+     their own and its cost follows the machine being built. A state
+     filled only by {!add_machine} holds lists an earlier [finish]
+     already deduped, in add order, and they are not checked again.
+     The first single edge added to a state makes it [dirty]: its
+     lists turn newest first, and [finish] dedupes them. *)
   type b = {
     mutable count : int;
-    mutable trans : (state * Charset.t * state) list;
-    mutable eps_edges : (state * state) list;
+    mutable trans : (Charset.t * state) list array;
+    mutable eps_edges : state list array;
+    mutable dirty : Bytes.t;
   }
 
-  let create () = { count = 0; trans = []; eps_edges = [] }
+  let create () =
+    {
+      count = 0;
+      trans = Array.make 8 [];
+      eps_edges = Array.make 8 [];
+      dirty = Bytes.make 8 '\000';
+    }
 
-  let add_state b =
-    let q = b.count in
-    b.count <- b.count + 1;
-    q
+  let reserve b count =
+    let cap = Array.length b.trans in
+    if count > cap then begin
+      let cap' = max count (2 * cap) in
+      let grow a =
+        let a' = Array.make cap' [] in
+        Array.blit a 0 a' 0 cap;
+        a'
+      in
+      b.trans <- grow b.trans;
+      b.eps_edges <- grow b.eps_edges;
+      b.dirty <- Bytes.extend b.dirty 0 (cap' - cap);
+      Bytes.fill b.dirty cap (cap' - cap) '\000'
+    end
 
   let add_states b k =
     let q = b.count in
-    b.count <- b.count + k;
+    reserve b (q + k);
+    b.count <- q + k;
     q
 
+  let add_state b = add_states b 1
+
   let check b q = if q < 0 || q >= b.count then invalid_arg "Nfa.Builder: bad state"
+
+  let make_dirty b q =
+    if Bytes.unsafe_get b.dirty q = '\000' then begin
+      Bytes.unsafe_set b.dirty q '\001';
+      b.trans.(q) <- List.rev b.trans.(q);
+      b.eps_edges.(q) <- List.rev b.eps_edges.(q)
+    end
 
   let add_trans b src cs dst =
     check b src;
     check b dst;
-    if not (Charset.is_empty cs) then b.trans <- (src, cs, dst) :: b.trans
+    if not (Charset.is_empty cs) then begin
+      make_dirty b src;
+      b.trans.(src) <- (cs, dst) :: b.trans.(src)
+    end
 
   let add_eps b src dst =
     check b src;
     check b dst;
-    b.eps_edges <- (src, dst) :: b.eps_edges
+    make_dirty b src;
+    b.eps_edges.(src) <- dst :: b.eps_edges.(src)
+
+  let add_machine b m =
+    let offset = add_states b m.n in
+    if offset = 0 then begin
+      Array.blit m.delta 0 b.trans 0 m.n;
+      Array.blit m.eps 0 b.eps_edges 0 m.n
+    end
+    else
+      for q = 0 to m.n - 1 do
+        b.trans.(q + offset) <- List.map (fun (cs, q') -> (cs, q' + offset)) m.delta.(q);
+        b.eps_edges.(q + offset) <- List.map (fun q' -> q' + offset) m.eps.(q)
+      done;
+    offset
+
+  (* Past this many edges a state's duplicates are found through a
+     table rather than by scanning the edges kept so far. *)
+  let scan_limit = 16
+
+  (* [edges] is newest first. Walking it so, each edge is kept unless
+     a newer copy was, and consing the kept ones restores add order:
+     the rule is add order with the newest copy of a duplicate kept. *)
+  let dedupe ~same ~key edges =
+    match edges with
+    | [] | [ _ ] -> edges
+    | _ when List.compare_length_with edges scan_limit <= 0 ->
+        List.fold_left
+          (fun kept e -> if List.exists (same e) kept then kept else e :: kept)
+          [] edges
+    | _ ->
+        let seen = Hashtbl.create (2 * scan_limit) in
+        List.fold_left
+          (fun kept e ->
+            let k = key e in
+            if Hashtbl.mem seen k then kept
+            else begin
+              Hashtbl.add seen k ();
+              e :: kept
+            end)
+          [] edges
+
+  let same_trans (cs, d) (cs', d') = d = d' && Charset.compare cs cs' = 0
+  let trans_key (cs, d) = (d, Charset.ranges cs)
 
   let finish b ~start ~final =
     check b start;
     check b final;
-    let delta = Array.make b.count [] in
-    let eps = Array.make b.count [] in
-    (* Both edge kinds deduplicate through a hash table: the ε-edge
-       [List.mem] scan was quadratic in the edge count, and character
-       duplicates (identical [(src, cs, dst)] triples accumulated by
-       embed/concat chains) were never collapsed at all, multiplying
-       work in every downstream product. Charsets key by their
-       canonical interval list, so equal sets always collide. *)
-    let seen_trans = Hashtbl.create (List.length b.trans) in
-    List.iter
-      (fun (src, cs, dst) ->
-        let key = (src, dst, Charset.ranges cs) in
-        if not (Hashtbl.mem seen_trans key) then begin
-          Hashtbl.add seen_trans key ();
-          delta.(src) <- (cs, dst) :: delta.(src)
-        end)
-      b.trans;
-    let seen_eps = Hashtbl.create 64 in
-    List.iter
-      (fun ((_, dst) as edge) ->
-        if not (Hashtbl.mem seen_eps edge) then begin
-          Hashtbl.add seen_eps edge ();
-          eps.(fst edge) <- dst :: eps.(fst edge)
-        end)
-      b.eps_edges;
+    let n = b.count in
+    let delta = Array.sub b.trans 0 n and eps = Array.sub b.eps_edges 0 n in
+    for q = 0 to n - 1 do
+      if Bytes.unsafe_get b.dirty q <> '\000' then begin
+        delta.(q) <- dedupe ~same:same_trans ~key:trans_key delta.(q);
+        eps.(q) <- dedupe ~same:Int.equal ~key:Fun.id eps.(q)
+      end
+    done;
     {
-      n = b.count;
+      n;
       start;
       final;
       delta;
@@ -454,9 +516,9 @@ let sample_words m ~max_len ~max_count =
   List.rev !results
 
 (* True when every state is both reachable and co-reachable, i.e.
-   [trim] would only renumber. Two flag traversals over int arrays —
-   much cheaper than the Set/Map/Builder rebuild [trim] does, which is
-   what hot callers (the store's canonical key) use this to avoid. *)
+   [trim] would only renumber. Two flag traversals over int arrays,
+   no rebuild — what hot callers (the store's canonical key) check
+   before trimming. *)
 let is_trim m =
   let reach = reachable_flags m m.start and coreach = coreachable_flags m m.final in
   let ok = ref true in
@@ -467,43 +529,50 @@ let is_trim m =
 
 let trim m =
   let reach = reachable_flags m m.start and coreach = coreachable_flags m m.final in
-  let live = ref StateSet.empty in
-  for q = m.n - 1 downto 0 do
-    if Flags.mem reach q && Flags.mem coreach q then live := StateSet.add q !live
+  (* live states keep their relative order, so the renaming is a
+     prefix count over the live flags *)
+  let rename = Array.make m.n (-1) in
+  let live = ref 0 in
+  for q = 0 to m.n - 1 do
+    if Flags.mem reach q && Flags.mem coreach q then begin
+      rename.(q) <- !live;
+      incr live
+    end
   done;
-  let live = !live in
-  if not (StateSet.mem m.start live) || not (StateSet.mem m.final live) then
-    (* Empty language: canonical two-state empty machine; the renaming
-       is empty since no original state survives. *)
-    (empty_lang, StateMap.empty)
+  if rename.(m.start) < 0 || rename.(m.final) < 0 then
+    (* Empty language: canonical two-state empty machine; no original
+       state survives. *)
+    (empty_lang, Array.make m.n (-1))
   else begin
-    let rename = ref StateMap.empty in
-    let b = Builder.create () in
-    StateSet.iter
-      (fun q -> rename := StateMap.add q (Builder.add_state b) !rename)
-      live;
-    let lookup q = StateMap.find_opt q !rename in
-    StateSet.iter
-      (fun q ->
-        let q_new = StateMap.find q !rename in
-        List.iter
-          (fun (cs, q') ->
-            match lookup q' with
-            | Some q'_new -> Builder.add_trans b q_new cs q'_new
-            | None -> ())
-          m.delta.(q);
-        List.iter
-          (fun q' ->
-            match lookup q' with
-            | Some q'_new -> Builder.add_eps b q_new q'_new
-            | None -> ())
-          m.eps.(q))
-      live;
+    (* Filtering a deduped edge list through an injective renaming
+       keeps it deduped and in order: no Builder pass is needed. *)
+    let n = !live in
+    let delta = Array.make n [] and eps = Array.make n [] in
+    for q = 0 to m.n - 1 do
+      let q' = rename.(q) in
+      if q' >= 0 then begin
+        delta.(q') <-
+          List.filter_map
+            (fun (cs, d) -> if rename.(d) >= 0 then Some (cs, rename.(d)) else None)
+            m.delta.(q);
+        eps.(q') <-
+          List.filter_map
+            (fun d -> if rename.(d) >= 0 then Some rename.(d) else None)
+            m.eps.(q)
+      end
+    done;
     let machine =
-      Builder.finish b ~start:(StateMap.find m.start !rename)
-        ~final:(StateMap.find m.final !rename)
+      {
+        n;
+        start = rename.(m.start);
+        final = rename.(m.final);
+        delta;
+        eps;
+        preds = Atomic.make None;
+        eps_index = Atomic.make None;
+      }
     in
-    (machine, !rename)
+    (machine, rename)
   end
 
 let reverse m =
@@ -517,16 +586,8 @@ let reverse m =
 
 let embed_two m1 m2 =
   let b = Builder.create () in
-  let _ = Builder.add_states b m1.n in
-  let offset = Builder.add_states b m2.n in
-  for q = 0 to m1.n - 1 do
-    List.iter (fun (cs, q') -> Builder.add_trans b q cs q') m1.delta.(q);
-    List.iter (fun q' -> Builder.add_eps b q q') m1.eps.(q)
-  done;
-  for q = 0 to m2.n - 1 do
-    List.iter (fun (cs, q') -> Builder.add_trans b (q + offset) cs (q' + offset)) m2.delta.(q);
-    List.iter (fun q' -> Builder.add_eps b (q + offset) (q' + offset)) m2.eps.(q)
-  done;
+  let _ = Builder.add_machine b m1 in
+  let offset = Builder.add_machine b m2 in
   (b, offset)
 
 let to_dot ?(name = "nfa") ?(highlight = []) m =

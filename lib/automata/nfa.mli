@@ -13,7 +13,6 @@
 type state = int
 
 module StateSet : Set.S with type elt = state
-module StateMap : Map.S with type key = state
 
 type t
 
@@ -70,7 +69,16 @@ module Builder : sig
 
   val add_eps : b -> state -> state -> unit
 
-  (** Freeze. Raises [Invalid_argument] if [start]/[final] are not
+  (** [add_machine b m] copies [m]'s states and edges onto fresh
+      states, returning the offset added to [m]'s state ids. Equivalent
+      to adding every edge of [m] in order, but the copied lists are
+      already duplicate-free, so [finish] does not re-check them. *)
+  val add_machine : b -> t -> state
+
+  (** Freeze. Each state's character edges (and, apart, its ε-edges)
+      come out in add order, with only the newest copy of a duplicate
+      kept — character edges are duplicates when destination and label
+      are equal. Raises [Invalid_argument] if [start]/[final] are not
       allocated states. *)
   val finish : b -> start:state -> final:state -> t
 end
@@ -160,10 +168,11 @@ val sample_words : t -> max_len:int -> max_count:int -> string list
 (** {1 Transformations} *)
 
 (** Remove states that are not both reachable from the start and
-    co-reachable to the final state, compacting ids. The result
-    accepts the same language. Returns the renaming as a partial map
-    from old to new ids. *)
-val trim : t -> t * state StateMap.t
+    co-reachable to the final state, compacting ids in their original
+    order. The result accepts the same language. Returns the renaming
+    as an array indexed by old id: the new id, or [-1] for a removed
+    state. *)
+val trim : t -> t * state array
 
 (** [is_trim m] is true when {!trim} would only renumber: every state
     is reachable and co-reachable. Two array traversals, no rebuild —

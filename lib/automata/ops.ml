@@ -59,65 +59,143 @@ type product_result = {
   state_of_pair : Nfa.state * Nfa.state -> Nfa.state option;
 }
 
+(* Open-addressing map from a pair's key [p·|M2| + q] to its product
+   state, with linear probing. Its capacity is a power of two kept at
+   least twice the entries, so memory follows the states emitted,
+   never the |M1|·|M2| grid. *)
+module Pair_table = struct
+  type t = { mutable keys : int array; mutable vals : int array; mutable size : int }
+
+  let create () = { keys = Array.make 64 (-1); vals = Array.make 64 0; size = 0 }
+
+  (* Multiplicative hashing: bits 20 and up of the product depend on
+     every lower bit of the key, so consecutive keys spread apart. *)
+  let slot keys k =
+    let mask = Array.length keys - 1 in
+    let i = ref ((k * 0x2545F4914F6CDD1D) lsr 20 land mask) in
+    while
+      let k' = Array.unsafe_get keys !i in
+      k' <> k && k' <> -1
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let find t k =
+    let i = slot t.keys k in
+    if Array.unsafe_get t.keys i = k then Array.unsafe_get t.vals i else -1
+
+  let grow t =
+    let keys = t.keys and vals = t.vals in
+    let cap = 2 * Array.length keys in
+    t.keys <- Array.make cap (-1);
+    t.vals <- Array.make cap 0;
+    Array.iteri
+      (fun i k ->
+        if k >= 0 then begin
+          let j = slot t.keys k in
+          t.keys.(j) <- k;
+          t.vals.(j) <- vals.(i)
+        end)
+      keys
+
+  (* [k] must be absent *)
+  let add t k v =
+    if 2 * (t.size + 1) > Array.length t.keys then grow t;
+    let i = slot t.keys k in
+    t.keys.(i) <- k;
+    t.vals.(i) <- v;
+    t.size <- t.size + 1
+end
+
 let intersect_untimed m1 m2 =
   Telemetry.Metrics.Counter.incr c_products 1;
   Telemetry.Metrics.Histogram.observe h_product_states
     ~labels:[ ("dir", "in") ]
     (float_of_int (Nfa.num_states m1 * Nfa.num_states m2));
+  let n1 = Nfa.num_states m1 and n2 = Nfa.num_states m2 in
   let b = Nfa.Builder.create () in
-  let table : (Nfa.state * Nfa.state, Nfa.state) Hashtbl.t = Hashtbl.create 64 in
-  let pairs = ref [] in
-  let worklist = Queue.create () in
-  let materialize pair =
-    match Hashtbl.find_opt table pair with
-    | Some q -> q
-    | None ->
-        Telemetry.Metrics.Counter.incr c_visited 1;
-        Budget.charge_states 1;
-        let q = Nfa.Builder.add_state b in
-        Hashtbl.add table pair q;
-        pairs := (q, pair) :: !pairs;
-        Queue.add pair worklist;
-        q
+  let table = Pair_table.create () in
+  (* the pair key of state [i], for every materialized [i] *)
+  let keys = ref (Array.make 64 0) in
+  let count = ref 0 in
+  let materialize p q =
+    let k = (p * n2) + q in
+    let found = Pair_table.find table k in
+    if found >= 0 then found
+    else begin
+      let id = Nfa.Builder.add_state b in
+      Pair_table.add table k id;
+      if id = Array.length !keys then begin
+        let grown = Array.make (2 * id) 0 in
+        Array.blit !keys 0 grown 0 id;
+        keys := grown
+      end;
+      !keys.(id) <- k;
+      count := id + 1;
+      (* charged once counted, so a budget stop counts the state that
+         tripped it *)
+      Budget.charge_states 1;
+      id
+    end
   in
-  let start_pair = (Nfa.start m1, Nfa.start m2) in
-  let final_pair = (Nfa.final m1, Nfa.final m2) in
-  let start_q = materialize start_pair in
-  (* The final pair must exist even if it turns out unreachable, so
-     the result is a well-formed single-final machine. *)
-  let final_q = materialize final_pair in
-  while not (Queue.is_empty worklist) do
-    let ((p, q) as pair) = Queue.take worklist in
-    let src = Hashtbl.find table pair in
-    (* ε-moves are taken independently in either component. *)
-    List.iter
-      (fun p' -> Nfa.Builder.add_eps b src (materialize (p', q)))
-      (Nfa.eps_transitions_from m1 p);
-    List.iter
-      (fun q' -> Nfa.Builder.add_eps b src (materialize (p, q')))
-      (Nfa.eps_transitions_from m2 q);
-    (* Character moves require both components to advance on a common
-       label. *)
-    List.iter
-      (fun (cs1, p') ->
-        List.iter
-          (fun (cs2, q') ->
-            let label = Charset.inter cs1 cs2 in
-            if not (Charset.is_empty label) then
-              Nfa.Builder.add_trans b src label (materialize (p', q')))
-          (Nfa.char_transitions m2 q))
-      (Nfa.char_transitions m1 p)
-  done;
-  let machine = Nfa.Builder.finish b ~start:start_q ~final:final_q in
+  (* The worklist is the states themselves in creation order: each is
+     expanded once, after every state materialized before it. *)
+  let build () =
+    let start_q = materialize (Nfa.start m1) (Nfa.start m2) in
+    (* The final pair must exist even if it turns out unreachable, so
+       the result is a well-formed single-final machine. *)
+    let final_q = materialize (Nfa.final m1) (Nfa.final m2) in
+    let src = ref 0 in
+    while !src < !count do
+      let k = !keys.(!src) in
+      let p = k / n2 and q = k mod n2 in
+      (* ε-moves are taken independently in either component. *)
+      List.iter
+        (fun p' -> Nfa.Builder.add_eps b !src (materialize p' q))
+        (Nfa.eps_transitions_from m1 p);
+      List.iter
+        (fun q' -> Nfa.Builder.add_eps b !src (materialize p q'))
+        (Nfa.eps_transitions_from m2 q);
+      (* Character moves require both components to advance on a common
+         label. *)
+      let moves2 = Nfa.char_transitions m2 q in
+      List.iter
+        (fun (cs1, p') ->
+          List.iter
+            (fun (cs2, q') ->
+              let label = Charset.inter cs1 cs2 in
+              if not (Charset.is_empty label) then
+                Nfa.Builder.add_trans b !src label (materialize p' q'))
+            moves2)
+        (Nfa.char_transitions m1 p);
+      incr src
+    done;
+    Nfa.Builder.finish b ~start:start_q ~final:final_q
+  in
+  (* one counter update per call; a budget stop mid-product still
+     counts the states it visited *)
+  let machine =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.Metrics.Counter.incr c_visited !count)
+      build
+  in
   Telemetry.Metrics.Histogram.observe h_product_states
     ~labels:[ ("dir", "out") ]
     (float_of_int (Nfa.num_states machine));
-  let pair_array = Array.make (Nfa.num_states machine) (0, 0) in
-  List.iter (fun (q, pair) -> pair_array.(q) <- pair) !pairs;
+  let keys = !keys and count = !count in
   {
     machine;
-    pair_of = (fun q -> pair_array.(q));
-    state_of_pair = (fun pair -> Hashtbl.find_opt table pair);
+    pair_of =
+      (fun q ->
+        if q < 0 || q >= count then invalid_arg "Ops.intersect: pair_of";
+        let k = keys.(q) in
+        (k / n2, k mod n2));
+    state_of_pair =
+      (fun (p, q) ->
+        if p < 0 || p >= n1 || q < 0 || q >= n2 then None
+        else
+          match Pair_table.find table ((p * n2) + q) with -1 -> None | s -> Some s);
   }
 
 let intersect m1 m2 =
@@ -137,16 +215,7 @@ let union_lang m1 m2 =
 
 (* Copy [m] into a fresh builder, returning the embedded start/final. *)
 let embed m b =
-  let first = Nfa.Builder.add_states b (Nfa.num_states m) in
-  List.iter
-    (fun q ->
-      List.iter
-        (fun (cs, q') -> Nfa.Builder.add_trans b (q + first) cs (q' + first))
-        (Nfa.char_transitions m q);
-      List.iter
-        (fun q' -> Nfa.Builder.add_eps b (q + first) (q' + first))
-        (Nfa.eps_transitions_from m q))
-    (Nfa.states m);
+  let first = Nfa.Builder.add_machine b m in
   (Nfa.start m + first, Nfa.final m + first)
 
 let star m =

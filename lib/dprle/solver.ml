@@ -307,18 +307,15 @@ let base_languages (g : Depgraph.t) =
 
 (* Index the product states by their concatenation-machine component:
    one concat state maps to the product states (and partner base
-   states) it survived in. *)
-let index_product (prod : Ops.product_result) =
-  let table : (Nfa.state, (Nfa.state * Nfa.state) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (fun q ->
-      let p, d = prod.pair_of q in
-      let existing = Option.value (Hashtbl.find_opt table p) ~default:[] in
-      Hashtbl.replace table p ((q, d) :: existing))
-    (Nfa.states prod.machine);
-  fun p -> Option.value (Hashtbl.find_opt table p) ~default:[]
+   states) it survived in, newest first. [n] is the state count of the
+   concatenation machine. *)
+let index_product ~n (prod : Ops.product_result) =
+  let table = Array.make n [] in
+  for q = 0 to Nfa.num_states prod.machine - 1 do
+    let p, d = prod.pair_of q in
+    table.(p) <- (q, d) :: table.(p)
+  done;
+  fun p -> table.(p)
 
 (* Lift the ε-cut pairs of an embedded machine into the product: each
    old cut (qa, qb) survives as (qa·d, qb·d) for every base state d
@@ -374,7 +371,7 @@ let build_machines (g : Depgraph.t) base =
       let right_nfa, right_rec = operand right in
       let cat = Ops.concat left_nfa right_nfa in
       let prod = Ops.intersect cat.machine (Store.nfa (NMap.find result base)) in
-      let index = index_product prod in
+      let index = index_product ~n:(Nfa.num_states cat.machine) prod in
       (* this triple's own ε-cut candidates: images of the bridge *)
       let bridge_src, bridge_dst = cat.bridge in
       let own_cuts =

@@ -72,6 +72,9 @@ type state = {
   adm : Admission.t;
   conns : (int, conn) Hashtbl.t;
   pending : (int * Api.Request.t) Queue.t;
+  read_chunk : Bytes.t;
+      (* socket reads land here; one per server, since a process may
+         run several server loops at once *)
   mutable next_cid : int;
   mutable stop : bool;
   mutable served : int;
@@ -247,15 +250,13 @@ let process_buffer st conn =
   in
   split ()
 
-let read_chunk = Bytes.create 65536
-
 let conn_read st conn =
-  match Unix.read conn.fd read_chunk 0 (Bytes.length read_chunk) with
+  match Unix.read conn.fd st.read_chunk 0 (Bytes.length st.read_chunk) with
   | 0 ->
       M.Counter.incr c_disconnects 1;
       close_conn st conn
   | n ->
-      Buffer.add_subbytes conn.buf read_chunk 0 n;
+      Buffer.add_subbytes conn.buf st.read_chunk 0 n;
       process_buffer st conn
   | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) ->
       M.Counter.incr c_disconnects 1;
@@ -337,6 +338,7 @@ let run ?(on_ready = fun _ -> ()) cfg =
       adm = Admission.create ();
       conns = Hashtbl.create 16;
       pending = Queue.create ();
+      read_chunk = Bytes.create 65536;
       next_cid = 0;
       stop = false;
       served = 0;

@@ -4,10 +4,12 @@
 #
 # lib/engine fans jobs out over Domain.spawn; lib/serve dispatches
 # wire requests onto that pool; lib/telemetry is called from every
-# domain on every timer tick. A top-level `ref` or bare mutable
-# container in any of them is shared across domains without
-# synchronization — a data race under the OCaml 5 memory model, even
-# when today's call pattern happens to be single-threaded.
+# domain on every timer tick; lib/automata, lib/charset, lib/regex and
+# lib/dprle are the solver those workers run. A top-level `ref`, bare
+# mutable container or scratch array/byte buffer in any of them is
+# shared across domains without synchronization — a data race under
+# the OCaml 5 memory model, even when today's call pattern happens to
+# be single-threaded.
 #
 # Allowed on the same binding: Atomic.* (racy reads become ordered),
 # Mutex.* (guarded), Domain.DLS.* (domain-local by construction).
@@ -18,7 +20,7 @@
 set -eu
 
 root=${1:-.}
-gated="lib/engine lib/serve lib/telemetry"
+gated="lib/engine lib/serve lib/telemetry lib/automata lib/charset lib/dprle lib/regex"
 status=0
 
 for dir in $gated; do
@@ -31,7 +33,7 @@ for dir in $gated; do
     # A binding with parameters (`let f () = Hashtbl.create ...`) is a
     # function — fresh state per call — so only a bare name (with an
     # optional type annotation) before `=` counts.
-    matches=$(grep -nE "^let [a-z_][a-zA-Z0-9_']*( *: *[^=]+)? = *(ref |Hashtbl\.create|Queue\.create|Buffer\.create|Stack\.create)" "$f" \
+    matches=$(grep -nE "^let [a-z_][a-zA-Z0-9_']*( *: *[^=]+)? = *(ref |Hashtbl\.create|Queue\.create|Buffer\.create|Stack\.create|Array\.make|Bytes\.create)" "$f" \
       | grep -vE 'Atomic\.|Mutex\.|Domain\.DLS' || true)
     if [ -n "$matches" ]; then
       echo "$f: top-level mutable state in a domain-shared library:" >&2
