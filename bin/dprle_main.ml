@@ -453,12 +453,9 @@ let batch_cmd dir wire jobs budget_ms budget_states max_solutions
           | Engine.Done (`Parse_error msg) ->
               incr parse_errors;
               Fmt.pr "%s: parse error: %s@." file msg
-          | Engine.Timeout ->
+          | Engine.Budget_exceeded stop ->
               incr budget_hits;
-              Fmt.pr "%s: budget exceeded: timeout@." file
-          | Engine.Budget_exceeded ->
-              incr budget_hits;
-              Fmt.pr "%s: budget exceeded: state budget exhausted@." file
+              Fmt.pr "%s: budget exceeded: %a@." file Automata.Budget.pp_stop stop
           | Engine.Failed failure ->
               incr failures;
               Fmt.pr "%s: internal failure: %s@." file failure.Engine.message;
@@ -472,8 +469,8 @@ let batch_cmd dir wire jobs budget_ms budget_states max_solutions
             | Engine.Done (`Sat _) -> "sat"
             | Engine.Done (`Unsat _) -> "unsat"
             | Engine.Done (`Parse_error _) -> "parse_error"
-            | Engine.Timeout -> "timeout"
-            | Engine.Budget_exceeded -> "budget_exceeded"
+            | Engine.Budget_exceeded Automata.Budget.Timeout -> "timeout"
+            | Engine.Budget_exceeded _ -> "budget_exceeded"
             | Engine.Failed _ -> "failed"
           in
           Telemetry.Events.emit_global ~kind:"job"

@@ -244,8 +244,8 @@ let check_dir dir attack structural max_paths static_prune prepass_paths config
           match r.outcome with
           | Engine.Done (_, code) -> string_of_int code
           | Engine.Failed _ -> "failed"
-          | Engine.Timeout -> "timeout"
-          | Engine.Budget_exceeded -> "budget_exceeded"
+          | Engine.Budget_exceeded Automata.Budget.Timeout -> "timeout"
+          | Engine.Budget_exceeded _ -> "budget_exceeded"
         in
         Telemetry.Events.emit_global ~kind:"job"
           [

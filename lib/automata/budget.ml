@@ -4,7 +4,7 @@
    [tick]/[charge_states] hooks unconditionally and pay one DLS read
    plus a countdown decrement when no budget is installed. *)
 
-type stop = Timeout | Out_of_states
+type stop = Timeout | Out_of_states | Combination_limit
 
 exception Exceeded of stop
 
@@ -83,5 +83,6 @@ let run b f =
 let pp_stop ppf = function
   | Timeout -> Fmt.string ppf "timeout"
   | Out_of_states -> Fmt.string ppf "state budget exhausted"
+  | Combination_limit -> Fmt.string ppf "combination limit"
 
 let stop_to_string stop = Fmt.str "%a" pp_stop stop

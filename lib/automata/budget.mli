@@ -21,6 +21,10 @@
 type stop =
   | Timeout  (** the wall-clock deadline passed *)
   | Out_of_states  (** the materialized-state cap was crossed *)
+  | Combination_limit
+      (** the solver's cap on ε-cut combinations per CI-group cut the
+          enumeration short before any combination survived: the
+          verdict is unknown, not [unsat] *)
 
 exception Exceeded of stop
 

@@ -515,18 +515,6 @@ let sample_words m ~max_len ~max_count =
    with Exit -> ());
   List.rev !results
 
-(* True when every state is both reachable and co-reachable, i.e.
-   [trim] would only renumber. Two flag traversals over int arrays,
-   no rebuild — what hot callers (the store's canonical key) check
-   before trimming. *)
-let is_trim m =
-  let reach = reachable_flags m m.start and coreach = coreachable_flags m m.final in
-  let ok = ref true in
-  for q = 0 to m.n - 1 do
-    if not (Flags.mem reach q && Flags.mem coreach q) then ok := false
-  done;
-  !ok
-
 let trim m =
   let reach = reachable_flags m m.start and coreach = coreachable_flags m m.final in
   (* live states keep their relative order, so the renaming is a

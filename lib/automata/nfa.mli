@@ -174,11 +174,6 @@ val sample_words : t -> max_len:int -> max_count:int -> string list
     state. *)
 val trim : t -> t * state array
 
-(** [is_trim m] is true when {!trim} would only renumber: every state
-    is reachable and co-reachable. Two array traversals, no rebuild —
-    the fast path for callers that trim defensively. *)
-val is_trim : t -> bool
-
 (** Machine for the reversed language. *)
 val reverse : t -> t
 

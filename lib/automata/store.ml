@@ -135,10 +135,13 @@ let rec add_ranges buf = function
       Buffer.add_char buf ',';
       add_ranges buf rest
 
-let canonical_key m0 =
-  (* op results arrive already trim; checking costs two array sweeps
-     while [trim] rebuilds the machine through a Builder *)
-  let m = if Nfa.is_trim m0 then m0 else fst (Nfa.trim m0) in
+(* The key of [m] restricted to the [live] states its BFS reaches:
+   trimming keeps the live states' relative order and drops every edge
+   into a dead one, so numbering and writing only those states is the
+   key of the trimmed machine, with no trimmed copy built. [leftovers]
+   appends the live states the BFS missed, which only the canonical
+   empty machine has. *)
+let key_of ~live ~leftovers m =
   let n = Nfa.num_states m in
   let order = Array.make (max n 1) (-1) in
   let inv = Array.make (max n 1) 0 in
@@ -165,31 +168,35 @@ let canonical_key m0 =
         sorted.(q)
   in
   let eps = ref (Array.make 8 0) in
-  (* the ε-successors of [q] mapped through [f] into [!eps], sorted;
-     returns their count *)
+  (* the live ε-successors of [q] mapped through [f] into [!eps],
+     sorted; returns their count *)
   let eps_edges q f =
-    let ds = Nfa.eps_transitions_from m q in
+    let ds = List.filter live (Nfa.eps_transitions_from m q) in
     let k = List.length ds in
     if k > Array.length !eps then eps := Array.make (2 * k) 0;
     List.iteri (fun i d -> !eps.(i) <- f d) ds;
     insertion_sort Int.compare !eps 0 k;
     k
   in
-  (* BFS: the numbering order is the visiting order *)
+  (* BFS: the numbering order is the visiting order. A dead state
+     leads to no live one, so skipping dead states leaves the live ones
+     in the order a BFS of the trimmed machine visits them. *)
   number (Nfa.start m);
   let head = ref 0 in
   while !head < !next do
     let q = inv.(!head) in
     incr head;
-    Array.iter (fun (_, d) -> number d) (char_edges q);
+    Array.iter (fun (_, d) -> if live d then number d) (char_edges q);
     let k = eps_edges q Fun.id in
     for i = 0 to k - 1 do
       number !eps.(i)
     done
   done;
-  for q = 0 to n - 1 do
-    number q
-  done;
+  if leftovers then
+    for q = 0 to n - 1 do
+      number q
+    done;
+  let n = !next in
   let buf = Buffer.create 1024 in
   add_int buf n;
   Buffer.add_char buf '#';
@@ -204,6 +211,7 @@ let canonical_key m0 =
     let k = Array.length edges in
     if k > Array.length !dests then dests := Array.make (2 * k) 0;
     let dests = !dests in
+    (* -1 for an edge into a dead state, which the write skips *)
     for j = 0 to k - 1 do
       dests.(j) <- order.(snd edges.(j))
     done;
@@ -216,10 +224,12 @@ let canonical_key m0 =
       done;
       insertion_sort Int.compare dests !j !stop;
       for e = !j to !stop - 1 do
-        add_ranges buf (Charset.ranges label);
-        Buffer.add_char buf '>';
-        add_int buf dests.(e);
-        Buffer.add_char buf ';'
+        if dests.(e) >= 0 then begin
+          add_ranges buf (Charset.ranges label);
+          Buffer.add_char buf '>';
+          add_int buf dests.(e);
+          Buffer.add_char buf ';'
+        end
       done;
       j := !stop
     done;
@@ -231,6 +241,15 @@ let canonical_key m0 =
     done
   done;
   Buffer.contents buf
+
+(* The live states are the co-reachable ones the BFS reaches: one
+   backward sweep marks them. Without a live start the language is
+   empty, and its trimmed machine is the canonical empty one. *)
+let canonical_key m =
+  let coreachable = Nfa.coreachable_flags m (Nfa.final m) in
+  if Nfa.Flags.mem coreachable (Nfa.start m) then
+    key_of ~live:(Nfa.Flags.mem coreachable) ~leftovers:false m
+  else key_of ~live:(fun _ -> true) ~leftovers:true (fst (Nfa.trim m))
 
 (* ------------------------------------------------------------------ *)
 (* Intern table *)

@@ -79,7 +79,7 @@ let vars_of_constrs constrs =
    large products that are the solver's own job. *)
 let state_cap = 512
 
-let handle_size h = List.length (Nfa.states (Store.nfa h))
+let handle_size h = Nfa.num_states (Store.nfa h)
 
 (* ------------------------------------------------------------------ *)
 (* Core minimization: ddmin's reduction phase, one linear pass trying

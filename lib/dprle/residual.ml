@@ -130,10 +130,21 @@ let good_states (dfa : Dfa.t) (post : Dfa.t) =
   done;
   !good
 
+(* [pre] is [`Word w] when its language is the single word [w]: its
+   one state of the complete DFA is a walk over [w]'s characters, not a
+   product search over a chain machine as long as the word. *)
 let max_middle_uncached ~pre ~post ~upper =
   (* complement-free: complete the DFA so every word has a run *)
   let dfa = Dfa.complement (Dfa.complement (Dfa.of_nfa upper)) in
-  let t0 = reach_set dfa pre in
+  let t0 =
+    match pre with
+    | `Word w ->
+        IS.singleton
+          (String.fold_left
+             (fun q c -> Option.get (Dfa.step dfa q c))
+             (Dfa.start dfa) w)
+    | `Lang pre -> reach_set dfa pre
+  in
   if IS.is_empty t0 then Nfa.sigma_star
   else universal_subset_machine dfa t0 (good_states dfa (Dfa.of_nfa post))
 
@@ -152,8 +163,13 @@ let max_middle ~pre ~post ~upper =
     (fun () ->
       if Store.is_empty pre || Store.is_empty post then Store.top ()
       else
+        let pre =
+          match Store.word pre with
+          | Some w -> `Word w
+          | None -> `Lang (Store.nfa pre)
+        in
         Store.intern
-          (max_middle_uncached ~pre:(Store.nfa pre) ~post:(Store.nfa post)
+          (max_middle_uncached ~pre ~post:(Store.nfa post)
              ~upper:(Store.nfa upper)))
 
 let c_growth = Telemetry.Metrics.Counter.make "solver.maximize.growth"

@@ -21,7 +21,9 @@
     every [(post start, p)], and one backward sweep from the pairs
     where [post] accepts and [upper] rejects: [p] is good exactly when
     the sweep does not reach [(post start, p)]. No per-state
-    determinization or inclusion check is made.
+    determinization or inclusion check is made. When [pre] is a
+    literal ({!Automata.Store.word} is [Some w]), [T₀] is the one state
+    reached by walking [w]'s characters, with no product search.
 
     If [pre] or [post] is empty the occurrence constrains nothing and
     the result is Σ*. Operands and result are store handles; the

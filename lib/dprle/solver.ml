@@ -611,8 +611,135 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
      (the final Maximal filter runs after maximalization in [solve]). *)
   let unsubsumed = Assignment.prune_subsumed (List.rev !solutions) in
   Span.add_attr "solutions" (`Int (List.length unsubsumed));
-  if unsubsumed = [] then unsat All_combinations_empty;
+  (* nothing survived the combinations explored; when the cap left
+     some unexplored, that says nothing about the rest *)
+  if unsubsumed = [] then
+    if total > combination_limit then raise (Budget.Exceeded Budget.Combination_limit)
+    else unsat All_combinations_empty;
   unsubsumed
+
+(* ------------------------------------------------------------------ *)
+(* Closed form for constant-prefixed variables.
+
+   A variable whose every union-free alternative reads [c1·…·ck·v]
+   (k ≥ 0: constants only before it, no other variable, nothing after
+   it) meets no other variable in any constraint, so the languages
+   that satisfy its constraints are closed under union and the system
+   has one maximal value for it: the meet, in constraint order, of the
+   universal residuals [{w | c1⋯ck·w ⊆ C}] ({!Residual.max_middle}),
+   or [C] itself when k = 0. That is the value gci's slices grow to in
+   maximize, computed without a concatenation machine. A constant
+   suffix would make the residual a two-sided one; such variables stay
+   on the solver path. *)
+
+let c_closed_form = Telemetry.Metrics.Counter.make "solver.closed_form.vars"
+
+(* The residual bound of one occurrence behind the constants [pre]. A
+   run of literals is joined into one word, which [max_middle] walks. *)
+let prefix_bound system pre ~upper =
+  let const_handle = System.const_handle system in
+  match pre with
+  | [] -> upper
+  | _ ->
+      let words = List.map (fun c -> Store.word (const_handle c)) pre in
+      let pre =
+        if List.for_all Option.is_some words then
+          Store.of_word (String.concat "" (List.map Option.get words))
+        else
+          List.fold_left
+            (fun acc c -> Store.concat_lang acc (const_handle c))
+            (Store.of_word "") pre
+      in
+      Residual.max_middle ~pre ~post:(Store.of_word "") ~upper
+
+(* The constant-prefixed variables of [system] bound in closed form,
+   and the system without their alternatives; [None] when no variable
+   qualifies or one binding is empty (the solver path then names the
+   reason). *)
+let closed_form system =
+  (* per variable, [Some] occurrences (constant prefix, bound) newest
+     first while it qualifies, [None] once it does not *)
+  let occs : (string, (string list * string) list option) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let disqualify v = Hashtbl.replace occs v None in
+  List.iter
+    (fun { System.lhs; rhs } ->
+      List.iter
+        (fun alternative ->
+          let leaves = System.leaves alternative in
+          match List.rev leaves with
+          | System.Var v :: rev_pre
+            when List.for_all (function System.Const _ -> true | _ -> false) rev_pre
+            -> (
+              let pre =
+                List.rev_map (function System.Const c -> c | _ -> assert false) rev_pre
+              in
+              match Hashtbl.find_opt occs v with
+              | Some None -> ()
+              | Some (Some l) -> Hashtbl.replace occs v (Some ((pre, rhs) :: l))
+              | None -> Hashtbl.replace occs v (Some [ (pre, rhs) ]))
+          | _ ->
+              List.iter
+                (function System.Var v -> disqualify v | _ -> ())
+                leaves)
+        (System.expand_unions lhs))
+    (System.constraints system);
+  let qualified =
+    List.filter_map
+      (fun v ->
+        match Hashtbl.find_opt occs v with
+        | Some (Some l) -> Some (v, List.rev l)
+        | _ -> None)
+      (System.variables system)
+  in
+  if qualified = [] then None
+  else
+    Span.with_span ~name:"closed-form"
+      ~attrs:[ ("vars", `Int (List.length qualified)) ]
+    @@ fun () ->
+    timed "closed-form" @@ fun () ->
+    let exception Empty in
+    let bound (pre, rhs) =
+      prefix_bound system pre ~upper:(System.const_handle system rhs)
+    in
+    match
+      List.map
+        (fun (v, occurrences) ->
+          match List.map bound occurrences with
+          | [] -> assert false
+          | first :: rest ->
+              let h = List.fold_left Store.inter_lang first rest in
+              if Store.is_empty h then raise Empty;
+              (v, h))
+        qualified
+    with
+    | exception Empty -> None
+    | bindings ->
+        let bound = Hashtbl.create 16 in
+        List.iter (fun (v, _) -> Hashtbl.replace bound v ()) bindings;
+        let solved alternative =
+          List.exists
+            (function System.Var v -> Hashtbl.mem bound v | _ -> false)
+            (System.leaves alternative)
+        in
+        let rest =
+          List.filter_map
+            (fun ({ System.lhs; rhs } as c) ->
+              let alternatives = System.expand_unions lhs in
+              match List.filter (fun a -> not (solved a)) alternatives with
+              | [] -> None
+              | kept when List.length kept = List.length alternatives -> Some c
+              | first :: others ->
+                  Some
+                    {
+                      System.lhs =
+                        List.fold_left (fun acc a -> System.Union (acc, a)) first others;
+                      rhs;
+                    })
+            (System.constraints system)
+        in
+        Some (Assignment.of_list bindings, System.with_constraints system rest)
 
 (* ------------------------------------------------------------------ *)
 
@@ -624,10 +751,7 @@ let preprocessed_graph system =
     (Span.with_span ~name:"preprocess" (fun () ->
          timed "preprocess" (fun () -> preprocess system)))
 
-let solve_graph ~max_solutions ~combination_limit system =
-  Span.with_span ~name:"solve" @@ fun () ->
-  timed "solve" @@ fun () ->
-  Telemetry.Metrics.Counter.incr c_solves 1;
+let solve_proper ~max_solutions ~combination_limit system =
   try
     let g = preprocessed_graph system in
     let raw_cap = max 64 (max_solutions * 4) in
@@ -737,17 +861,28 @@ let reason_of_cause = function
   | Analyze.Bound_empty alt -> Bound_empty alt
   | Analyze.Const_expr _ -> Const_expr_violation
 
-(* The analyzer pre-pass, then the solver proper on whatever survives.
-   An analyzer refutation carries its minimal core; a solver-proper
-   refutation carries an empty core (minimizing one would mean
-   re-solving subsets — the [dprle analyze] report is the tool for
-   blame beyond what the static passes can see). Sliced-away
-   variables re-join every solution as their singleton witnesses so
-   assignments stay total over the original system. *)
+(* The analyzer pre-pass, the closed form for constant-prefixed
+   variables, then the solver proper on whatever survives. An analyzer
+   refutation carries its minimal core; a solver-proper refutation
+   carries an empty core (minimizing one would mean re-solving subsets
+   — the [dprle analyze] report is the tool for blame beyond what the
+   static passes can see). Closed-form bindings join every disjunct of
+   the rest, as one group's do in [combine]; sliced-away variables
+   re-join every solution as their singleton witnesses so assignments
+   stay total over the original system. [--no-analyze] skips both: it
+   is the paper's pipeline, the ablation arm and the oracle. *)
 let solve_system (cfg : Config.t) system =
-  if not cfg.analyze then
-    solve_graph ~max_solutions:cfg.max_solutions
+  let solve system =
+    solve_proper ~max_solutions:cfg.max_solutions
       ~combination_limit:cfg.combination_limit system
+  in
+  let solving f =
+    Span.with_span ~name:"solve" @@ fun () ->
+    timed "solve" @@ fun () ->
+    Telemetry.Metrics.Counter.incr c_solves 1;
+    f ()
+  in
+  if not cfg.analyze then solving (fun () -> solve system)
   else
     let a =
       Span.with_span ~name:"analyze" (fun () ->
@@ -757,23 +892,32 @@ let solve_system (cfg : Config.t) system =
     | Some { Analyze.cause; core } ->
         Unsat { reason = reason_of_cause cause; core }
     | None -> (
-        match
-          solve_graph ~max_solutions:cfg.max_solutions
-            ~combination_limit:cfg.combination_limit a.Analyze.system
-        with
-        | Unsat _ as u -> u
-        | Sat sols -> (
-            match a.Analyze.witnesses with
-            | [] -> Sat sols
-            | ws ->
-                let extra =
-                  Assignment.of_list
-                    (List.map (fun (v, w) -> (v, Store.of_word w)) ws)
-                in
-                Sat
-                  (List.map
-                     (fun s -> Assignment.union s extra)
-                     sols)))
+        let outcome =
+          solving @@ fun () ->
+          match closed_form a.Analyze.system with
+          | None -> solve a.Analyze.system
+          | Some (bound, rest) -> (
+              match
+                if System.size rest = 0 then Sat [ Assignment.of_list [] ]
+                else solve rest
+              with
+              | Sat sols ->
+                  Telemetry.Metrics.Counter.incr c_closed_form
+                    (List.length (Assignment.bindings bound));
+                  Sat (List.map (fun s -> Assignment.union s bound) sols)
+              (* the reason is the whole system's: a concatenation's
+                 index, and which group fails first, count the solved
+                 variables too *)
+              | Unsat _ -> solve a.Analyze.system)
+        in
+        match (outcome, a.Analyze.witnesses) with
+        | (Unsat _ as u), _ -> u
+        | Sat sols, [] -> Sat sols
+        | Sat sols, ws ->
+            let extra =
+              Assignment.of_list (List.map (fun (v, w) -> (v, Store.of_word w)) ws)
+            in
+            Sat (List.map (fun s -> Assignment.union s extra) sols))
 
 let run (cfg : Config.t) system =
   (* pre-solve lint: an empty bounding constant is a likely authoring
@@ -791,7 +935,11 @@ let cut_census (cfg : Config.t) system =
     if not cfg.analyze then Some system
     else
       let a = Analyze.run ~goals:cfg.goals system in
-      if Option.is_some a.Analyze.refute then None else Some a.Analyze.system
+      if Option.is_some a.Analyze.refute then None
+      else
+        match closed_form a.Analyze.system with
+        | Some (_, rest) -> Some rest
+        | None -> Some a.Analyze.system
   in
   match Option.map preprocessed_graph analyzed with
   | None | (exception Unsatisfiable _) ->

@@ -40,7 +40,7 @@ type unsat_reason =
           ε-cut: its language is empty *)
   | All_combinations_empty
       (** every ε-cut combination of some CI-group forces an empty
-          language *)
+          language (all of them were explored) *)
   | Empty_variable of string
       (** the named variable's inbound constraints intersect to ∅ *)
   | Bound_empty of string
@@ -80,15 +80,23 @@ module Config : sig
             notes the first solution needs no full enumeration); when
             the cap truncates the search a warning is logged and the
             returned disjunct list may be incomplete (each disjunct
-            is still sound). *)
+            is still sound); when no combination it explored
+            survived, the solve stops with
+            {!Automata.Budget.Combination_limit}, never [unsat]. *)
     budget : Automata.Budget.t;
         (** resource budget installed for the duration of the solve
             (default {!Automata.Budget.unlimited}) *)
     analyze : bool;
         (** run the {!Analyze} pre-pass (default [true]): refute,
             discharge, and slice statically before any group machine
-            is built. [false] is the ablation arm — verdicts are
-            identical either way (cram-gated) *)
+            is built; then bind every constant-prefixed variable (each
+            of its union-free alternatives reads [c1·…·ck·v]) in
+            closed form, the meet of its universal residuals
+            ({!Residual.max_middle}), counted in
+            [solver.closed_form.vars]. [false] is the ablation arm,
+            the paper's pipeline: verdicts are identical either way,
+            and on the closed form's systems so are the solutions
+            (cram- and CI-gated) *)
     goals : string list;
         (** extra goal variables for the analyzer's cone-of-influence
             slicing, prepended to {!System.goals} (default: none) *)

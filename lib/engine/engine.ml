@@ -6,8 +6,7 @@ type failure = { message : string; backtrace : string option }
 
 type 'a outcome =
   | Done of 'a
-  | Timeout
-  | Budget_exceeded
+  | Budget_exceeded of Budget.stop
   | Failed of failure
 
 type 'a job_result = {
@@ -28,13 +27,8 @@ let default_jobs () = Domain.recommended_domain_count ()
 
 let pp_outcome pp_done ppf = function
   | Done v -> pp_done ppf v
-  | Timeout -> Fmt.string ppf "budget exceeded: timeout"
-  | Budget_exceeded -> Fmt.string ppf "budget exceeded: state budget exhausted"
+  | Budget_exceeded stop -> Fmt.pf ppf "budget exceeded: %a" Budget.pp_stop stop
   | Failed f -> Fmt.pf ppf "internal failure: %s" f.message
-
-let outcome_of_stop = function
-  | Budget.Timeout -> Timeout
-  | Budget.Out_of_states -> Budget_exceeded
 
 let failure_of_exn e =
   (* read the backtrace before anything else can raise over it *)
@@ -52,7 +46,7 @@ let run_job ~budget ~f ~worker index item =
   let outcome =
     match Budget.run budget (fun () -> f worker item) with
     | Ok v -> Done v
-    | Error stop -> outcome_of_stop stop
+    | Error stop -> Budget_exceeded stop
     | exception e -> Failed (failure_of_exn e)
   in
   {

@@ -32,15 +32,14 @@ module Budget = Automata.Budget
     nonempty) at the raise site. *)
 type failure = { message : string; backtrace : string option }
 
-(** Result of one job. [Timeout] and [Budget_exceeded] are the two
-    {!Budget.stop} conditions, surfaced structurally so one
-    pathological job degrades gracefully instead of sinking the batch.
+(** Result of one job. [Budget_exceeded] carries the {!Budget.stop}
+    that ended it, surfaced structurally so one pathological job
+    degrades gracefully instead of sinking the batch.
     [Failed] carries the failure of a job that raised — also contained
     to that job. *)
 type 'a outcome =
   | Done of 'a
-  | Timeout
-  | Budget_exceeded
+  | Budget_exceeded of Budget.stop
   | Failed of failure
 
 type 'a job_result = {

@@ -294,7 +294,7 @@ let dispatch st =
         let resp =
           match r.Engine.outcome with
           | Engine.Done resp -> resp
-          | Engine.Timeout | Engine.Budget_exceeded ->
+          | Engine.Budget_exceeded _ ->
               (* the handler normally converts budget stops itself;
                  this arm only fires if the stop escaped the worker *)
               {

@@ -14,7 +14,9 @@
 module Nfa = Automata.Nfa
 
 let canonical_key m0 =
-  let m = if Nfa.is_trim m0 then m0 else fst (Nfa.trim m0) in
+  (* trimming keeps the live states' relative order, so it leaves a
+     trim machine as it is *)
+  let m = fst (Nfa.trim m0) in
   let n = Nfa.num_states m in
   let order = Array.make (max n 1) (-1) in
   let next = ref 0 in

@@ -979,11 +979,15 @@ let residual_props =
          (fun (s, a) ->
            (* the drawn assignment, which may violate the system, and
               each solver disjunct narrowed to one word per variable,
-              which satisfies it and so has room to grow *)
+              which satisfies it and so has room to grow; a solve the
+              combination cap stopped has no disjunct to narrow *)
            let narrowed =
-             match run_solver s with
-             | Solver.Unsat _ -> []
-             | Solver.Sat sols ->
+             match Solver.run Solver.Config.default s with
+             | Error (Solver.Error.Budget_exceeded Automata.Budget.Combination_limit)
+             | Ok (Solver.Unsat _) ->
+                 []
+             | Error e -> Alcotest.failf "%s" (Solver.Error.to_string e)
+             | Ok (Solver.Sat sols) ->
                  List.filter_map
                    (fun d ->
                      Option.map
@@ -1098,8 +1102,21 @@ let solver_props =
 let report_tests =
   [
     test "report on the motivating system" (fun () ->
+        (* the default solve binds v1 in closed form: no graph *)
         let outcome, r =
           Result.get_ok (Dprle.Report.solve_with_report fig6_system)
+        in
+        (match outcome with
+        | Solver.Sat [ _ ] -> ()
+        | _ -> Alcotest.fail "expected one solution (closed form)");
+        check_int "no graph" 0 r.nodes;
+        check_int "solutions (closed form)" 1 r.solutions;
+        (* the paper's pipeline builds the Fig. 6 graph and cuts it *)
+        let outcome, r =
+          Result.get_ok
+            (Dprle.Report.solve_with_report
+               ~config:(Solver.Config.make ~analyze:false ())
+               fig6_system)
         in
         (match outcome with
         | Solver.Sat [ _ ] -> ()
@@ -1205,6 +1222,119 @@ let chained_props =
               sols);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Closed form for constant-prefixed variables                        *)
+
+let closed_form_props =
+  let literals = [ ("w0", "a"); ("w1", "ab"); ("w2", "b'") ] in
+  let prefixes = [ ("m0", "a|ab"); ("m1", "b*"); ("m2", "(ab)*") ] in
+  let bounds =
+    [
+      ("u0", ".*'.*"); ("u1", "a*b*"); ("u2", "[ab]*'"); ("u3", "(a|b)(a|b|')*");
+      ("u4", "ab(a|b)*|b'a*"); ("u5", "[ab']{0,4}");
+    ]
+  in
+  let consts () =
+    List.map (fun (n, w) -> (n, System.const_of_word w)) literals
+    @ List.map (fun (n, r) -> (n, re r)) (prefixes @ bounds)
+  in
+  (* one alternative [c1·…·ck·v], k ≤ 2, literal or multi-word *)
+  let alternative vars =
+    QCheck2.Gen.(
+      let* v = oneofl vars in
+      let* pre = list_size (int_bound 2) (oneofl (List.map fst (literals @ prefixes))) in
+      (* left-nested, as the parser builds it *)
+      return
+        (match List.map (fun c -> System.Const c) pre with
+        | [] -> System.Var v
+        | first :: rest ->
+            System.Concat
+              (List.fold_left (fun acc l -> System.Concat (acc, l)) first rest, Var v)))
+  in
+  let constr vars =
+    QCheck2.Gen.(
+      let* lhs =
+        frequency
+          [
+            (3, alternative vars);
+            (1, map2 (fun a b -> System.Union (a, b)) (alternative vars) (alternative vars));
+          ]
+      in
+      let* rhs = oneofl (List.map fst bounds) in
+      return { System.lhs; rhs })
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 4 in
+      let vars = List.init n (Printf.sprintf "v%d") in
+      (* every variable occurs at least once *)
+      let* own = flatten_l (List.map (fun v -> constr [ v ]) vars) in
+      let* extra = list_size (int_bound 2) (constr vars) in
+      return (vars, own @ extra))
+  in
+  let print (_, cs) = Fmt.str "%a" Fmt.(list ~sep:semi System.pp_constr) cs in
+  let system cs = System.make_exn ~consts:(consts ()) ~constraints:cs in
+  let run ~analyze s =
+    match Solver.run (Solver.Config.make ~analyze ()) s with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "%s" (Solver.Error.to_string e)
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100 ~print
+         ~name:"closed form: bindings exact to length 3, equal to --no-analyze" gen
+         (fun (vars, cs) ->
+           let s = system cs in
+           let default = run ~analyze:true s and ablated = run ~analyze:false s in
+           match (default, ablated) with
+           | Solver.Unsat _, Solver.Unsat _ -> true
+           | Solver.Sat [ a ], Solver.Sat [ b ] ->
+               let alphabet = Dprle.Bounded.alphabet s in
+               let words =
+                 List.concat_map
+                   (fun len ->
+                     let rec go k =
+                       if k = 0 then [ "" ]
+                       else
+                         List.concat_map
+                           (fun w -> List.map (fun c -> w ^ String.make 1 c) alphabet)
+                           (go (k - 1))
+                     in
+                     go len)
+                   [ 0; 1; 2; 3 ]
+               in
+               List.for_all
+                 (fun v ->
+                   (* [v]'s constraints are its alternatives: no other
+                      variable occurs in them *)
+                   let own =
+                     System.with_constraints s
+                       (List.concat_map
+                          (fun { System.lhs; rhs } ->
+                            List.filter_map
+                              (fun alt ->
+                                if List.mem v (System.expr_variables alt) then
+                                  Some { System.lhs = alt; rhs }
+                                else None)
+                              (System.expand_unions lhs))
+                          cs)
+                   in
+                   (* a variable whose every constraint the analyzer
+                      discharged is left unbound: it is unconstrained *)
+                   let h =
+                     Option.value (Assignment.find_opt a v)
+                       ~default:(Automata.Store.top ())
+                   in
+                   Automata.Store.equal h (Assignment.find b v)
+                   && List.for_all
+                        (fun w ->
+                          Nfa.accepts (Automata.Store.nfa h) w
+                          = Dprle.Bounded.check own [ (v, w) ])
+                        words)
+                 vars
+           | _ -> false));
+  ]
+
 let suite =
   [
     ("ci:unit", ci_tests);
@@ -1216,4 +1346,5 @@ let suite =
     ("residual:unit", residual_tests);
     ("residual:props", residual_props);
     ("solver:props", solver_props);
+    ("solver:closed-form", closed_form_props);
   ]

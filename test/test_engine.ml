@@ -111,7 +111,7 @@ let engine_tests =
             [ 2; 60; 3 ]
         in
         match List.map (fun r -> r.Engine.outcome) results with
-        | [ Engine.Done _; Engine.Budget_exceeded; Engine.Done _ ] -> ()
+        | [ Engine.Done _; Engine.Budget_exceeded Budget.Out_of_states; Engine.Done _ ] -> ()
         | other ->
             Alcotest.failf "unexpected outcomes: %a"
               Fmt.(list ~sep:comma (Engine.pp_outcome int))
@@ -130,7 +130,7 @@ let engine_tests =
           Engine.map ~jobs:1 ~budget:(Budget.make ~wall_ms:10 ()) ~f:spin [ () ]
         in
         match (List.hd results).Engine.outcome with
-        | Engine.Timeout -> ()
+        | Engine.Budget_exceeded Budget.Timeout -> ()
         | _ -> Alcotest.fail "expected Timeout");
     test "jobs=1 runs inline: no worker spans" (fun () ->
         let (), root =
@@ -288,8 +288,8 @@ let budget_tests =
         in
         match Solver.run config system with
         | Error (Solver.Error.Budget_exceeded Budget.Out_of_states) -> ()
-        | Error (Solver.Error.Budget_exceeded Budget.Timeout) ->
-            Alcotest.fail "expected Out_of_states, got Timeout"
+        | Error e ->
+            Alcotest.failf "expected Out_of_states, got %s" (Solver.Error.to_string e)
         | Ok _ -> Alcotest.fail "3 states cannot decide fig1");
     test "an unlimited budget never trips" (fun () ->
         let system = Dprle.Sysparse.parse_exn fig1_source in

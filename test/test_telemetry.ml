@@ -356,14 +356,17 @@ let timer_tests =
 
 (* The regression the registry shim exists for: a nested
    solve_with_report must not clobber an enclosing measurement, and
-   back-to-back reports must count only their own work. *)
-let fig1 =
+   back-to-back reports must count only their own work. The system is
+   Fig. 1 with a second input after the first, so the solve builds
+   machines and runs gci (Fig. 1 alone is bound in closed form). *)
+let fig1x2 =
   Dprle.Sysparse.parse_exn
     {| let filter = /[\d]+$/;
        let prefix = "nid_";
        let unsafe = /'/;
        v1 <= filter;
-       prefix . v1 <= unsafe; |}
+       v2 <= filter;
+       prefix . v1 . v2 <= unsafe; |}
 
 (* The construction counters Automata.Ops increments, read from
    snapshots the way Dprle.Report and the bench harness read them. *)
@@ -380,7 +383,7 @@ let stats_tests =
         (* outer bracket, with some construction work of its own *)
         let before = Metrics.Snapshot.of_default () in
         Metrics.Counter.incr visited 7;
-        let _, inner = Result.get_ok (Dprle.Report.solve_with_report fig1) in
+        let _, inner = Result.get_ok (Dprle.Report.solve_with_report fig1x2) in
         let outer, _, _ = construction_diff before in
         check_bool "inner counted its solve" true (inner.automata.visited > 0);
         (* the nested report scopes itself by its own diff and never
@@ -390,15 +393,15 @@ let stats_tests =
         check_bool "outer keeps its own work plus the nested solve" true
           (outer >= 7 + inner.automata.visited));
     test "back-to-back reports count only their own work" (fun () ->
-        let _, r1 = Result.get_ok (Dprle.Report.solve_with_report fig1) in
-        let _, r2 = Result.get_ok (Dprle.Report.solve_with_report fig1) in
+        let _, r1 = Result.get_ok (Dprle.Report.solve_with_report fig1x2) in
+        let _, r2 = Result.get_ok (Dprle.Report.solve_with_report fig1x2) in
         check_int "identical solves, identical counts" r1.automata.visited
           r2.automata.visited;
         check_bool "counts are per-solve, not cumulative" true
           (r2.automata.visited < 2 * r1.automata.visited));
     test "absolute counters never decrease" (fun () ->
         let before = Metrics.Snapshot.of_default () in
-        let _ = Dprle.Solver.run Dprle.Solver.Config.default fig1 in
+        let _ = Dprle.Solver.run Dprle.Solver.Config.default fig1x2 in
         let visited, products, concats = construction_diff before in
         check_bool "visited grew" true (visited > 0);
         check_bool "products grew" true (products > 0);
