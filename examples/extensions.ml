@@ -63,7 +63,7 @@ let () =
   (* 4. The preimage machinery directly. *)
   Fmt.pr "=== regular preimages ===@.";
   let lang = Automata.Store.nfa (Dprle.System.const_of_regex "se(cr|le)ct") in
-  let pre = Automata.Relabel.preimage Char.lowercase_ascii lang in
+  let pre = Automata.Fst.(preimage (map_chars Char.lowercase_ascii)) lang in
   Fmt.pr "lower⁻¹(/se(cr|le)ct/) accepts \"SeLeCT\": %b@."
     (Nfa.accepts pre "SeLeCT");
   Fmt.pr "first witnesses: %a@."

@@ -53,7 +53,8 @@ val delete_chars : Charset.t -> t
     [c] by [s]. *)
 val replace_char : char -> string -> t
 
-(** Character map as a transducer (cf. {!Relabel}). *)
+(** Character map as a transducer: [preimage (map_chars f)] pulls a
+    constraint back through [f], e.g. PHP's [strtolower]. *)
 val map_chars : (char -> char) -> t
 
 (** {1 Semantics} *)

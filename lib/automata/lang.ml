@@ -21,9 +21,6 @@ let equal_reference a b = Dfa.equiv (Dfa.of_nfa a) (Dfa.of_nfa b)
 
 let subset_reference a b = Dfa.subset (Dfa.of_nfa a) (Dfa.of_nfa b)
 
-let counterexample_reference a b =
-  Dfa.counterexample (Dfa.of_nfa a) (Dfa.of_nfa b)
-
 (* --------------------------------------------------------------- *)
 (* On-the-fly inclusion (after Keil & Thiemann's symbolic solving of
    regular inequalities): search the product of [a]'s states against

@@ -25,8 +25,6 @@ val equal_reference : Nfa.t -> Nfa.t -> bool
 
 val subset_reference : Nfa.t -> Nfa.t -> bool
 
-val counterexample_reference : Nfa.t -> Nfa.t -> string option
-
 val is_empty : Nfa.t -> bool
 
 (** [L(a) \ L(b)] as an NFA. *)

@@ -34,13 +34,6 @@ let states m = List.init m.n Fun.id
 let char_transitions m q = m.delta.(q)
 let eps_transitions_from m q = m.eps.(q)
 
-let all_eps_edges m =
-  let acc = ref [] in
-  for q = m.n - 1 downto 0 do
-    List.iter (fun q' -> acc := (q, q') :: !acc) m.eps.(q)
-  done;
-  !acc
-
 (* Predecessor adjacency (character and ε edges together), built on
    first co-reachability query and cached. *)
 let preds m =
@@ -446,9 +439,6 @@ let is_empty_lang m =
 
 let is_empty_lang_reference m =
   not (StateSet.mem m.final (reachable_from_reference m m.start))
-
-let accepts_empty m =
-  StateSet.mem m.final (eps_closure m (StateSet.singleton m.start))
 
 let shortest_word m =
   (* BFS over single states; ε-edges cost nothing but BFS layers are

@@ -32,9 +32,6 @@ val char_transitions : t -> state -> (Charset.t * state) list
 (** Outgoing ε-transitions of a state. *)
 val eps_transitions_from : t -> state -> state list
 
-(** All ε-edges [(src, dst)] of the machine. *)
-val all_eps_edges : t -> (state * state) list
-
 (** [has_eps_edge m p q] iff [q ∈ δ(p, ε)]. Backed by a lazily-built
     hash index over the ε-edges, so repeated queries (the Ci cut scan)
     are O(1) after the first. *)
@@ -111,9 +108,6 @@ val accepts : t -> string -> bool
 
 (** [true] iff the machine accepts no string. *)
 val is_empty_lang : t -> bool
-
-(** [true] iff the machine accepts ε. *)
-val accepts_empty : t -> bool
 
 (** States reachable from [q] (inclusive) following any transition. *)
 val reachable_from : t -> state -> StateSet.t

@@ -171,15 +171,7 @@ let normalize system =
     | None ->
         let rec fresh n = if Hashtbl.mem taken n then fresh (n ^ "'") else n in
         let name = fresh (String.concat "." names) in
-        let h =
-          match names with
-          | [] -> assert false
-          | c :: rest ->
-              List.fold_left
-                (fun acc c -> Store.concat_lang acc (System.const_handle system c))
-                (System.const_handle system c)
-                rest
-        in
+        let h = Residual.run (List.map (System.const_handle system) names) in
         Hashtbl.replace taken name ();
         Hashtbl.replace fold_memo key name;
         extra := (name, h) :: !extra;
@@ -247,7 +239,7 @@ let normalize system =
    Per-variable upper bounds are meets of handles contributed by the
    constraints: the right-hand constant for a bare [v ⊆ c]
    alternative, and the universal residual {w | pre·w·post ⊆ c}
-   (exact, {!Residual.max_middle}) for a single-variable alternative
+   (exact, {!Residual.bound}) for a single-variable alternative
    between constant runs. Multi-variable alternatives are checked
    forward: the concatenation of leaf bounds over-approximates the
    alternative's language, and every admissible assignment keeps each
@@ -258,22 +250,17 @@ let normalize system =
 
 exception Refuted of cause * int list
 
-let run_handle system = function
-  | [] -> Store.of_word ""
-  | first :: rest ->
-      List.fold_left
-        (fun acc c -> Store.concat_lang acc (System.const_handle system c))
-        (System.const_handle system first)
-        rest
+let const_handles system ls =
+  List.filter_map
+    (function System.Const c -> Some (System.const_handle system c) | _ -> None)
+    ls
 
-let residual_handle system ~pre ~post ~upper =
-  let pre_h = run_handle system pre and post_h = run_handle system post in
-  if
-    handle_size pre_h > state_cap
-    || handle_size post_h > state_cap
-    || handle_size upper > state_cap
-  then None
-  else Some (Residual.max_middle ~pre:pre_h ~post:post_h ~upper)
+(* Normalization has folded each constant run into one constant, so
+   [pre] and [post] hold at most one leaf each: capping the leaves caps
+   the runs. *)
+let residual_handle ~pre ~post ~upper =
+  if List.exists (fun h -> handle_size h > state_cap) ((upper :: pre) @ post) then None
+  else Some (Residual.bound ~pre ~post ~upper)
 
 type contribs = (string, (int * Store.handle) list) Hashtbl.t
 
@@ -296,13 +283,7 @@ let collect system constrs : contribs * (int * System.expr list * Store.handle) 
           let ls = System.leaves alt in
           match alt_vars ls with
           | [] ->
-              if not (Store.subset (run_handle system
-                                      (List.filter_map
-                                         (function
-                                           | System.Const c -> Some c
-                                           | _ -> None)
-                                         ls))
-                        rhs_h)
+              if not (Store.subset (Residual.run (const_handles system ls)) rhs_h)
               then
                 raise
                   (Refuted
@@ -312,17 +293,14 @@ let collect system constrs : contribs * (int * System.expr list * Store.handle) 
               | [ System.Var _ ] -> add v i rhs_h
               | _ -> (
                   let rec split pre = function
-                    | System.Const c :: rest -> split (c :: pre) rest
+                    | (System.Const _ as c) :: rest -> split (c :: pre) rest
                     | System.Var _ :: rest ->
-                        ( List.rev pre,
-                          List.filter_map
-                            (function System.Const c -> Some c | _ -> None)
-                            rest )
+                        (const_handles system (List.rev pre), const_handles system rest)
                     | (System.Concat _ | System.Union _) :: _ | [] ->
                         assert false
                   in
                   let pre, post = split [] ls in
-                  match residual_handle system ~pre ~post ~upper:rhs_h with
+                  match residual_handle ~pre ~post ~upper:rhs_h with
                   | Some h -> add v i h
                   | None -> () (* over the cap: stay coarse *)))
           | _ :: _ :: _ -> forward := (i, ls, rhs_h) :: !forward)
@@ -341,24 +319,22 @@ let var_bound ?(exclude = fun _ -> false) contribs v =
     (Store.top ())
     (List.rev (contributions contribs v))
 
+(* The forward language of an alternative: its leaves' bounds joined
+   by {!Residual.run}, or [None] when a leaf or the run outgrows the
+   cap. *)
 let eval_leaves ?exclude system contribs ls =
-  List.fold_left
-    (fun acc leaf ->
-      match acc with
-      | None -> None
-      | Some acc ->
-          let h =
-            match leaf with
-            | System.Const c -> System.const_handle system c
-            | System.Var v -> var_bound ?exclude contribs v
-            | System.Concat _ | System.Union _ -> assert false
-          in
-          if handle_size h > state_cap then None
-          else
-            let r = Store.concat_lang acc h in
-            if handle_size r > state_cap then None else Some r)
-    (Some (Store.of_word ""))
-    ls
+  let leaf = function
+    | System.Const c -> System.const_handle system c
+    | System.Var v -> var_bound ?exclude contribs v
+    | System.Concat _ | System.Union _ -> assert false
+  in
+  let capped h = if handle_size h > state_cap then None else Some h in
+  let rec handles = function
+    | [] -> Some []
+    | l :: rest ->
+        Option.bind (capped (leaf l)) (fun h -> Option.map (List.cons h) (handles rest))
+  in
+  Option.bind (handles ls) (fun hs -> capped (Residual.run hs))
 
 (* The whole pass, usable as the minimization oracle: [Error _] iff
    the constraint list is refuted, with the indices the blame seeds
@@ -468,17 +444,13 @@ let witness_ok system comp_constrs witness_of =
         (fun alt ->
           Budget.tick ();
           let h =
-            List.fold_left
-              (fun acc leaf ->
-                let h =
-                  match leaf with
-                  | System.Const c -> System.const_handle system c
-                  | System.Var v -> Store.of_word (witness_of v)
-                  | System.Concat _ | System.Union _ -> assert false
-                in
-                Store.concat_lang acc h)
-              (Store.of_word "")
-              (System.leaves alt)
+            Residual.run
+              (List.map
+                 (function
+                   | System.Const c -> System.const_handle system c
+                   | System.Var v -> Store.of_word (witness_of v)
+                   | System.Concat _ | System.Union _ -> assert false)
+                 (System.leaves alt))
           in
           Store.subset h rhs_h)
         (System.expand_unions lhs))

@@ -14,7 +14,7 @@
       upper bound per variable: the meet of its direct ⊆-edge
       constants together with the universal residuals
       [{w | pre·w·post ⊆ c}] contributed by single-variable
-      alternatives ({!Residual.max_middle}); multi-variable
+      alternatives ({!Residual.bound}); multi-variable
       alternatives are then checked forward by concatenating leaf
       bounds. An empty variable bound, a constant-only alternative
       that fails its inclusion, or a forward concatenation disjoint

@@ -172,6 +172,23 @@ let max_middle ~pre ~post ~upper =
           (max_middle_uncached ~pre ~post:(Store.nfa post)
              ~upper:(Store.nfa upper)))
 
+(* The language of a run of leaf handles, built one way wherever a
+   [pre·v·post ⊆ C] side is posed: no leaves is ε, one leaf is its own
+   handle, literals alone join into one word (which [max_middle] walks),
+   and anything else folds [concat_lang] from the first leaf. *)
+let run = function
+  | [] -> Store.of_word ""
+  | [ h ] -> h
+  | first :: rest as leaves ->
+      if List.for_all (fun h -> Option.is_some (Store.word h)) leaves then
+        Store.of_word (String.concat "" (List.filter_map Store.word leaves))
+      else List.fold_left Store.concat_lang first rest
+
+let bound ~pre ~post ~upper =
+  match (pre, post) with
+  | [], [] -> upper
+  | _ -> max_middle ~pre:(run pre) ~post:(run post) ~upper
+
 let c_growth = Telemetry.Metrics.Counter.make "solver.maximize.growth"
 
 let leaf_handle system a = function
@@ -230,19 +247,51 @@ let vars t = Hashtbl.length t.by_var
 
 let occurrences t = t.occurrence_count
 
-(* The bound from the occurrence at [i]: the concatenation of the leaf
-   languages before and after it under the current assignment. *)
+(* The leaf handles of [leaves.(lo..hi)] under the assignment [a]. *)
+let leaf_handles system a leaves lo hi =
+  List.init (hi - lo + 1) (fun j -> leaf_handle system a leaves.(lo + j))
+
+(* The bound from the occurrence at [i]: the residual of the leaf
+   languages before and after it under the current assignment. A bare
+   occurrence keeps [max_middle]'s own answer rather than [upper]:
+   [maximize] grows a variable with whatever handle its bound is, and
+   that handle decides the machine printed. *)
 let occurrence_bound system a { upper; leaves; _ } i =
-  let n = Array.length leaves in
-  let side lo hi =
-    let rec build j h =
-      if j > hi then h
-      else build (j + 1) (Store.concat_lang h (leaf_handle system a leaves.(j)))
-    in
-    build lo (Store.of_word "")
+  let side lo hi = run (leaf_handles system a leaves lo hi) in
+  max_middle ~pre:(side 0 (i - 1))
+    ~post:(side (i + 1) (Array.length leaves - 1))
+    ~upper
+
+(* [v] qualifies when each of its occurrences is the last leaf of its
+   alternative, behind constants only: then no other variable shares a
+   constraint with it, its satisfying values are closed under union,
+   and their meet is its one maximal value. *)
+let closed_form t =
+  let constants = Assignment.of_list [] in
+  let prefixed { leaves; positions; _ } =
+    let last = Array.length leaves - 1 in
+    positions = [ last ]
+    && Array.for_all
+         (function System.Const _ -> true | _ -> false)
+         (Array.sub leaves 0 last)
   in
-  let pre = side 0 (i - 1) and post = side (i + 1) (n - 1) in
-  max_middle ~pre ~post ~upper
+  let residual_of { upper; leaves; _ } =
+    bound
+      ~pre:(leaf_handles t.system constants leaves 0 (Array.length leaves - 2))
+      ~post:[] ~upper
+  in
+  List.filter_map
+    (fun v ->
+      match Hashtbl.find_opt t.by_var v with
+      | Some (first :: rest as occs) when List.for_all prefixed occs ->
+          Some
+            ( v,
+              lazy
+                (List.fold_left
+                   (fun acc occ -> Store.inter_lang acc (residual_of occ))
+                   (residual_of first) rest) )
+      | _ -> None)
+    (System.variables t.system)
 
 (* The meet of [v]'s occurrence bounds. Each alternative's bounds are
    computed by ascending position and met by descending position. *)

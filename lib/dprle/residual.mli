@@ -34,6 +34,28 @@ val max_middle :
   upper:Automata.Store.handle ->
   Automata.Store.handle
 
+(** [run leaves] is the language of the concatenation of [leaves], in
+    order, built by the one rule every [pre·v·post ⊆ C] side follows:
+    {!Automata.Store.of_word}[ ""] (ε) for no leaves, the leaf's own
+    handle for one leaf, one {!Automata.Store.of_word} of the joined
+    text when every leaf has a {!Automata.Store.word} (so
+    {!max_middle} walks the word), and otherwise a left fold of
+    {!Automata.Store.concat_lang} from the first leaf. The rule only
+    picks a representation: {!max_middle}'s machine depends on [pre]
+    and [post] through their languages alone (the state set [T₀] and
+    the set [Good] of [upper]'s completed DFA), so no bound changes
+    with it. *)
+val run : Automata.Store.handle list -> Automata.Store.handle
+
+(** [bound ~pre ~post ~upper] is the largest [X] with
+    [run pre ∘ X ∘ run post ⊆ upper]: [upper] itself when both runs are
+    empty, otherwise {!max_middle} over the two runs. *)
+val bound :
+  pre:Automata.Store.handle list ->
+  post:Automata.Store.handle list ->
+  upper:Automata.Store.handle ->
+  Automata.Store.handle
+
 (** The occurrence index of a system: for each variable, the
     union-free alternatives of the constraints it occurs in, with its
     positions there. Built in one pass over the system, so growing a
@@ -48,6 +70,18 @@ val vars : index -> int
 (** Variable occurrences in the index, over every union-free
     alternative. *)
 val occurrences : index -> int
+
+(** The closed form of an index's constant-prefixed variables: each
+    variable whose every occurrence is the last leaf of its
+    alternative, after constants only ([c1·…·ck·v ⊆ C], k ≥ 0), paired
+    with the meet, in constraint order, of its {!bound}s
+    [bound ~pre:[c1; …; ck] ~post:[] ~upper:C]. Such a variable shares
+    no constraint with another, so the values satisfying its
+    constraints are closed under union and the meet is its one maximal
+    value. Variables come in {!System.variables} order; each meet is
+    computed when forced, so a caller can stop at the first empty
+    one. *)
+val closed_form : index -> (string * Automata.Store.handle Lazy.t) list
 
 (** [maximize (index system) a] grows every variable of [a] in
     round-robin fashion to the largest language that keeps every

@@ -145,7 +145,7 @@ let unsat reason = raise (Unsatisfiable reason)
    Exact repair for the common shapes: a maximal leading or trailing
    run of constant leaves containing a multi-word constant is folded
    into the right-hand side with the universal residual
-   [{w | pre·w·post ⊆ c}] ({!Residual.max_middle}) — an equivalence,
+   [{w | pre·w·post ⊆ c}] ({!Residual.bound}) — an equivalence,
    not an approximation. Constant-only alternatives are decided by
    inclusion outright. The remaining case — a multi-word constant
    {e between} two variables — keeps its slicing but flags the group
@@ -172,22 +172,9 @@ let is_singleton_handle h =
 let preprocess system =
   let const_handle = System.const_handle system in
   let is_singleton name = is_singleton_handle (const_handle name) in
-  let fresh = ref 0 in
   let extra = ref [] in
-  let residual_const ~pre ~post ~upper =
-    let name = Printf.sprintf "#res%d" !fresh in
-    incr fresh;
-    extra := (name, Residual.max_middle ~pre ~post ~upper) :: !extra;
-    name
-  in
-  let eps = Store.of_word "" in
-  let run_lang run =
-    List.fold_left
-      (fun acc leaf ->
-        match leaf with
-        | System.Const c -> Store.concat_lang acc (const_handle c)
-        | _ -> assert false)
-      eps run
+  let handles run =
+    List.map (function System.Const c -> const_handle c | _ -> assert false) run
   in
   let needs_fold run =
     run <> []
@@ -215,8 +202,8 @@ let preprocess system =
         let mid = List.rev mid_rev in
         if mid = [] then begin
           (* constant-only alternative: decide inclusion now *)
-          if not (Store.subset (run_lang pre_run) (const_handle rhs)) then
-            unsat Const_expr_violation;
+          if not (Store.subset (Residual.run (handles pre_run)) (const_handle rhs))
+          then unsat Const_expr_violation;
           None
         end
         else begin
@@ -224,9 +211,14 @@ let preprocess system =
           if not (fold_pre || fold_post) then
             Option.map (fun lhs -> { System.lhs; rhs }) (rebuild ls)
           else begin
-            let pre = if fold_pre then run_lang pre_run else eps in
-            let post = if fold_post then run_lang post_run else eps in
-            let rhs' = residual_const ~pre ~post ~upper:(const_handle rhs) in
+            let rhs' = Printf.sprintf "#res%d" (List.length !extra) in
+            extra :=
+              ( rhs',
+                Residual.bound
+                  ~pre:(if fold_pre then handles pre_run else [])
+                  ~post:(if fold_post then handles post_run else [])
+                  ~upper:(const_handle rhs) )
+              :: !extra;
             let kept =
               (if fold_pre then [] else pre_run)
               @ mid
@@ -626,73 +618,20 @@ let solve_group ~combination_limit ~raw_cap ~verify (roots : record list) base
    it) meets no other variable in any constraint, so the languages
    that satisfy its constraints are closed under union and the system
    has one maximal value for it: the meet, in constraint order, of the
-   universal residuals [{w | c1⋯ck·w ⊆ C}] ({!Residual.max_middle}),
-   or [C] itself when k = 0. That is the value gci's slices grow to in
-   maximize, computed without a concatenation machine. A constant
-   suffix would make the residual a two-sided one; such variables stay
-   on the solver path. *)
+   universal residuals [{w | c1⋯ck·w ⊆ C}], or [C] itself when k = 0
+   ({!Residual.closed_form}, over the same occurrence index maximize
+   reads). That is the value gci's slices grow to in maximize, computed
+   without a concatenation machine. A constant suffix would make the
+   residual a two-sided one; such variables stay on the solver path. *)
 
 let c_closed_form = Telemetry.Metrics.Counter.make "solver.closed_form.vars"
 
-(* The residual bound of one occurrence behind the constants [pre]. A
-   run of literals is joined into one word, which [max_middle] walks. *)
-let prefix_bound system pre ~upper =
-  let const_handle = System.const_handle system in
-  match pre with
-  | [] -> upper
-  | _ ->
-      let words = List.map (fun c -> Store.word (const_handle c)) pre in
-      let pre =
-        if List.for_all Option.is_some words then
-          Store.of_word (String.concat "" (List.map Option.get words))
-        else
-          List.fold_left
-            (fun acc c -> Store.concat_lang acc (const_handle c))
-            (Store.of_word "") pre
-      in
-      Residual.max_middle ~pre ~post:(Store.of_word "") ~upper
-
-(* The constant-prefixed variables of [system] bound in closed form,
-   and the system without their alternatives; [None] when no variable
-   qualifies or one binding is empty (the solver path then names the
-   reason). *)
+(* The constant-prefixed variables of [system] bound in closed form
+   ({!Residual.closed_form}), and the system without their
+   alternatives; [None] when no variable qualifies or one binding is
+   empty (the solver path then names the reason). *)
 let closed_form system =
-  (* per variable, [Some] occurrences (constant prefix, bound) newest
-     first while it qualifies, [None] once it does not *)
-  let occs : (string, (string list * string) list option) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let disqualify v = Hashtbl.replace occs v None in
-  List.iter
-    (fun { System.lhs; rhs } ->
-      List.iter
-        (fun alternative ->
-          let leaves = System.leaves alternative in
-          match List.rev leaves with
-          | System.Var v :: rev_pre
-            when List.for_all (function System.Const _ -> true | _ -> false) rev_pre
-            -> (
-              let pre =
-                List.rev_map (function System.Const c -> c | _ -> assert false) rev_pre
-              in
-              match Hashtbl.find_opt occs v with
-              | Some None -> ()
-              | Some (Some l) -> Hashtbl.replace occs v (Some ((pre, rhs) :: l))
-              | None -> Hashtbl.replace occs v (Some [ (pre, rhs) ]))
-          | _ ->
-              List.iter
-                (function System.Var v -> disqualify v | _ -> ())
-                leaves)
-        (System.expand_unions lhs))
-    (System.constraints system);
-  let qualified =
-    List.filter_map
-      (fun v ->
-        match Hashtbl.find_opt occs v with
-        | Some (Some l) -> Some (v, List.rev l)
-        | _ -> None)
-      (System.variables system)
-  in
+  let qualified = Residual.closed_form (Residual.index system) in
   if qualified = [] then None
   else
     Span.with_span ~name:"closed-form"
@@ -700,18 +639,12 @@ let closed_form system =
     @@ fun () ->
     timed "closed-form" @@ fun () ->
     let exception Empty in
-    let bound (pre, rhs) =
-      prefix_bound system pre ~upper:(System.const_handle system rhs)
-    in
     match
       List.map
-        (fun (v, occurrences) ->
-          match List.map bound occurrences with
-          | [] -> assert false
-          | first :: rest ->
-              let h = List.fold_left Store.inter_lang first rest in
-              if Store.is_empty h then raise Empty;
-              (v, h))
+        (fun (v, h) ->
+          let h = Lazy.force h in
+          if Store.is_empty h then raise Empty;
+          (v, h))
         qualified
     with
     | exception Empty -> None
@@ -868,8 +801,9 @@ let reason_of_cause = function
    — the [dprle analyze] report is the tool for blame beyond what the
    static passes can see). Closed-form bindings join every disjunct of
    the rest, as one group's do in [combine]; sliced-away variables
-   re-join every solution as their singleton witnesses so assignments
-   stay total over the original system. [--no-analyze] skips both: it
+   re-join every solution as their singleton witnesses, and variables
+   whose every constraint was discharged as Σ*, so assignments stay
+   total over the original system. [--no-analyze] skips both: it
    is the paper's pipeline, the ablation arm and the oracle. *)
 let solve_system (cfg : Config.t) system =
   let solve system =
@@ -910,13 +844,25 @@ let solve_system (cfg : Config.t) system =
                  variables too *)
               | Unsat _ -> solve a.Analyze.system)
         in
-        match (outcome, a.Analyze.witnesses) with
+        let sliced = List.map (fun (v, w) -> (v, Store.of_word w)) a.Analyze.witnesses in
+        (* a variable whose every constraint was discharged is
+           unconstrained: the last one dropped was implied by Σ* *)
+        let discharged () =
+          let present = Hashtbl.create 16 in
+          List.iter
+            (fun v -> Hashtbl.replace present v ())
+            (System.variables a.Analyze.system @ List.map fst sliced);
+          List.filter_map
+            (fun v -> if Hashtbl.mem present v then None else Some (v, Store.top ()))
+            (System.variables system)
+        in
+        match
+          (outcome, if a.Analyze.stats.discharged > 0 then sliced @ discharged () else sliced)
+        with
         | (Unsat _ as u), _ -> u
         | Sat sols, [] -> Sat sols
-        | Sat sols, ws ->
-            let extra =
-              Assignment.of_list (List.map (fun (v, w) -> (v, Store.of_word w)) ws)
-            in
+        | Sat sols, extra ->
+            let extra = Assignment.of_list extra in
             Sat (List.map (fun s -> Assignment.union s extra) sols))
 
 let run (cfg : Config.t) system =

@@ -92,7 +92,7 @@ module Config : sig
             is built; then bind every constant-prefixed variable (each
             of its union-free alternatives reads [c1·…·ck·v]) in
             closed form, the meet of its universal residuals
-            ({!Residual.max_middle}), counted in
+            ({!Residual.closed_form}), counted in
             [solver.closed_form.vars]. [false] is the ablation arm,
             the paper's pipeline: verdicts are identical either way,
             and on the closed form's systems so are the solutions

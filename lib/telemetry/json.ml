@@ -231,5 +231,3 @@ let to_number = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | _ -> None
-
-let to_str = function String s -> Some s | _ -> None

@@ -30,5 +30,3 @@ val to_list : t -> t list option
 
 (** Numeric value of an [Int] or [Float]. *)
 val to_number : t -> float option
-
-val to_str : t -> string option

@@ -40,7 +40,6 @@ let default () = Domain.DLS.get default_key
    ledger clock reads). Written from the main domain before workers
    spawn — bench flips it to price the instrumentation itself. *)
 let timing_flag = Atomic.make true
-let timing_enabled () = Atomic.get timing_flag
 let set_timing_enabled b = Atomic.set timing_flag b
 
 let register registry name build check =

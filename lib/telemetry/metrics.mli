@@ -32,8 +32,6 @@ val default : unit -> registry
     {!Timer.observe_ns}, and the store ledger's clock reads). On by
     default; bench flips it off to price the instrumentation itself.
     Set from the main domain before worker domains spawn. *)
-val timing_enabled : unit -> bool
-
 val set_timing_enabled : bool -> unit
 
 module Counter : sig

@@ -70,8 +70,6 @@ let add_attr key value =
   | [] -> ()
   | top :: _ -> top.attrs <- top.attrs @ [ (key, value) ]
 
-let graft ~parent child = parent.children_rev <- child :: parent.children_rev
-
 (* ------------------------------------------------------------------ *)
 (* Exports *)
 

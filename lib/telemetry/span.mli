@@ -12,8 +12,7 @@
     is open becomes its child. The span stack is domain-local: each
     engine worker collects its own tree without synchronization, and
     the per-worker trees are merged into one trace as separate lanes
-    by {!to_chrome_json_lanes} (or attached to a parent tree with
-    {!graft}). Exceptions close spans correctly. *)
+    by {!to_chrome_json_lanes}. Exceptions close spans correctly. *)
 
 type attr = [ `Int of int | `Float of float | `String of string | `Bool of bool ]
 
@@ -57,12 +56,6 @@ val collect_emit :
     known mid-phase (e.g. a cut census discovered during the phase).
     No-op when tracing is disabled. *)
 val add_attr : string -> attr -> unit
-
-(** Attach an already-finished span tree as the last child of
-    [parent]. The engine uses this to hang a worker's lane under the
-    batch root once the worker has been joined; never graft a span
-    that is still open. *)
-val graft : parent:t -> t -> unit
 
 (** Chrome [trace_event] export: a ["traceEvents"] array of complete
     ("ph":"X") events, timestamps in microseconds relative to the

@@ -9,6 +9,7 @@ module Solver = Dprle.Solver
 module Assignment = Dprle.Assignment
 module Validate = Dprle.Validate
 module Residual = Dprle.Residual
+module Store = Automata.Store
 
 let re = System.const_of_regex
 let lang_of s = Automata.Store.nfa (re s)
@@ -632,6 +633,31 @@ let residual_tests =
                ~post:(re "b") ~upper:(re "ab"))
         in
         check_bool "sigma-star" true (Lang.equal m Nfa.sigma_star));
+    test "run joins a literal run into one word" (fun () ->
+        let h = Residual.run [ Store.of_word "nid"; Store.of_word "_"; Store.of_word "7" ] in
+        check_bool "word" true (Store.word h = Some "nid_7");
+        check_bool "language" true (Store.equal h (Store.of_word "nid_7")));
+    test "run of one leaf is that leaf" (fun () ->
+        let h = re "a|b" in
+        check_bool "same handle" true (Residual.run [ h ] == h);
+        check_bool "no leaves is epsilon" true
+          (Store.equal (Residual.run []) (Store.of_word "")));
+    test "run of a mixed run is the concatenation" (fun () ->
+        let leaves = [ Store.of_word "x"; re "y*"; Store.of_word "z" ] in
+        let h = Residual.run leaves in
+        check_bool "not a word" true (Store.word h = None);
+        check_bool "language" true (Store.equal h (re "xy*z")));
+    test "bound with no context is the upper bound itself" (fun () ->
+        let upper = re "a(ab)*b" in
+        check_bool "same handle" true (Residual.bound ~pre:[] ~post:[] ~upper == upper);
+        (* a literal run and its concatenation pose the same residual *)
+        check_bool "literal run" true
+          (Store.equal
+             (Residual.bound ~pre:[ Store.of_word "a"; Store.of_word "a" ] ~post:[]
+                ~upper)
+             (Residual.max_middle
+                ~pre:(Store.concat_lang (Store.of_word "a") (Store.of_word "a"))
+                ~post:(Store.of_word "") ~upper)));
     test "maximize grows to the paper's merged solution" (fun () ->
         let s =
           mk_system
@@ -1235,7 +1261,8 @@ let closed_form_props =
     ]
   in
   let consts () =
-    List.map (fun (n, w) -> (n, System.const_of_word w)) literals
+    (* [w3] serves the fixed cases only, not the generator *)
+    List.map (fun (n, w) -> (n, System.const_of_word w)) (literals @ [ ("w3", "b") ])
     @ List.map (fun (n, r) -> (n, re r)) (prefixes @ bounds)
   in
   (* one alternative [c1·…·ck·v], k ≤ 2, literal or multi-word *)
@@ -1319,12 +1346,7 @@ let closed_form_props =
                               (System.expand_unions lhs))
                           cs)
                    in
-                   (* a variable whose every constraint the analyzer
-                      discharged is left unbound: it is unconstrained *)
-                   let h =
-                     Option.value (Assignment.find_opt a v)
-                       ~default:(Automata.Store.top ())
-                   in
+                   let h = Assignment.find a v in
                    Automata.Store.equal h (Assignment.find b v)
                    && List.for_all
                         (fun w ->
@@ -1333,6 +1355,27 @@ let closed_form_props =
                         words)
                  vars
            | _ -> false));
+    test "a two-literal prefix binds its residual" (fun () ->
+        (* "a" . "b" . v <= u4: the run joins into the word "ab" *)
+        let s =
+          system
+            [ { lhs = Concat (Concat (Const "w0", Const "w3"), Var "v0"); rhs = "u4" } ]
+        in
+        match (run ~analyze:true s, run ~analyze:false s) with
+        | Solver.Sat [ a ], Solver.Sat [ b ] ->
+            check_lang "v0" "(a|b)*" (find a "v0");
+            check_bool "equal to --no-analyze" true
+              (Store.equal (Assignment.find a "v0") (Assignment.find b "v0"))
+        | _ -> Alcotest.fail "expected one solution each way");
+    test "a variable whose constraints are all discharged is Σ*" (fun () ->
+        (* every word of "b'"·Σ* holds a quote, so the analyzer drops
+           the one constraint on v0; the answer still binds it *)
+        let s = system [ { lhs = Concat (Const "w2", Var "v0"); rhs = "u0" } ] in
+        match run ~analyze:true s with
+        | Solver.Sat [ a ] ->
+            check_bool "sigma-star" true
+              (Store.equal (Assignment.find a "v0") (Store.top ()))
+        | _ -> Alcotest.fail "expected one solution");
   ]
 
 let suite =

@@ -1,10 +1,9 @@
 (* Tests for the §3.1.2-style extensions: length restrictions,
-   case-mapped input reads (regular preimages), and the Relabel
-   module underneath. *)
+   case-mapped input reads (regular preimages), and the character-map
+   transducer underneath. *)
 
 open Helpers
 module Nfa = Automata.Nfa
-module Relabel = Automata.Relabel
 module Lang = Automata.Lang
 module Ast = Webapp.Ast
 module Lang_parser = Webapp.Lang_parser
@@ -14,27 +13,32 @@ module Attack = Webapp.Attack
 
 let re s = Automata.Store.nfa (Dprle.System.const_of_regex s)
 
+(* [Fst.map_chars f] relabels each edge: its image and preimage are
+   the character-map constructions of the case-mapping reads. *)
+let image f m = Automata.Fst.(image (map_chars f)) m
+let preimage f m = Automata.Fst.(preimage (map_chars f)) m
+
 let relabel_tests =
   [
     test "preimage of lowercase language" (fun () ->
-        let m = Relabel.preimage Char.lowercase_ascii (re "ab") in
+        let m = preimage Char.lowercase_ascii (re "ab") in
         List.iter
           (fun (w, expect) -> check_bool w expect (Nfa.accepts m w))
           [ ("ab", true); ("AB", true); ("aB", true); ("Ab", true);
             ("ba", false); ("abc", false) ]);
     test "image of a language" (fun () ->
-        let m = Relabel.image Char.uppercase_ascii (re "a(b|c)") in
+        let m = image Char.uppercase_ascii (re "a(b|c)") in
         List.iter
           (fun (w, expect) -> check_bool w expect (Nfa.accepts m w))
           [ ("AB", true); ("AC", true); ("ab", false); ("Ab", false) ]);
     test "preimage through a class" (fun () ->
         (* lower(w) ∈ [a-c]+  ⇔  w ∈ [a-cA-C]+ *)
-        let m = Relabel.preimage Char.lowercase_ascii (re "[a-c]+") in
+        let m = preimage Char.lowercase_ascii (re "[a-c]+") in
         check_bool "mixed" true (Nfa.accepts m "aBC");
         check_bool "out of class" false (Nfa.accepts m "aD"));
     test "identity relabel preserves language" (fun () ->
         let m = re "x(yz)*" in
-        check_bool "equal" true (Lang.equal m (Relabel.preimage Fun.id m)));
+        check_bool "equal" true (Lang.equal m (preimage Fun.id m)));
   ]
 
 let relabel_props =
@@ -45,12 +49,12 @@ let relabel_props =
         let* w = Helpers.word_gen in
         return (m, w))
       (fun (m, w) ->
-        Nfa.accepts (Relabel.preimage Char.lowercase_ascii m) w
+        Nfa.accepts (preimage Char.lowercase_ascii m) w
         = Nfa.accepts m (String.lowercase_ascii w));
     qtest ~count:80 "image contains the map of every sample"
       Helpers.nfa_gen
       (fun m ->
-        let img = Relabel.image Char.uppercase_ascii m in
+        let img = image Char.uppercase_ascii m in
         List.for_all
           (fun w -> Nfa.accepts img (String.uppercase_ascii w))
           (Nfa.sample_words m ~max_len:5 ~max_count:8));
@@ -273,11 +277,13 @@ let fst_props =
             | Some w' -> Nfa.accepts img w'
             | None -> true)
           (Nfa.sample_words m ~max_len:5 ~max_count:8));
-    qtest ~count:40 "map_chars fst agrees with Relabel" Helpers.nfa_gen
-      (fun m ->
-        Automata.Lang.equal
-          (Fst.preimage (Fst.map_chars Char.lowercase_ascii) m)
-          (Relabel.preimage Char.lowercase_ascii m));
+    qtest ~count:40 "map_chars fst agrees with String.map"
+      QCheck2.Gen.(pair Helpers.nfa_gen Helpers.word_gen)
+      (fun (m, w) ->
+        let lower = Fst.map_chars Char.lowercase_ascii in
+        let w' = String.lowercase_ascii w in
+        Fst.apply lower w = Some w'
+        && ((not (Nfa.accepts m w)) || Nfa.accepts (Fst.image lower m) w'));
   ]
 
 let sanitizer_tests =

@@ -193,9 +193,13 @@ let handler_tests =
         let resp = Serve.Handler.handle (solve_req "bad" "this is not a system") in
         check_string "code" "parse_error" (error_code resp));
     test "a state budget of one trips during construction" (fun () ->
-        (* a pattern no other test interns, so the store cannot satisfy
-           the request without building fresh states *)
-        let system = "let fresh = /zq[xw]{2,9}k/;\nv77 <= fresh;\n" in
+        (* a pattern no other test interns, behind a literal: its
+           residual determinizes the pattern, so the store cannot
+           satisfy the request without building fresh states (a bare
+           [v <= fresh] is answered by the pattern's own handle) *)
+        let system =
+          "let fresh = /zq[xw]{2,9}k/;\nlet pre = \"zq\";\npre . v77 <= fresh;\n"
+        in
         let resp =
           Serve.Handler.handle (solve_req ~budget_states:1 "tiny" system)
         in
