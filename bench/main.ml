@@ -609,6 +609,42 @@ let alternate ?(trials = ablation_trials) ~on ~off () =
   List.split (List.init trials (fun _ -> let r = on () in (r, off ())))
 
 (* ------------------------------------------------------------------ *)
+(* DFA minimization on literal chains: the DFA of one word over 26
+   letters is already minimal, so every class is a singleton and the
+   refinement splits all the way down. Moore's refinement took a round
+   per state there, quadratic in the chain; Hopcroft's is O(m log n).
+   The median of [ablation_trials] runs per length.                   *)
+
+let chain_states = [ 261; 521; 1041; 2081 ]
+
+let minimize_chain_report () =
+  hr "DFA minimization — literal chains";
+  let rng = Random.State.make [| 0xc4a1; 0x5e7 |] in
+  Fmt.pr "%8s %12s@." "states" "minimize";
+  List.iter
+    (fun states ->
+      let w =
+        String.init (states - 1) (fun _ ->
+            Char.chr (Char.code 'a' + Random.State.int rng 26))
+      in
+      let d = Automata.Dfa.of_nfa (Nfa.of_word w) in
+      let runs =
+        List.init ablation_trials (fun _ ->
+            time_once (fun () -> Automata.Dfa.minimize d))
+      in
+      let seconds = median (List.map snd runs) in
+      let minimized = Automata.Dfa.num_states (fst (List.hd runs)) in
+      Fmt.pr "%8d %9.3f ms@." states (seconds *. 1e3);
+      record
+        [
+          ("name", Json.String (Fmt.str "minimize/chain/%d" states));
+          ("states", Json.Int states);
+          ("minimized_states", Json.Int minimized);
+          ("seconds", Json.Float seconds);
+        ])
+    chain_states
+
+(* ------------------------------------------------------------------ *)
 (* Pipeline ablations: webcheck's §4 pipeline (plan → solve) with one
    layer on and then off, each arm serving its corpus [passes] times
    against one warm store — the webcheck deployment shape, where a
@@ -1184,6 +1220,9 @@ let run_experiments () =
   experiment "sec35/complexity" sec35_report;
   experiment "ablation/minimization" ablation_report;
   experiment "hotpath/kernels" hotpath_report;
+  (* wrapper entry "minimize/chain"; each length records itself as
+     minimize/chain/N *)
+  experiment "minimize/chain" minimize_chain_report;
   experiment "parallel/engine" parallel_report;
   (* wrapper entry is "parallel/pool"; the arm comparison itself is
      recorded as "parallel/pool_reuse" (same split as static_prune) *)

@@ -194,7 +194,7 @@ let analyze_cmd path goals dot verbose =
                 Fmt.(
                   option (fun ppf w -> pf ppf ", shortest witness %S" w))
                 b.witness)
-            a.bounds;
+            (Lazy.force a.bounds);
           Fmt.pr "discharged: %d implied constraint(s)@." stats.discharged;
           (match stats.sliced_vars with
           | [] -> ()

@@ -24,15 +24,53 @@ let accepts d w =
   in
   go d.start 0
 
+(* Each visited state's edges are resolved once into a 256-entry row,
+   so a long word costs one array read per character instead of a
+   label scan through [step]. *)
+let walk d q w =
+  let rows = Array.make d.n [||] in
+  let row q =
+    let r = rows.(q) in
+    if Array.length r > 0 then r
+    else begin
+      let r = Array.make 256 (-1) in
+      List.iter
+        (fun (cs, q') ->
+          List.iter
+            (fun (lo, hi) -> Array.fill r lo (hi - lo + 1) q')
+            (Charset.ranges cs))
+        d.trans.(q);
+      rows.(q) <- r;
+      r
+    end
+  in
+  let rec go q i =
+    if i = String.length w then Some q
+    else
+      let q' = (row q).(Char.code w.[i]) in
+      if q' < 0 then None else go q' (i + 1)
+  in
+  go q 0
+
 (* Merge edges sharing a target into one charset-labelled edge. *)
 let merge_edges edges =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (cs, q) ->
-      let existing = Option.value (Hashtbl.find_opt tbl q) ~default:Charset.empty in
-      Hashtbl.replace tbl q (Charset.union existing cs))
+      Hashtbl.replace tbl q
+        (cs :: Option.value (Hashtbl.find_opt tbl q) ~default:[]))
     edges;
-  Hashtbl.fold (fun q cs acc -> (cs, q) :: acc) tbl []
+  (* one normalization per target: a union per edge re-sorted the
+     growing label every time *)
+  Hashtbl.fold
+    (fun q labels acc ->
+      let cs =
+        match labels with
+        | [ cs ] -> cs
+        | labels -> Charset.of_ranges (List.concat_map Charset.ranges labels)
+      in
+      (cs, q) :: acc)
+    tbl []
 
 let t_determinize = Telemetry.Metrics.Timer.make "automata.dfa.determinize"
 let t_minimize = Telemetry.Metrics.Timer.make "automata.dfa.minimize"
@@ -83,6 +121,17 @@ let of_nfa_untimed (m : Nfa.t) =
   { n = !count; start = start_q; finals = finals_arr; trans }
 
 let of_nfa m = Telemetry.Metrics.Timer.time t_determinize (fun () -> of_nfa_untimed m)
+
+let of_word w =
+  let n = String.length w + 1 in
+  {
+    n;
+    start = 0;
+    finals = Array.init n (fun q -> q = n - 1);
+    trans =
+      Array.init n (fun q ->
+          if q < n - 1 then [ (Charset.singleton w.[q], q + 1) ] else []);
+  }
 
 let to_nfa d =
   let b = Nfa.Builder.create () in
@@ -216,174 +265,247 @@ let is_empty_lang d =
   let d = trim d in
   not (Array.exists Fun.id d.finals)
 
-(* Moore partition refinement over the completed machine. The
-   transition alphabet is refined globally into blocks so each state's
-   behaviour is a finite signature of block→class entries. *)
+(* Hopcroft partition refinement on the trimmed machine, with the
+   dead state left implicit (Valmari and Lehtinen's variant for
+   partial transition functions), in their array layout of a
+   refinable partition. Every state of a trimmed machine is live, so
+   no class merges with the dead one. The alphabet is refined
+   globally into blocks; a transition is a (state, block) pair, and a
+   splitter visits the transitions into its states. A split queues the
+   smaller half, so each transition is visited O(log n) times:
+   O(m·log n) for [m] transitions.
+
+   The result is the machine Moore refinement of the completed
+   machine gives, state for state: classes numbered by their least
+   member, edges merged per target in the order [merge_edges] gives
+   over the blocks in order, the dead class's edges dropped. So no
+   output that reads state ids or edge order depends on the algorithm;
+   [test/minimize_reference.ml] keeps Moore's refinement as the
+   oracle. *)
 let minimize_untimed d0 =
-  let d = complete (trim d0) in
-  let blocks = ref [] in
-  Array.iter
-    (fun out -> List.iter (fun (cs, _) -> blocks := cs :: !blocks) out)
-    d.trans;
-  let alphabet = Charset.refine !blocks in
-  let reps = List.map Charset.choose alphabet in
-  let total_step q c =
-    match step d q c with
-    | Some q' -> q'
-    | None -> assert false (* machine is complete *)
-  in
-  (* Dense successor table, filled once: refinement runs up to the
-     machine's diameter many rounds, and resolving each (state, rep)
-     step through the edge lists inside the loop made every round
-     O(n·r·edges) — on dense 256-char machines that term dwarfed the
-     refinement itself. *)
-  let r = List.length reps in
-  let tbl = Array.make (max 1 (d.n * r)) 0 in
-  List.iteri
-    (fun i c ->
-      for q = 0 to d.n - 1 do
-        tbl.((q * r) + i) <- total_step q c
-      done)
-    reps;
-  let cls = Array.make d.n 0 in
-  Array.iteri (fun q is_f -> cls.(q) <- (if is_f then 1 else 0)) d.finals;
-  (* Signatures are hashed over the FULL successor row and verified
-     against [tbl] directly. The obvious [Hashtbl] over
-     [(class, succ array)] keys loses badly here: the polymorphic hash
-     samples only a prefix of the array, and on the chain-shaped DFAs
-     word languages produce, most states agree on that prefix for many
-     rounds — every probe then walks a long bucket doing O(r)
-     structural compares, turning each round quadratic. *)
-  let same_signature p q =
-    cls.(p) = cls.(q)
-    &&
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < r do
-      if cls.(tbl.((p * r) + !i)) <> cls.(tbl.((q * r) + !i)) then ok := false;
-      incr i
+  let d = trim d0 in
+  if not (Array.exists Fun.id d.finals) then d
+  else begin
+    let n = d.n in
+    (* The alphabet blocks are the intervals between consecutive label
+       boundaries: [Charset.refine] of the completed machine's labels. *)
+    let boundary = Array.make 257 false in
+    boundary.(0) <- true;
+    boundary.(256) <- true;
+    Array.iter
+      (List.iter (fun (cs, _) ->
+           List.iter
+             (fun (lo, hi) ->
+               boundary.(lo) <- true;
+               boundary.(hi + 1) <- true)
+             (Charset.ranges cs)))
+      d.trans;
+    let block_of = Array.make 256 0 in
+    let bounds = ref [] and r = ref 0 and lo = ref 0 in
+    for c = 1 to 256 do
+      if boundary.(c) then begin
+        bounds := (!lo, c - 1) :: !bounds;
+        lo := c;
+        incr r
+      end;
+      if c < 256 then block_of.(c) <- !r
     done;
-    !ok
-  in
-  let changed = ref true in
-  let num_classes = ref 2 in
-  while !changed do
-    changed := false;
-    let buckets : (int, (int * int) list) Hashtbl.t = Hashtbl.create d.n in
-    let next = Array.make d.n 0 in
-    let fresh = ref 0 in
-    for q = 0 to d.n - 1 do
-      let h = ref cls.(q) in
-      for i = 0 to r - 1 do
-        h := (!h * 31) + cls.(tbl.((q * r) + i))
+    let bounds = Array.of_list (List.rev !bounds) and r = !r in
+    let iter_blocks f cs =
+      List.iter
+        (fun (lo, hi) ->
+          for i = block_of.(lo) to block_of.(hi) do
+            f i
+          done)
+        (Charset.ranges cs)
+    in
+    (* transitions by target: [(in_src.(x), in_block.(x))] for [x] in
+       [in_start.(q) .. in_start.(q + 1) - 1] enter [q] *)
+    let in_start = Array.make (n + 1) 0 in
+    Array.iter
+      (List.iter (fun (cs, q') ->
+           iter_blocks (fun _ -> in_start.(q' + 1) <- in_start.(q' + 1) + 1) cs))
+      d.trans;
+    for q = 1 to n do
+      in_start.(q) <- in_start.(q) + in_start.(q - 1)
+    done;
+    let m = in_start.(n) in
+    let in_src = Array.make m 0 and in_block = Array.make m 0 in
+    let fill = Array.sub in_start 0 n in
+    Array.iteri
+      (fun q out ->
+        List.iter
+          (fun (cs, q') ->
+            iter_blocks
+              (fun i ->
+                let x = fill.(q') in
+                in_src.(x) <- q;
+                in_block.(x) <- i;
+                fill.(q') <- x + 1)
+              cs)
+          out)
+      d.trans;
+    (* the partition: block [b] holds [elems.(first.(b) .. last.(b) - 1)],
+       its marked states first, up to [mid.(b)] *)
+    let elems = Array.init n Fun.id in
+    let loc = Array.init n Fun.id in
+    let blk = Array.make n 0 in
+    let first = Array.make n 0 in
+    let last = Array.make n 0 in
+    let mid = Array.make n 0 in
+    last.(0) <- n;
+    let blocks = ref 1 in
+    let touched = Array.make n 0 in
+    let touched_count = ref 0 in
+    let mark q =
+      let b = blk.(q) in
+      let i = loc.(q) and m = mid.(b) in
+      if i >= m then begin
+        let p = elems.(m) in
+        elems.(m) <- q;
+        loc.(q) <- m;
+        elems.(i) <- p;
+        loc.(p) <- i;
+        mid.(b) <- m + 1;
+        if m = first.(b) then begin
+          touched.(!touched_count) <- b;
+          incr touched_count
+        end
+      end
+    in
+    let pending = Array.make n 0 in
+    let pending_count = ref 0 in
+    let push b =
+      pending.(!pending_count) <- b;
+      incr pending_count
+    in
+    (* Split every touched block into its marked and unmarked states.
+       The smaller part becomes the new block and is queued: if the old
+       block was queued it still is, and if not, the smaller half is
+       the one Hopcroft's rule asks for. *)
+    let split () =
+      for t = 0 to !touched_count - 1 do
+        let b = touched.(t) in
+        let f = first.(b) and m = mid.(b) and l = last.(b) in
+        mid.(b) <- f;
+        if m < l then begin
+          let nb = !blocks in
+          incr blocks;
+          if m - f <= l - m then begin
+            first.(nb) <- f;
+            last.(nb) <- m;
+            first.(b) <- m
+          end
+          else begin
+            first.(nb) <- m;
+            last.(nb) <- l;
+            last.(b) <- m
+          end;
+          mid.(b) <- first.(b);
+          mid.(nb) <- first.(nb);
+          for i = first.(nb) to last.(nb) - 1 do
+            blk.(elems.(i)) <- nb
+          done;
+          push nb
+        end
       done;
-      let key = !h land max_int in
-      let candidates =
-        Option.value (Hashtbl.find_opt buckets key) ~default:[]
-      in
-      let id =
-        match
-          List.find_opt (fun (p, _) -> same_signature p q) candidates
-        with
-        | Some (_, id) -> id
-        | None ->
-            let id = !fresh in
-            incr fresh;
-            Hashtbl.replace buckets key ((q, id) :: candidates);
-            id
-      in
-      next.(q) <- id
+      touched_count := 0
+    in
+    (* With no dead state in the partition, stability under the finals
+       does not imply stability under the rest: both start queued. *)
+    Array.iteri (fun q is_f -> if is_f then mark q) d.finals;
+    split ();
+    push 0;
+    (* a splitter's transitions, bucketed by block through [link] *)
+    let head = Array.make r (-1) in
+    let link = Array.make m 0 in
+    let active = Array.make r 0 in
+    while !pending_count > 0 do
+      decr pending_count;
+      let s = pending.(!pending_count) in
+      let count = ref 0 in
+      for j = first.(s) to last.(s) - 1 do
+        let q = elems.(j) in
+        for x = in_start.(q) to in_start.(q + 1) - 1 do
+          let i = in_block.(x) in
+          if head.(i) < 0 then begin
+            active.(!count) <- i;
+            incr count
+          end;
+          link.(x) <- head.(i);
+          head.(i) <- x
+        done
+      done;
+      for a = 0 to !count - 1 do
+        let i = active.(a) in
+        let x = ref head.(i) in
+        while !x >= 0 do
+          mark in_src.(!x);
+          x := link.(!x)
+        done;
+        head.(i) <- -1;
+        split ()
+      done
     done;
-    if !fresh <> !num_classes then begin
-      changed := true;
-      num_classes := !fresh
-    end;
-    Array.blit next 0 cls 0 d.n
-  done;
-  let k = !num_classes in
-  let trans = Array.make k [] in
-  let finals = Array.make k false in
-  let seen = Array.make k false in
-  for q = 0 to d.n - 1 do
-    let c = cls.(q) in
-    if not seen.(c) then begin
-      seen.(c) <- true;
-      finals.(c) <- d.finals.(q);
-      let out =
-        List.filter_map
-          (fun block ->
-            let ch = Charset.choose block in
-            Some (block, cls.(total_step q ch)))
-          alphabet
-      in
-      trans.(c) <- merge_edges out
-    end
-  done;
-  trim { n = k; start = cls.(d.start); finals; trans }
+    (* classes numbered by their least member state; the dead class
+       comes after every live one *)
+    let cls = Array.make n 0 in
+    let class_of_block = Array.make !blocks (-1) in
+    let k = ref 0 in
+    for q = 0 to n - 1 do
+      let b = blk.(q) in
+      if class_of_block.(b) < 0 then begin
+        class_of_block.(b) <- !k;
+        incr k
+      end;
+      cls.(q) <- class_of_block.(b)
+    done;
+    let k = !k in
+    let dead = k in
+    let row = Array.make r dead in
+    let ranges_of = Array.make (k + 1) [] in
+    let trans = Array.make k [] in
+    let finals = Array.make k false in
+    let seen = Array.make k false in
+    for q = 0 to n - 1 do
+      let c = cls.(q) in
+      if not seen.(c) then begin
+        seen.(c) <- true;
+        finals.(c) <- d.finals.(q);
+        Array.fill row 0 r dead;
+        List.iter
+          (fun (cs, q') -> iter_blocks (fun i -> row.(i) <- cls.(q')) cs)
+          d.trans.(q);
+        let order = ref [] in
+        for i = 0 to r - 1 do
+          let t = row.(i) in
+          let lo, hi = bounds.(i) in
+          ranges_of.(t) <-
+            (match ranges_of.(t) with
+            | [] ->
+                order := t :: !order;
+                [ (lo, hi) ]
+            | (lo', hi') :: rest when hi' + 1 = lo -> (lo', hi) :: rest
+            | ranges -> (lo, hi) :: ranges)
+        done;
+        (* [merge_edges]'s table, keyed by target in order of first
+           appearance, so the edge order is the one it gives *)
+        let tbl = Hashtbl.create 8 in
+        List.iter
+          (fun t ->
+            Hashtbl.replace tbl t (Charset.of_ranges (List.rev ranges_of.(t)));
+            ranges_of.(t) <- [])
+          (List.rev !order);
+        trans.(c) <-
+          Hashtbl.fold
+            (fun t cs acc -> if t = dead then acc else (cs, t) :: acc)
+            tbl []
+      end
+    done;
+    { n = k; start = cls.(d.start); finals; trans }
+  end
 
 let minimize d = Telemetry.Metrics.Timer.time t_minimize (fun () -> minimize_untimed d)
-
-(* Determinization of the reversed machine, directly on DFA states
-   (predecessor subset construction). No ε-edges are introduced, so
-   the input's determinism makes the reversal co-deterministic — the
-   hypothesis Brzozowski's theorem needs. *)
-let reverse_det d =
-  let d = trim d in
-  let labels = ref [] in
-  Array.iter (fun out -> List.iter (fun (cs, _) -> labels := cs :: !labels) out) d.trans;
-  let alphabet = Charset.refine !labels in
-  let start_set =
-    Array.to_list d.finals
-    |> List.mapi (fun q is_f -> (q, is_f))
-    |> List.filter_map (fun (q, is_f) -> if is_f then Some q else None)
-  in
-  let module IS = Set.Make (Int) in
-  let start_set = IS.of_list start_set in
-  let table = Hashtbl.create 64 in
-  let worklist = Queue.create () in
-  let count = ref 0 in
-  let finals = ref [] in
-  let materialize set =
-    let k = IS.elements set in
-    match Hashtbl.find_opt table k with
-    | Some q -> q
-    | None ->
-        Budget.charge_states 1;
-        let q = !count in
-        incr count;
-        Hashtbl.add table k q;
-        if IS.mem d.start set then finals := q :: !finals;
-        Queue.add (set, q) worklist;
-        q
-  in
-  let start_q = materialize start_set in
-  let edges = ref [] in
-  while not (Queue.is_empty worklist) do
-    let set, src = Queue.take worklist in
-    let out =
-      List.filter_map
-        (fun block ->
-          let c = Charset.choose block in
-          let preds =
-            List.fold_left
-              (fun acc q ->
-                match step d q c with
-                | Some q' when IS.mem q' set -> IS.add q acc
-                | _ -> acc)
-              IS.empty (List.init d.n Fun.id)
-          in
-          if IS.is_empty preds then None else Some (block, materialize preds))
-        alphabet
-    in
-    edges := (src, merge_edges out) :: !edges
-  done;
-  let trans = Array.make !count [] in
-  List.iter (fun (src, out) -> trans.(src) <- out) !edges;
-  let finals_arr = Array.make !count false in
-  List.iter (fun q -> finals_arr.(q) <- true) !finals;
-  trim { n = !count; start = start_q; finals = finals_arr; trans }
-
-let minimize_brzozowski d = reverse_det (reverse_det d)
 
 (* Pairwise bisimulation check between completed machines. *)
 let equiv d1 d2 =

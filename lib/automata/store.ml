@@ -427,12 +427,21 @@ let dfa h =
         d
 
 let min_dfa h =
-  if not (enabled ()) then Dfa.minimize (Dfa.of_nfa h.nfa)
+  (* the {!dfa} slot is read, not filled: a residual's upper bound
+     needs only the minimal machine, and keeping the raw
+     determinization beside it would hold both for every bound *)
+  let compute () =
+    match (h.word, h.dfa_memo) with
+    | Some w, _ -> Dfa.of_word w
+    | None, Some d -> Dfa.minimize d
+    | None, None -> Dfa.minimize (Dfa.of_nfa h.nfa)
+  in
+  if not (enabled ()) then compute ()
   else
     match h.min_dfa_memo with
     | Some d -> d
     | None ->
-        let d = Dfa.minimize (dfa h) in
+        let d = compute () in
         h.min_dfa_memo <- Some d;
         d
 

@@ -105,7 +105,9 @@ val id : handle -> int
 (** Determinization of the handle's machine, computed once. *)
 val dfa : handle -> Dfa.t
 
-(** Minimized DFA ([Dfa.minimize] of {!dfa}), computed once. *)
+(** Minimized DFA ([Dfa.minimize] of the determinization, or
+    [Dfa.of_word] of a {!word}), computed once. The {!dfa} slot is read
+    if present, never filled. *)
 val min_dfa : handle -> Dfa.t
 
 (** [Lang.compact] of the handle's machine, computed once. *)

@@ -53,7 +53,7 @@ type t = {
   system : System.t;
   refute : refute option;
   witnesses : (string * string) list;
-  bounds : (string * bound) list;
+  bounds : (string * bound) list Lazy.t;
   stats : stats;
 }
 
@@ -577,15 +577,18 @@ let run ?(goals = []) system =
           sliced_constraints;
         }
       in
+      (* only [dprle analyze] reads the report: a solve would pay one
+         meet and one shortest word per variable for nothing *)
       let bounds_report contribs =
-        List.map
-          (fun v ->
-            ( v,
-              {
-                contributions = List.length (contributions contribs v);
-                witness = shortest_of_bound contribs v;
-              } ))
-          (vars_of_constrs norm_constrs)
+        lazy
+          (List.map
+             (fun v ->
+               ( v,
+                 {
+                   contributions = List.length (contributions contribs v);
+                   witness = shortest_of_bound contribs v;
+                 } ))
+             (vars_of_constrs norm_constrs))
       in
       (* the unsat core is shrunk by re-running this pass *)
       match

@@ -91,7 +91,9 @@ type t = {
   witnesses : (string * string) list;
       (** singleton assignments for sliced-away variables, to re-join
           solver solutions; sorted by variable *)
-  bounds : (string * bound) list;  (** per variable, sorted *)
+  bounds : (string * bound) list Lazy.t;
+      (** per variable, sorted; computed when forced, under the store
+          and budget current then *)
   stats : stats;
 }
 

@@ -130,19 +130,16 @@ let good_states (dfa : Dfa.t) (post : Dfa.t) =
   done;
   !good
 
-(* [pre] is [`Word w] when its language is the single word [w]: its
-   one state of the complete DFA is a walk over [w]'s characters, not a
-   product search over a chain machine as long as the word. *)
-let max_middle_uncached ~pre ~post ~upper =
-  (* complement-free: complete the DFA so every word has a run *)
-  let dfa = Dfa.complement (Dfa.complement (Dfa.of_nfa upper)) in
+(* [dfa] is the completed minimal DFA of the upper bound, so each
+   state is one residual [{w | u·w ∈ upper}] and the subset machine
+   tracks the fewest states that tell words apart. [pre] is [`Word w]
+   when its language is the single word [w]: its one state is a walk
+   over [w]'s characters, not a product search over a chain machine as
+   long as the word. *)
+let max_middle_uncached ~pre ~post dfa =
   let t0 =
     match pre with
-    | `Word w ->
-        IS.singleton
-          (String.fold_left
-             (fun q c -> Option.get (Dfa.step dfa q c))
-             (Dfa.start dfa) w)
+    | `Word w -> IS.singleton (Option.get (Dfa.walk dfa (Dfa.start dfa) w))
     | `Lang pre -> reach_set dfa pre
   in
   if IS.is_empty t0 then Nfa.sigma_star
@@ -170,7 +167,7 @@ let max_middle ~pre ~post ~upper =
         in
         Store.intern
           (max_middle_uncached ~pre ~post:(Store.nfa post)
-             ~upper:(Store.nfa upper)))
+             (Dfa.complete (Store.min_dfa upper))))
 
 (* The language of a run of leaf handles, built one way wherever a
    [pre·v·post ⊆ C] side is posed: no leaves is ε, one leaf is its own

@@ -720,9 +720,11 @@ let residual_tests =
   ]
 
 (* Reference copies of the residual constructions before the
-   occurrence index and the one-product [Good]: [max_middle] decided
-   [Good] with one determinization and one DFA inclusion per state of
-   the upper DFA, and [maximize] rescanned every constraint for every
+   occurrence index, the one-product [Good] and the minimal DFA:
+   [max_middle] ran on the raw determinization of the upper bound,
+   reached [T₀] by a product search even for a literal prefix, and
+   decided [Good] with one determinization and one DFA inclusion per
+   state, and [maximize] rescanned every constraint for every
    variable. The properties below hold the indexed versions to them. *)
 module Reference = struct
   module Dfa = Automata.Dfa
@@ -946,6 +948,41 @@ let residual_props =
     qtest ~count:150 "residual: max_middle equals the per-state construction"
       triple (fun (pre, post, upper) ->
         let pre = Store.intern pre
+        and post = Store.intern post
+        and upper = Store.intern upper in
+        Store.equal
+          (Residual.max_middle ~pre ~post ~upper)
+          (Store.intern (Reference.max_middle ~pre ~post ~upper)));
+    (* [pre] a literal, a prefix of a word of [upper] half the time, so
+       the walk to [T₀] lands on a state that tells residuals apart *)
+    qtest ~count:300 "residual: a word prefix walks to the raw DFA's residual"
+      QCheck2.Gen.(
+        let* upper = nfa_gen in
+        let* w = oneof [ word_gen; word_for upper ] in
+        let* k = int_bound (String.length w) in
+        let* post = oneof [ return (Nfa.of_word ""); nfa_gen ] in
+        return (String.sub w 0 k, post, upper))
+      (fun (w, post, upper) ->
+        let pre = Store.of_word w
+        and post = Store.intern post
+        and upper = Store.intern upper in
+        Option.is_some (Store.word pre)
+        && Store.equal
+             (Residual.max_middle ~pre ~post ~upper)
+             (Store.intern (Reference.max_middle ~pre ~post ~upper)));
+    qtest ~count:200
+      "residual: multi-word prefixes and a non-empty post match the raw DFA's residual"
+      QCheck2.Gen.(
+        let* upper = nfa_gen in
+        let* words = list_size (int_range 2 4) (oneof [ word_gen; word_for upper ]) in
+        let* post = nfa_gen in
+        return (words, post, upper))
+      (fun (words, post, upper) ->
+        let pre =
+          Store.intern
+            (List.fold_left
+               (fun acc w -> Automata.Ops.union_lang acc (Nfa.of_word w))
+               Nfa.empty_lang words)
         and post = Store.intern post
         and upper = Store.intern upper in
         Store.equal

@@ -207,4 +207,81 @@ let reference_tests =
           [ 1; 2; 3; n / 2; n - 1; n ]);
   ]
 
-let suite = [ ("kernels:reference", reference_tests) ]
+(* [Dfa.minimize] (Hopcroft) against [Minimize_reference.moore]: the
+   same machine state for state (numbering, finals, per-state edge
+   lists in order), so no output that reads state ids or edge order
+   moves with the algorithm. [automata:props] holds it to Brzozowski's
+   minimization in language and size. *)
+module Dfa = Automata.Dfa
+module Mref = Minimize_reference
+
+let same_minimal d =
+  let h = Mref.of_dfa (Dfa.minimize d) and m = Mref.moore d in
+  let same_edge (c, q) (c', q') = q = q' && Charset.equal c c' in
+  h.n = m.n && h.start = m.start && h.finals = m.finals
+  && Array.for_all2 (List.equal same_edge) h.trans m.trans
+
+(* Random machines whose labels are drawn over all 256 bytes, so the
+   refined alphabet has many blocks and every state many edges. *)
+let dense_nfa_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 2 8 in
+  let* edges =
+    list_size (int_range 4 40)
+      (triple (int_bound (n - 1)) charset_gen (int_bound (n - 1)))
+  in
+  let* eps = list_size (int_range 0 2) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+  let b = Nfa.Builder.create () in
+  let first = Nfa.Builder.add_states b n in
+  List.iter (fun (s, cs, d) -> Nfa.Builder.add_trans b (first + s) cs (first + d)) edges;
+  List.iter (fun (s, d) -> Nfa.Builder.add_eps b (first + s) (first + d)) eps;
+  return (Nfa.Builder.finish b ~start:first ~final:(first + 1))
+
+(* A literal over 26 letters, [states - 1] characters long: its DFA is
+   a chain of [states] states. *)
+let chain_word rng states =
+  String.init (states - 1) (fun _ -> Char.chr (97 + Random.State.int rng 26))
+
+let minimize_tests =
+  [
+    qtest ~count:500 "hopcroft equals Moore on random machines" nfa_gen
+      (fun m -> same_minimal (Dfa.of_nfa m));
+    qtest ~count:300 "hopcroft equals Moore on dense 256-byte machines"
+      dense_nfa_gen (fun m -> same_minimal (Dfa.of_nfa m));
+    test "hopcroft equals Moore on literal chains" (fun () ->
+        let rng = Random.State.make [| 0xc4a1; 0x5e7 |] in
+        List.iter
+          (fun states ->
+            let w = chain_word rng states in
+            let chain = Dfa.of_nfa (Nfa.of_word w) in
+            check_int "chain states" states (Dfa.num_states chain);
+            check_bool (Printf.sprintf "chain of %d" states) true (same_minimal chain);
+            check_int "a chain is minimal" states (Dfa.num_states (Dfa.minimize chain));
+            (* two literals sharing their second half: the shared
+               suffix states of the subset construction merge *)
+            let half = String.sub w (states / 2) (String.length w - (states / 2)) in
+            let other = chain_word rng (states / 2) ^ half in
+            let fork = Dfa.of_nfa (Ops.union_lang (Nfa.of_word w) (Nfa.of_word other)) in
+            let min_fork = Dfa.minimize fork in
+            check_bool "fork is not minimal" true
+              (Dfa.num_states min_fork < Dfa.num_states fork);
+            check_bool (Printf.sprintf "fork of %d" states) true (same_minimal fork))
+          [ 261; 521; 1041; 2081 ]);
+    qtest ~count:300 "of_word is the minimized chain, state for state" word_gen
+      (fun w ->
+        Mref.of_dfa (Dfa.of_word w)
+        = Mref.of_dfa (Dfa.minimize (Dfa.of_nfa (Nfa.of_word w))));
+    qtest ~count:300 "walk lands where stepping lands"
+      QCheck2.Gen.(pair nfa_gen word_gen)
+      (fun (m, w) ->
+        let d = Dfa.of_nfa m in
+        let stepped =
+          String.fold_left
+            (fun q c -> Option.bind q (fun q -> Dfa.step d q c))
+            (Some (Dfa.start d)) w
+        in
+        Dfa.walk d (Dfa.start d) w = stepped);
+  ]
+
+let suite =
+  [ ("kernels:reference", reference_tests); ("kernels:minimize", minimize_tests) ]

@@ -210,12 +210,13 @@ let prop_tests =
         return (m, w))
       (fun (m, w) ->
         Nfa.accepts m w = Dfa.accepts (Dfa.minimize (Dfa.of_nfa m)) w);
-    qtest ~count:60 "moore and brzozowski minimization agree"
+    qtest ~count:60 "hopcroft and brzozowski minimization agree"
       nfa_gen
       (fun m ->
         let d = Dfa.of_nfa m in
-        let m1 = Dfa.minimize d and m2 = Dfa.minimize_brzozowski d in
-        Dfa.equiv m1 m2 && Dfa.num_states m1 = Dfa.num_states m2);
+        let m1 = Dfa.minimize d and m2 = Minimize_reference.brzozowski d in
+        Dfa.equiv m1 (Minimize_reference.to_dfa m2)
+        && Dfa.num_states m1 = m2.Minimize_reference.n);
     qtest ~count:100 "product is intersection" two_nfas_and_word
       (fun (m1, m2, w) ->
         Nfa.accepts (Ops.inter_lang m1 m2) w
