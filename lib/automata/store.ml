@@ -749,6 +749,8 @@ end
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
+let hit_totals () = (Metrics.Counter.total intern_hit, Metrics.Counter.total opcache_hit)
+
 let clear () =
   Hashtbl.reset (intern_table ());
   Hashtbl.reset (Domain.DLS.get text_table_key);

@@ -210,6 +210,13 @@ module Ledger : sig
   val pp : row list Fmt.t
 end
 
+(** The calling domain's running totals of [store.intern.hit] and
+    [store.opcache.hit] (every [op] summed), as [(intern, opcache)]:
+    two counter readings, no snapshot. Worker counts are in them once
+    {!Telemetry.Metrics.Snapshot.absorb} has folded the workers back
+    in. A request's hit counts are the difference of two readings. *)
+val hit_totals : unit -> int * int
+
 (** {1 Lifecycle} *)
 
 (** [true] iff interning and caching are active (the default). *)

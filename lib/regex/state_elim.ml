@@ -20,7 +20,19 @@ let to_regex m =
     let source = n and sink = n + 1 in
     let total = n + 2 in
     let edge = Array.make_matrix total total Ast.Empty in
-    let add i j r = edge.(i).(j) <- Ast.alt edge.(i).(j) r in
+    let alive = Array.make total true in
+    (* live in/out degrees: edges to or from alive states, self-loops
+       excluded, kept current by [add] and by each elimination so that
+       choosing the next state costs O(n), not O(n²) *)
+    let ins = Array.make total 0 and outs = Array.make total 0 in
+    let add i j r =
+      let was = edge.(i).(j) <> Ast.Empty in
+      edge.(i).(j) <- Ast.alt edge.(i).(j) r;
+      if i <> j && (not was) && edge.(i).(j) <> Ast.Empty then begin
+        outs.(i) <- outs.(i) + 1;
+        ins.(j) <- ins.(j) + 1
+      end
+    in
     List.iter
       (fun q ->
         List.iter (fun (cs, q') -> add q q' (Ast.chars cs)) (Nfa.char_transitions m q);
@@ -28,25 +40,27 @@ let to_regex m =
       (Nfa.states m);
     add source (Nfa.start m) Ast.Epsilon;
     add (Nfa.final m) sink Ast.Epsilon;
-    let alive = Array.make total true in
-    let degree q =
-      let ins = ref 0 and outs = ref 0 in
-      for i = 0 to total - 1 do
-        if alive.(i) && i <> q then begin
-          if edge.(i).(q) <> Ast.Empty then incr ins;
-          if edge.(q).(i) <> Ast.Empty then incr outs
-        end
-      done;
-      !ins * !outs
-    in
     for _ = 1 to n do
-      (* pick the cheapest remaining internal state *)
-      let best = ref (-1) in
+      (* pick the cheapest remaining internal state: least ins·outs,
+         ties to the lowest id *)
+      let best = ref (-1) and best_cost = ref 0 in
       for q = 0 to n - 1 do
-        if alive.(q) && (!best < 0 || degree q < degree !best) then best := q
+        if alive.(q) then begin
+          let cost = ins.(q) * outs.(q) in
+          if !best < 0 || cost < !best_cost then begin
+            best := q;
+            best_cost := cost
+          end
+        end
       done;
       let q = !best in
       alive.(q) <- false;
+      for i = 0 to total - 1 do
+        if alive.(i) then begin
+          if edge.(i).(q) <> Ast.Empty then outs.(i) <- outs.(i) - 1;
+          if edge.(q).(i) <> Ast.Empty then ins.(i) <- ins.(i) - 1
+        end
+      done;
       let loop = Ast.star edge.(q).(q) in
       for i = 0 to total - 1 do
         if alive.(i) && edge.(i).(q) <> Ast.Empty then

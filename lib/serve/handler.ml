@@ -1,22 +1,3 @@
-module Snapshot = Telemetry.Metrics.Snapshot
-
-(* Counter series flattened to the registry's pp spelling
-   ("store.opcache.hit{op=inter_lang}"), sorted for determinism. *)
-let flat_counters snap =
-  Snapshot.counters snap
-  |> List.map (fun (name, labels, v) ->
-         let rendered =
-           match labels with
-           | [] -> name
-           | labels ->
-               name ^ "{"
-               ^ String.concat ","
-                   (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-               ^ "}"
-         in
-         (rendered, v))
-  |> List.sort compare
-
 let parse_reject pp e =
   Api.Response.Error
     { code = Api.Response.Parse_error; message = Fmt.str "%a" pp e }
@@ -145,10 +126,10 @@ let webcheck (p : Api.Request.webcheck_params) =
 
 let stats ~requests () =
   Api.Response.Stats_report
-    { requests; counters = flat_counters (Snapshot.of_default ()) }
+    { requests; counters = Metrics_text.stats_counters () }
 
 let handle ?(requests = 0) (req : Api.Request.t) : Api.Response.t =
-  let before = Snapshot.of_default () in
+  let intern0, opcache0 = Automata.Store.hit_totals () in
   let t0 = Telemetry.Clock.now_ns () in
   (* The request budget is ambient for the whole handler, not just the
      solver call — a hostile program can blow up in path enumeration
@@ -185,14 +166,17 @@ let handle ?(requests = 0) (req : Api.Request.t) : Api.Response.t =
     Int64.to_int
       (Int64.div (Int64.sub (Telemetry.Clock.now_ns ()) t0) 1000L)
   in
-  let diff = Snapshot.diff ~after:(Snapshot.of_default ()) ~before in
+  (* counters only grow, so the request's hits (worker counts absorbed
+     by the engine included) are the difference of two readings: the
+     snapshot diff's per-series deltas sum to the same number *)
+  let intern1, opcache1 = Automata.Store.hit_totals () in
   {
     Api.Response.id = req.id;
     payload;
     obs =
       {
         Api.Response.elapsed_us;
-        intern_hits = Snapshot.counter_total diff "store.intern.hit";
-        opcache_hits = Snapshot.counter_total diff "store.opcache.hit";
+        intern_hits = intern1 - intern0;
+        opcache_hits = opcache1 - opcache0;
       };
   }

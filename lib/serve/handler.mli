@@ -20,11 +20,14 @@
       {!Api.Response.sink} records;
     - any exception becomes [Error Internal] — a handler never kills
       its worker;
-    - [obs] is filled from a before/after {!Telemetry.Metrics.Snapshot}
-      diff taken {e in this domain}: per-request wall time plus the
-      request's own [store.intern.hit] / [store.opcache.hit] counts
-      (the labeled op-cache series summed across operations). This is
-      what makes warm-vs-cold store behaviour visible per response. *)
+    - [obs] is filled from two {!Automata.Store.hit_totals} readings
+      taken {e in this domain} around the request: per-request wall
+      time plus the request's own [store.intern.hit] /
+      [store.opcache.hit] counts (the labeled op-cache series summed
+      across operations) — what a before/after
+      {!Telemetry.Metrics.Snapshot} diff would report, without
+      snapshotting the registry. This is what makes warm-vs-cold store
+      behaviour visible per response. *)
 
 (** [handle ?requests req] never raises. [requests] is the completed
     request count a [Stats] request reports (the server threads its

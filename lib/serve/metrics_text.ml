@@ -74,3 +74,19 @@ let render snapshot =
         (Printf.sprintf "%.9f" (Int64.to_float t.total_ns /. 1e9)))
     (Snapshot.timers snapshot);
   Buffer.contents buf
+
+(* Counter series flattened to the registry's pp spelling
+   ("store.opcache.hit{op=inter_lang}"), sorted for determinism. *)
+let stats_counters () =
+  Snapshot.counters (Snapshot.of_default ())
+  |> List.map (fun (name, labels, v) ->
+         let rendered =
+           match labels with
+           | [] -> name
+           | labels ->
+               name ^ "{"
+               ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
+               ^ "}"
+         in
+         (rendered, v))
+  |> List.sort compare

@@ -7,5 +7,11 @@
 
 val render : Telemetry.Metrics.Snapshot.t -> string
 
+(** The calling domain's counter series for the wire [stats] report,
+    in the registry's pp spelling ([store.opcache.hit{op=inter_lang}])
+    and sorted. It snapshots the whole registry, so it belongs to the
+    [stats] request only, never to per-request accounting. *)
+val stats_counters : unit -> (string * int) list
+
 (** Exposed for tests. *)
 val sanitize : string -> string

@@ -1,8 +1,12 @@
 type labels = (string * string) list
 
 (* Labels are canonicalized (sorted by key) so [("a","1");("b","2")]
-   and its permutation address the same time series. *)
-let canon labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels
+   and its permutation address the same time series. A list of zero
+   or one label is already sorted; every label set the library itself
+   uses is one of those. *)
+let canon = function
+  | ([] | [ _ ]) as labels -> labels
+  | labels -> List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 
 type hdata = {
   mutable count : int;
@@ -77,16 +81,23 @@ let timer_table registry name =
       (T table, table))
     (function T table -> Some table | _ -> None)
 
-let int_cell table labels =
-  let labels = canon labels in
+(* The cell of one series, made by [fresh] on first use; [labels] are
+   canonical. *)
+let find_or_add table labels fresh =
   match Hashtbl.find_opt table labels with
-  | Some r -> r
+  | Some x -> x
   | None ->
-      let r = ref 0 in
-      Hashtbl.add table labels r;
-      r
+      let x = fresh () in
+      Hashtbl.add table labels x;
+      x
 
-let counter_cell = int_cell
+let fresh_int () = ref 0
+
+(* a histogram cell over [bounds] bucket bounds, plus the overflow *)
+let fresh_hdata bounds () =
+  { count = 0; sum = 0.; vmax = Float.neg_infinity; bucket_counts = Array.make (bounds + 1) 0 }
+
+let fresh_tdata () = { t_count = 0; total_ns = 0L; self_ns = 0L; max_ns = 0L }
 
 let histogram_table registry ~buckets name =
   register registry name
@@ -95,27 +106,55 @@ let histogram_table registry ~buckets name =
       (H (buckets, table), (buckets, table)))
     (function H (b, table) -> Some (b, table) | _ -> None)
 
+(* Where a metric's series live: its table in one registry, plus the
+   unlabelled series' cell once that series exists (it is not made
+   before its first use, so a metric nobody touched adds no series to
+   a snapshot). *)
+type 'a cells = { table : (labels, 'a) Hashtbl.t; mutable bare : 'a option }
+
+(* A metric resolves its table once per domain, not per update: a
+   [~registry]-pinned metric holds its pinned table, any other metric
+   a [Domain.DLS] slot whose initializer looks the table up in that
+   domain's default registry on the domain's first use. So an update
+   costs a slot read and, for a labelled series, one label hash; the
+   registry's name table is never consulted after [make]. Registry
+   tables are never replaced or removed, so a resolved table stays
+   the registry's. *)
+type 'a home = Pinned of 'a cells | Local of 'a cells Domain.DLS.key
+
+let home ?registry resolve =
+  match registry with
+  | Some reg -> Pinned { table = resolve reg; bare = None }
+  | None ->
+      (* register in the calling domain now, so a kind conflict fails
+         at declaration time *)
+      ignore (resolve (default ()));
+      Local (Domain.DLS.new_key (fun () -> { table = resolve (default ()); bare = None }))
+
+let cells = function Pinned c -> c | Local key -> Domain.DLS.get key
+
+let find_cell cells labels fresh =
+  match labels with
+  | [] -> (
+      match cells.bare with
+      | Some x -> x
+      | None ->
+          let x = find_or_add cells.table [] fresh in
+          cells.bare <- Some x;
+          x)
+  | labels -> find_or_add cells.table (canon labels) fresh
+
 module Counter = struct
-  (* A counter is a name plus (optionally) a pinned registry; its
-     cells are resolved per use so each domain increments its own
-     default registry. [make] still registers eagerly in the calling
-     domain so kind conflicts fail fast at declaration time. *)
-  type t = { name : string; fixed : registry option }
+  type t = int ref home
 
-  let make ?registry name : t =
-    let reg = match registry with Some r -> r | None -> default () in
-    ignore (counter_table reg name : (labels, int ref) Hashtbl.t);
-    { name; fixed = registry }
-
-  let table t =
-    let reg = match t.fixed with Some r -> r | None -> default () in
-    counter_table reg t.name
+  let make ?registry name : t = home ?registry (fun reg -> counter_table reg name)
 
   let incr ?(labels = []) t n =
-    let r = counter_cell (table t) labels in
+    let r = find_cell (cells t) labels fresh_int in
     r := !r + n
 
-  let value ?(labels = []) t = !(counter_cell (table t) labels)
+  let value ?(labels = []) t = !(find_cell (cells t) labels fresh_int)
+  let total t = Hashtbl.fold (fun _ r acc -> acc + !r) (cells t).table 0
 end
 
 module Gauge = struct
@@ -124,24 +163,16 @@ module Gauge = struct
      value through unchanged and [absorb] keeps the maximum across
      domains (the useful cross-worker reading for occupancy-style
      gauges). *)
-  type t = { name : string; fixed : registry option }
+  type t = int ref home
 
-  let make ?registry name : t =
-    let reg = match registry with Some r -> r | None -> default () in
-    ignore (gauge_table reg name : (labels, int ref) Hashtbl.t);
-    { name; fixed = registry }
-
-  let table t =
-    let reg = match t.fixed with Some r -> r | None -> default () in
-    gauge_table reg t.name
-
-  let set ?(labels = []) t v = int_cell (table t) labels := v
+  let make ?registry name : t = home ?registry (fun reg -> gauge_table reg name)
+  let set ?(labels = []) t v = find_cell (cells t) labels fresh_int := v
 
   let add ?(labels = []) t n =
-    let r = int_cell (table t) labels in
+    let r = find_cell (cells t) labels fresh_int in
     r := !r + n
 
-  let value ?(labels = []) t = !(int_cell (table t) labels)
+  let value ?(labels = []) t = !(find_cell (cells t) labels fresh_int)
 end
 
 module Histogram = struct
@@ -150,35 +181,15 @@ module Histogram = struct
   let default_buckets =
     [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1e3; 2e3; 5e3; 1e4; 1e5; 1e6 |]
 
-  type t = { name : string; buckets : float array; fixed : registry option }
+  type t = { buckets : float array; home : hdata home }
 
   let make ?registry ?(buckets = default_buckets) name : t =
     let buckets = Array.copy buckets in
     Array.sort compare buckets;
-    let reg = match registry with Some r -> r | None -> default () in
-    ignore (histogram_table reg ~buckets name);
-    { name; buckets; fixed = registry }
-
-  let cell t labels =
-    let reg = match t.fixed with Some r -> r | None -> default () in
-    let _, table = histogram_table reg ~buckets:t.buckets t.name in
-    let labels = canon labels in
-    match Hashtbl.find_opt table labels with
-    | Some h -> h
-    | None ->
-        let h =
-          {
-            count = 0;
-            sum = 0.;
-            vmax = Float.neg_infinity;
-            bucket_counts = Array.make (Array.length t.buckets + 1) 0;
-          }
-        in
-        Hashtbl.add table labels h;
-        h
+    { buckets; home = home ?registry (fun reg -> snd (histogram_table reg ~buckets name)) }
 
   let observe ?(labels = []) t v =
-    let h = cell t labels in
+    let h = find_cell (cells t.home) labels (fresh_hdata (Array.length t.buckets)) in
     h.count <- h.count + 1;
     h.sum <- h.sum +. v;
     if v > h.vmax then h.vmax <- v;
@@ -191,26 +202,10 @@ module Histogram = struct
   end
 
 module Timer = struct
-  type t = { name : string; fixed : registry option }
+  type t = tdata home
 
-  let make ?registry name : t =
-    let reg = match registry with Some r -> r | None -> default () in
-    ignore (timer_table reg name : (labels, tdata) Hashtbl.t);
-    { name; fixed = registry }
-
-  let table t =
-    let reg = match t.fixed with Some r -> r | None -> default () in
-    timer_table reg t.name
-
-  let cell t labels =
-    let table = table t in
-    let labels = canon labels in
-    match Hashtbl.find_opt table labels with
-    | Some d -> d
-    | None ->
-        let d = { t_count = 0; total_ns = 0L; self_ns = 0L; max_ns = 0L } in
-        Hashtbl.add table labels d;
-        d
+  let make ?registry name : t = home ?registry (fun reg -> timer_table reg name)
+  let cell t labels = find_cell (cells t) labels fresh_tdata
 
   (* The open-timer stack, one per domain: each frame accumulates the
      time of the timers nested inside it, so a closing timer can book
@@ -403,13 +398,13 @@ module Snapshot = struct
     List.iter
       (fun ((name, labels), v) ->
         if v <> 0 then begin
-          let r = counter_cell (counter_table reg name) labels in
+          let r = find_or_add (counter_table reg name) (canon labels) fresh_int in
           r := !r + v
         end)
       t.counters;
     List.iter
       (fun ((name, labels), v) ->
-        let r = int_cell (gauge_table reg name) labels in
+        let r = find_or_add (gauge_table reg name) (canon labels) fresh_int in
         if v > !r then r := v)
       t.gauges;
     List.iter
@@ -422,21 +417,8 @@ module Snapshot = struct
                  h.buckets)
           in
           let _, table = histogram_table reg ~buckets:bounds name in
-          let labels = canon labels in
           let cell =
-            match Hashtbl.find_opt table labels with
-            | Some c -> c
-            | None ->
-                let c =
-                  {
-                    count = 0;
-                    sum = 0.;
-                    vmax = Float.neg_infinity;
-                    bucket_counts = Array.make (List.length h.buckets) 0;
-                  }
-                in
-                Hashtbl.add table labels c;
-                c
+            find_or_add table (canon labels) (fresh_hdata (List.length h.buckets - 1))
           in
           cell.count <- cell.count + h.count;
           cell.sum <- cell.sum +. h.sum;
@@ -450,16 +432,7 @@ module Snapshot = struct
     List.iter
       (fun ((name, labels), (s : timer_stat)) ->
         if s.count <> 0 then begin
-          let table = timer_table reg name in
-          let labels = canon labels in
-          let cell =
-            match Hashtbl.find_opt table labels with
-            | Some c -> c
-            | None ->
-                let c = { t_count = 0; total_ns = 0L; self_ns = 0L; max_ns = 0L } in
-                Hashtbl.add table labels c;
-                c
-          in
+          let cell = find_or_add (timer_table reg name) (canon labels) fresh_tdata in
           cell.t_count <- cell.t_count + s.count;
           cell.total_ns <- Int64.add cell.total_ns s.total_ns;
           cell.self_ns <- Int64.add cell.self_ns s.self_ns;

@@ -12,9 +12,11 @@
     different kind raises [Invalid_argument].
 
     The default registry is {e domain-local}: a metric made without
-    [?registry] resolves its cells in the calling domain's registry at
-    increment time, so engine workers count into private registries
-    with no synchronization. After joining its workers the engine
+    [?registry] resolves its cells in the calling domain's registry,
+    once per domain (a [Domain.DLS] slot made at [make]), so engine
+    workers count into private registries with no synchronization and
+    an update never looks its metric up by name. A [?registry]-pinned
+    metric writes its registry from whichever domain updates it. After joining its workers the engine
     folds their snapshots back with {!Snapshot.absorb}, so a snapshot
     of the main domain's registry accounts for the whole batch. *)
 
@@ -42,6 +44,12 @@ module Counter : sig
 
   (** Current cumulative value (mainly for tests; prefer snapshots). *)
   val value : ?labels:labels -> t -> int
+
+  (** Sum over every label set in the calling domain's cells (or the
+      pinned registry's) — {!Snapshot.counter_total} of a snapshot of
+      that registry, without taking one. Counters only grow, so two
+      readings bracket a region's count. *)
+  val total : t -> int
 end
 
 module Gauge : sig

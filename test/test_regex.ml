@@ -244,6 +244,27 @@ let simplify_props =
         | Error _ -> false);
   ]
 
+(* Long literals, unions of them, and starred ones: the chains whose
+   elimination the live degree counts made quadratic. *)
+let chain_gen : Automata.Nfa.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let module Ops = Automata.Ops in
+  let literal =
+    let* len = int_range 1 160 in
+    let* w = string_size ~gen:small_char (return len) in
+    return (Automata.Nfa.of_word w)
+  in
+  let* a = literal in
+  let* b = literal in
+  oneofl [ a; Ops.union_lang a b; Ops.concat_lang (Ops.star a) b ]
+
+let state_elim_props =
+  let same m = Ast.equal (State_elim.to_regex m) (State_elim_reference.to_regex m) in
+  [
+    qtest ~count:300 "live degrees pick as the full recount does" Helpers.nfa_gen same;
+    qtest ~count:30 "live degrees pick as the full recount does on chains" chain_gen same;
+  ]
+
 let suite =
   [
     ("regex:parser", parser_tests);
@@ -252,4 +273,5 @@ let suite =
     ("regex:simplify", simplify_tests);
     ("regex:props", prop_tests);
     ("regex:simplify-props", simplify_props);
+    ("regex:state-elim", state_elim_props);
   ]

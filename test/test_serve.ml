@@ -286,6 +286,62 @@ let handler_tests =
         match resp.Response.payload with
         | Response.Stats_report { requests; _ } -> check_int "requests" 42 requests
         | p -> Alcotest.failf "expected stats, got %s" (Response.payload_name p));
+    test "obs hit counts equal a snapshot diff around the request" (fun () ->
+        let module Snapshot = Telemetry.Metrics.Snapshot in
+        let hits diff =
+          ( Snapshot.counter_total diff "store.intern.hit",
+            Snapshot.counter_total diff "store.opcache.hit" )
+        in
+        let obs (r : Response.t) = (r.obs.intern_hits, r.obs.opcache_hits) in
+        (* the request and the whole-registry reading it must match *)
+        let handled r =
+          let before = Snapshot.of_default () in
+          let resp = Serve.Handler.handle r in
+          (resp, hits (Snapshot.diff ~after:(Snapshot.of_default ()) ~before))
+        in
+        let check_obs what (resp, diff) =
+          Alcotest.(check (pair int int)) what diff (obs resp);
+          resp
+        in
+        ignore (check_obs "solve" (handled (solve_req "o1" fig1)));
+        let again = check_obs "repeated solve" (handled (solve_req "o2" fig1)) in
+        check_bool "the repeat hits the store" true (fst (obs again) > 0);
+        ignore (check_obs "check" (handled (req ~id:"o3" (Request.Check fig1))));
+        ignore (check_obs "lint" (handled (req ~id:"o4" (Request.Lint fig1))));
+        let tripped =
+          check_obs "budget trip"
+            (handled
+               (solve_req ~budget_states:1 "o5"
+                  "let fresh = /yr[uv]{3,8}m/;\nlet pre = \"yr\";\npre . v78 <= fresh;\n"))
+        in
+        check_string "tripped" "budget_exceeded" (error_code tripped);
+        (* webcheck requests on two engine workers: each worker's obs
+           matches its own registry, and once the engine has absorbed
+           the workers the parent's registry moved by their sum *)
+        let pages = [ vulnerable_page; Webapp.Ast.to_source (eve_page "edit.mphp") ] in
+        let parent_before = Snapshot.of_default () in
+        let results, stats =
+          Engine.map ~jobs:2
+            ~f:(fun i program ->
+              handled (req ~id:(Printf.sprintf "ow%d" i) (Request.Webcheck (Request.webcheck_defaults ~program))))
+            pages
+        in
+        check_int "two workers" 2 stats.Engine.workers;
+        let summed =
+          List.fold_left
+            (fun (i, o) (r : _ Engine.job_result) ->
+              match r.outcome with
+              | Engine.Done done_ ->
+                  let resp = check_obs "webcheck on a worker" done_ in
+                  check_string "webcheck payload" "webcheck" (payload_tag resp);
+                  (i + resp.obs.intern_hits, o + resp.obs.opcache_hits)
+              | _ -> Alcotest.fail "a webcheck job did not finish")
+            (0, 0) results
+        in
+        check_bool "the workers hit the store" true (summed <> (0, 0));
+        Alcotest.(check (pair int int))
+          "absorbed worker counts" summed
+          (hits (Snapshot.diff ~after:(Snapshot.of_default ()) ~before:parent_before)));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -408,10 +408,109 @@ let stats_tests =
         check_bool "concats grew" true (concats > 0));
   ]
 
+(* Metrics made without [~registry] resolve their cells once per
+   domain; these are declared here, in the main domain, and updated
+   from spawned workers. *)
+let d_counter = Metrics.Counter.make "test.domains.counter"
+let d_timer = Metrics.Timer.make "test.domains.timer"
+let d_hist = Metrics.Histogram.make ~buckets:[| 1.; 10. |] "test.domains.hist"
+
+let d_totals snap =
+  ( Metrics.Snapshot.counter_total snap "test.domains.counter",
+    Option.fold ~none:0
+      ~some:(fun (s : Metrics.Snapshot.timer_stat) -> s.count)
+      (Metrics.Snapshot.timer_stat snap "test.domains.timer"),
+    List.fold_left
+      (fun acc (name, _, (h : Metrics.Snapshot.histogram_stat)) ->
+        if name = "test.domains.hist" then acc + h.count else acc)
+      0
+      (Metrics.Snapshot.histograms snap) )
+
+let domain_tests =
+  [
+    test "a worker's updates land in the worker's registry" (fun () ->
+        Metrics.Counter.incr d_counter 1;
+        let parent_before = Metrics.Snapshot.of_default () in
+        let worker =
+          Domain.join
+            (Domain.spawn (fun () ->
+                 Metrics.Counter.incr d_counter 5;
+                 Metrics.Counter.incr d_counter ~labels:[ ("op", "w") ] 2;
+                 Metrics.Timer.time d_timer (fun () -> ());
+                 Metrics.Histogram.observe d_hist 3.;
+                 Metrics.Snapshot.of_default ()))
+        in
+        let c, t, h = d_totals worker in
+        check_int "worker counter" 7 c;
+        check_int "worker timer calls" 1 t;
+        check_int "worker histogram count" 1 h;
+        check_int "worker unlabelled series" 5
+          (Metrics.Snapshot.counter_value worker "test.domains.counter");
+        let after = Metrics.Snapshot.of_default () in
+        check_bool "the parent's registry did not move" true
+          (d_totals (Metrics.Snapshot.diff ~after ~before:parent_before) = (0, 0, 0));
+        Metrics.Snapshot.absorb worker;
+        let absorbed =
+          Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before:parent_before
+        in
+        check_bool "absorb folds the worker's series in" true
+          (d_totals absorbed = (7, 1, 1));
+        check_int "absorbed into the labelled series" 2
+          (Metrics.Counter.value d_counter ~labels:[ ("op", "w") ]));
+    test "a pinned metric writes its registry from any domain" (fun () ->
+        let r = Metrics.create_registry () in
+        let c = Metrics.Counter.make ~registry:r "test.pinned" in
+        let tm = Metrics.Timer.make ~registry:r "test.pinned.timer" in
+        let hist = Metrics.Histogram.make ~registry:r "test.pinned.hist" in
+        Metrics.Counter.incr c 1;
+        let parent_before = Metrics.Snapshot.of_default () in
+        Domain.join
+          (Domain.spawn (fun () ->
+               Metrics.Counter.incr c 4;
+               Metrics.Counter.incr c ~labels:[ ("k", "v") ] 3;
+               Metrics.Timer.time tm (fun () -> ());
+               Metrics.Histogram.observe hist 2.;
+               check_int "the worker's default registry saw nothing" 0
+                 (Metrics.Snapshot.counter_total (Metrics.Snapshot.of_default ())
+                    "test.pinned")));
+        let snap = Metrics.Snapshot.take r in
+        check_int "unlabelled" 5 (Metrics.Snapshot.counter_value snap "test.pinned");
+        check_int "labelled" 3
+          (Metrics.Snapshot.counter_value snap ~labels:[ ("k", "v") ] "test.pinned");
+        check_int "timer" 1 (Metrics.Timer.count tm);
+        check_int "histogram" 1
+          (List.length
+             (List.filter (fun (_, _, (h : Metrics.Snapshot.histogram_stat)) -> h.count = 1)
+                (Metrics.Snapshot.histograms snap)));
+        let diff =
+          Metrics.Snapshot.diff ~after:(Metrics.Snapshot.of_default ()) ~before:parent_before
+        in
+        check_int "the parent's default registry saw nothing" 0
+          (Metrics.Snapshot.counter_total diff "test.pinned"));
+    test "Counter.total is Snapshot.counter_total" (fun () ->
+        let r = Metrics.create_registry () in
+        let pinned = Metrics.Counter.make ~registry:r "test.total" in
+        check_int "empty" 0 (Metrics.Counter.total pinned);
+        Metrics.Counter.incr pinned 1;
+        Metrics.Counter.incr pinned ~labels:[ ("op", "a") ] 2;
+        Metrics.Counter.incr pinned ~labels:[ ("b", "2"); ("a", "1") ] 4;
+        check_int "pinned" (Metrics.Snapshot.counter_total (Metrics.Snapshot.take r) "test.total")
+          (Metrics.Counter.total pinned);
+        check_int "pinned value" 7 (Metrics.Counter.total pinned);
+        Metrics.Counter.incr d_counter ~labels:[ ("op", "t") ] 3;
+        check_int "default"
+          (Metrics.Snapshot.counter_total (Metrics.Snapshot.of_default ())
+             "test.domains.counter")
+          (Metrics.Counter.total d_counter);
+        check_int "a worker reads its own cells" 0
+          (Domain.join (Domain.spawn (fun () -> Metrics.Counter.total d_counter))));
+  ]
+
 let suite =
   [
     ("telemetry:span", span_tests);
     ("telemetry:metrics", metrics_tests);
     ("telemetry:timer", timer_tests);
     ("telemetry:stats", stats_tests);
+    ("telemetry:domains", domain_tests);
   ]
