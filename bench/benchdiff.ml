@@ -120,7 +120,7 @@ let fact_table =
     ]
   @ List.map
       (fun h ->
-        fact "hotpath/kernels" ("histogram " ^ h ^ " populated") (fun e ->
+        fact "fig12/solving" ("histogram " ^ h ^ " populated") (fun e ->
             series_total "histograms" "count" h e > 0.))
       [ "automata.subset.visited"; "automata.bfs.frontier" ]
   @ List.concat_map

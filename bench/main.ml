@@ -407,84 +407,6 @@ let ablation_report () =
   Fmt.pr "eps-cuts (one per redundant copy) disappear.@."
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path before/after: the rewritten automata kernels timed against
-   their retained [*_reference] implementations on a fixed seeded
-   workload, so BENCH_dprle.json records the speedup alongside the new
-   [automata.subset.visited] / [automata.bfs.frontier] histograms
-   (populated as a side effect of the "after" runs).                  *)
-
-let hotpath_machines =
-  lazy
-    (let rng = Random.State.make [| 0xbe; 0x5e7 |] in
-     let alphabet = [| 'a'; 'b'; 'c'; '0'; '1' |] in
-     List.init 150 (fun _ ->
-         let n = 3 + Random.State.int rng 8 in
-         let b = Nfa.Builder.create () in
-         let first = Nfa.Builder.add_states b n in
-         for _ = 1 to 4 + Random.State.int rng 12 do
-           let src = Random.State.int rng n and dst = Random.State.int rng n in
-           let c = alphabet.(Random.State.int rng (Array.length alphabet)) in
-           Nfa.Builder.add_trans b (first + src)
-             (Charset.range c (Char.chr (Char.code c + 1)))
-             (first + dst)
-         done;
-         for _ = 1 to Random.State.int rng 4 do
-           let src = Random.State.int rng n and dst = Random.State.int rng n in
-           Nfa.Builder.add_eps b (first + src) (first + dst)
-         done;
-         Nfa.Builder.finish b ~start:first ~final:(first + 1)))
-
-let rec hotpath_pairs = function
-  | a :: b :: rest -> (a, b) :: hotpath_pairs rest
-  | _ -> []
-
-let hotpath_report () =
-  hr "Hot paths — rewritten kernels vs retained reference implementations";
-  let machines = Lazy.force hotpath_machines in
-  let pairs = hotpath_pairs machines in
-  let row name after before =
-    let (), t_after = time_once after in
-    let (), t_before = time_once before in
-    Fmt.pr "%-24s %10.4f s -> %10.4f s  (%5.2fx)@." name t_before t_after
-      (t_before /. t_after);
-    record
-      [
-        ("name", Json.String ("hotpath/" ^ name));
-        ("seconds_before", Json.Float t_before);
-        ("seconds_after", Json.Float t_after);
-      ]
-  in
-  Fmt.pr "%-24s %12s    %12s@." "kernel" "reference" "rewritten";
-  row "lang.subset"
-    (fun () -> List.iter (fun (a, b) -> ignore (Automata.Lang.subset a b)) pairs)
-    (fun () ->
-      List.iter (fun (a, b) -> ignore (Automata.Lang.subset_reference a b)) pairs);
-  row "nfa.is_empty_lang"
-    (fun () -> List.iter (fun m -> ignore (Nfa.is_empty_lang m)) machines)
-    (fun () ->
-      List.iter (fun m -> ignore (Nfa.is_empty_lang_reference m)) machines);
-  row "nfa.reachable_from"
-    (fun () ->
-      List.iter (fun m -> ignore (Nfa.reachable_from m (Nfa.start m))) machines)
-    (fun () ->
-      List.iter
-        (fun m -> ignore (Nfa.reachable_from_reference m (Nfa.start m)))
-        machines);
-  let rep = Nfa.of_word "ab" in
-  row "ops.repeat"
-    (fun () ->
-      for k = 0 to 40 do
-        ignore (Ops.repeat rep ~min_count:k ~max_count:(Some (2 * k)))
-      done)
-    (fun () ->
-      for k = 0 to 40 do
-        ignore (Ops.repeat_reference rep ~min_count:k ~max_count:(Some (2 * k)))
-      done);
-  Fmt.pr "(single-shot wall clock on a fixed seeded workload; see the@.";
-  Fmt.pr " automata.subset.visited / automata.bfs.frontier histograms in the@.";
-  Fmt.pr " metrics diff for the search-effort view.)@."
-
-(* ------------------------------------------------------------------ *)
 (* Parallel engine: the Fig. 12 workload (minus the pathological
    secure row) fanned out over 1, 4, and 8 worker domains.  The
    per-arm wall clock and the speedup over the jobs=1 arm land in the
@@ -1219,7 +1141,6 @@ let run_experiments () =
   experiment "fig12/solving" fig12_report;
   experiment "sec35/complexity" sec35_report;
   experiment "ablation/minimization" ablation_report;
-  experiment "hotpath/kernels" hotpath_report;
   (* wrapper entry "minimize/chain"; each length records itself as
      minimize/chain/N *)
   experiment "minimize/chain" minimize_chain_report;

@@ -60,4 +60,4 @@ query("SELECT * FROM t WHERE a = '" . addslashes($x) . "'");|};
     Automata.Store.nfa (Dprle.System.const_of_regex "[^'\\\\]*'.*")
   in
   Fmt.pr "addslashes⁻¹(bare-quote language) empty: %b@."
-    (Automata.Lang.is_empty (Fst.preimage Fst.addslashes bare_quote))
+    (Automata.Nfa.is_empty_lang (Fst.preimage Fst.addslashes bare_quote))

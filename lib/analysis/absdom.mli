@@ -26,10 +26,6 @@ type t
 (** Everything maps to Σ*. *)
 val top : t
 
-val lookup_var : t -> string -> value
-
-val lookup_input : t -> string -> value
-
 (** Abstract evaluation; sanitizers are transducer images
     ({!Automata.Fst.image}), so e.g. [Addslashes] maps a language to
     the exact language of its sanitized forms. *)

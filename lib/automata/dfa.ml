@@ -17,13 +17,6 @@ let step d q c =
     (fun (cs, q') -> if Charset.mem c cs then Some q' else None)
     d.trans.(q)
 
-let accepts d w =
-  let rec go q i =
-    if i = String.length w then d.finals.(q)
-    else match step d q w.[i] with None -> false | Some q' -> go q' (i + 1)
-  in
-  go d.start 0
-
 (* Each visited state's edges are resolved once into a 256-entry row,
    so a long word costs one array read per character instead of a
    label scan through [step]. *)
@@ -214,9 +207,8 @@ let complement d =
   let c = complete d in
   { c with finals = Array.map not c.finals }
 
-(* Product of two completed machines; [combine] picks the accepting
-   predicate, so the same construction yields ∩ and ∪. *)
-let product combine d1 d2 =
+(* Product of two completed machines. *)
+let inter d1 d2 =
   let d1 = complete d1 and d2 = complete d2 in
   let table = Hashtbl.create 64 in
   let worklist = Queue.create () in
@@ -254,16 +246,9 @@ let product combine d1 d2 =
   List.iter (fun (src, out) -> trans.(src) <- out) !edges;
   let finals = Array.make !count false in
   List.iter
-    (fun (q, (p1, p2)) -> finals.(q) <- combine d1.finals.(p1) d2.finals.(p2))
+    (fun (q, (p1, p2)) -> finals.(q) <- d1.finals.(p1) && d2.finals.(p2))
     !cells;
   trim { n = !count; start = start_q; finals; trans }
-
-let inter d1 d2 = product ( && ) d1 d2
-let union d1 d2 = product ( || ) d1 d2
-
-let is_empty_lang d =
-  let d = trim d in
-  not (Array.exists Fun.id d.finals)
 
 (* Hopcroft partition refinement on the trimmed machine, with the
    dead state left implicit (Valmari and Lehtinen's variant for
@@ -506,136 +491,3 @@ let minimize_untimed d0 =
   end
 
 let minimize d = Telemetry.Metrics.Timer.time t_minimize (fun () -> minimize_untimed d)
-
-(* Pairwise bisimulation check between completed machines. *)
-let equiv d1 d2 =
-  let d1 = complete (trim d1) and d2 = complete (trim d2) in
-  let visited = Hashtbl.create 64 in
-  let worklist = Queue.create () in
-  Queue.add (d1.start, d2.start) worklist;
-  Hashtbl.add visited (d1.start, d2.start) ();
-  let ok = ref true in
-  while !ok && not (Queue.is_empty worklist) do
-    let p, q = Queue.take worklist in
-    if d1.finals.(p) <> d2.finals.(q) then ok := false
-    else begin
-      let labels = List.map fst d1.trans.(p) @ List.map fst d2.trans.(q) in
-      List.iter
-        (fun block ->
-          let c = Charset.choose block in
-          match (step d1 p c, step d2 q c) with
-          | Some p', Some q' ->
-              if not (Hashtbl.mem visited (p', q')) then begin
-                Hashtbl.add visited (p', q') ();
-                Queue.add (p', q') worklist
-              end
-          | _ -> assert false (* both machines are complete *))
-        (Charset.refine labels)
-    end
-  done;
-  !ok
-
-let counterexample a b =
-  (* BFS on the product of [a] with the completion of [b], looking for
-     a state accepting in [a] but not in [b]. *)
-  let b = complete b in
-  let visited = Hashtbl.create 64 in
-  let worklist = Queue.create () in
-  Queue.add ((a.start, b.start), []) worklist;
-  Hashtbl.add visited (a.start, b.start) ();
-  let result = ref None in
-  (try
-     while not (Queue.is_empty worklist) do
-       let (p, q), word = Queue.take worklist in
-       if a.finals.(p) && not b.finals.(q) then begin
-         result := Some (List.rev word);
-         raise Exit
-       end;
-       List.iter
-         (fun (cs1, p') ->
-           List.iter
-             (fun (cs2, q') ->
-               let label = Charset.inter cs1 cs2 in
-               if not (Charset.is_empty label) && not (Hashtbl.mem visited (p', q'))
-               then begin
-                 Hashtbl.add visited (p', q') ();
-                 Queue.add ((p', q'), Charset.choose label :: word) worklist
-               end)
-             b.trans.(q))
-         a.trans.(p)
-     done
-   with Exit -> ());
-  Option.map
-    (fun chars -> String.init (List.length chars) (List.nth chars))
-    !result
-
-let subset a b = Option.is_none (counterexample a b)
-
-let shortest_word d =
-  let visited = Array.make d.n false in
-  let worklist = Queue.create () in
-  Queue.add (d.start, []) worklist;
-  visited.(d.start) <- true;
-  let result = ref None in
-  (try
-     while not (Queue.is_empty worklist) do
-       let q, word = Queue.take worklist in
-       if d.finals.(q) then begin
-         result := Some (List.rev word);
-         raise Exit
-       end;
-       List.iter
-         (fun (cs, q') ->
-           if not visited.(q') then begin
-             visited.(q') <- true;
-             Queue.add (q', Charset.choose cs :: word) worklist
-           end)
-         d.trans.(q)
-     done
-   with Exit -> ());
-  Option.map
-    (fun chars -> String.init (List.length chars) (List.nth chars))
-    !result
-
-let sample_words d ~max_len ~max_count =
-  let results = ref [] in
-  let count = ref 0 in
-  let worklist = Queue.create () in
-  Queue.add (d.start, "") worklist;
-  (try
-     while not (Queue.is_empty worklist) do
-       let q, word = Queue.take worklist in
-       if d.finals.(q) then begin
-         results := word :: !results;
-         incr count;
-         if !count >= max_count then raise Exit
-       end;
-       if String.length word < max_len then
-         List.iter
-           (fun (cs, q') ->
-             Queue.add (q', word ^ String.make 1 (Charset.choose cs)) worklist)
-           d.trans.(q)
-     done
-   with Exit -> ());
-  List.rev !results
-
-let to_dot ?(name = "dfa") d =
-  let buf = Buffer.create 256 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "digraph %s {\n  rankdir=LR;\n  node [shape=circle];\n" name;
-  pf "  __start [shape=point];\n  __start -> q%d;\n" d.start;
-  Array.iteri (fun q is_f -> if is_f then pf "  q%d [shape=doublecircle];\n" q) d.finals;
-  Array.iteri
-    (fun q out ->
-      List.iter
-        (fun (cs, q') ->
-          pf "  q%d -> q%d [label=\"%s\"];\n" q q' (String.escaped (Charset.to_string cs)))
-        out)
-    d.trans;
-  pf "}\n";
-  Buffer.contents buf
-
-let pp_summary ppf d =
-  let trans = Array.fold_left (fun acc l -> acc + List.length l) 0 d.trans in
-  let finals = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 d.finals in
-  Fmt.pf ppf "states=%d transitions=%d finals=%d start=%d" d.n trans finals d.start

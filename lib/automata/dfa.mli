@@ -1,10 +1,11 @@
 (** Deterministic finite automata over charset-labelled edges.
 
-    DFAs are the workhorse for the {e semantic} decision procedures
-    the rest of the library relies on: language emptiness, inclusion,
-    equivalence, and complementation. The RMA solver itself
-    manipulates NFAs (as in the paper); DFAs appear when checking
-    results, minimizing machines, and in the test oracles.
+    The program decides emptiness, inclusion and equivalence on NFAs:
+    {!Nfa.is_empty_lang} and {!Lang}'s on-the-fly inclusion search.
+    DFAs serve where a deterministic machine is the point:
+    minimization (the store's canonical representatives and compacted
+    slices), residuals, which walk a bound's minimal DFA, and
+    complements.
 
     Transition labels on a given state are pairwise disjoint; a
     missing label means the word is rejected (machines are partial —
@@ -24,8 +25,6 @@ val transitions : t -> state -> (Charset.t * state) list
 
 (** Deterministic step; [None] means the implicit dead state. *)
 val step : t -> state -> char -> state option
-
-val accepts : t -> string -> bool
 
 (** [walk d q w] is the state reached from [q] by reading [w], [None]
     once the run falls into the implicit dead state. Each state the
@@ -57,8 +56,6 @@ val complement : t -> t
 
 val inter : t -> t -> t
 
-val union : t -> t -> t
-
 (** {1 Minimization} *)
 
 (** Hopcroft partition refinement with the dead state left implicit
@@ -67,27 +64,3 @@ val union : t -> t -> t
     minimal partial DFA, its states numbered in the order of each
     class's least member among the trimmed input's states. *)
 val minimize : t -> t
-
-(** {1 Decision procedures} *)
-
-val is_empty_lang : t -> bool
-
-(** Hopcroft–Karp style pairwise equivalence check. *)
-val equiv : t -> t -> bool
-
-(** [subset a b] iff [L(a) ⊆ L(b)]. *)
-val subset : t -> t -> bool
-
-(** A word in [L(a) \ L(b)], if any. *)
-val counterexample : t -> t -> string option
-
-(** Shortest accepted word, if the language is nonempty. *)
-val shortest_word : t -> string option
-
-(** Up to [max_count] accepted words of length at most [max_len],
-    shortest first, concretizing labels with {!Charset.choose}. *)
-val sample_words : t -> max_len:int -> max_count:int -> string list
-
-val to_dot : ?name:string -> t -> string
-
-val pp_summary : t Fmt.t

@@ -28,9 +28,6 @@ module Builder : sig
 
   val add_state : b -> int
 
-  (** [consume b src cs out dst] — read one [c ∈ cs], emit per [out]. *)
-  val consume : b -> int -> Charset.t -> output -> int -> unit
-
   (** [emit b src s dst] — emit [s] without consuming input. *)
   val emit : b -> int -> string -> int -> unit
 

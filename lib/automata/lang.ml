@@ -7,21 +7,8 @@ let h_subset_visited = Telemetry.Metrics.Histogram.make "automata.subset.visited
 let t_counterexample =
   Telemetry.Metrics.Timer.make "automata.lang.counterexample"
 
-let t_subset = Telemetry.Metrics.Timer.make "automata.lang.subset"
-let t_equal = Telemetry.Metrics.Timer.make "automata.lang.equal"
-
 module SS = Nfa.StateSet
 
-(* --------------------------------------------------------------- *)
-(* Reference implementations: determinize both operands, then decide
-   on the DFAs. Retained as the oracle for the randomized cross-check
-   suite; the solver's hot paths use the on-the-fly versions below. *)
-
-let equal_reference a b = Dfa.equiv (Dfa.of_nfa a) (Dfa.of_nfa b)
-
-let subset_reference a b = Dfa.subset (Dfa.of_nfa a) (Dfa.of_nfa b)
-
-(* --------------------------------------------------------------- *)
 (* On-the-fly inclusion (after Keil & Thiemann's symbolic solving of
    regular inequalities): search the product of [a]'s states against
    determinized-on-demand subsets of [b]'s states. A pair (p, S)
@@ -98,15 +85,6 @@ let counterexample_untimed a b =
 let counterexample a b =
   Telemetry.Metrics.Timer.time t_counterexample (fun () ->
       counterexample_untimed a b)
-
-let subset a b =
-  Telemetry.Metrics.Timer.time t_subset (fun () ->
-      Option.is_none (counterexample a b))
-
-let equal a b =
-  Telemetry.Metrics.Timer.time t_equal (fun () -> subset a b && subset b a)
-
-let is_empty a = Nfa.is_empty_lang a
 
 let difference a b =
   Dfa.to_nfa (Dfa.inter (Dfa.of_nfa a) (Dfa.complement (Dfa.of_nfa b)))

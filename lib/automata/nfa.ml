@@ -253,19 +253,14 @@ let sigma_star =
 (* Dense breadth-first searches. One byte per state plus a
    preallocated worklist replaces the functional [StateSet] frontiers:
    every state is enqueued at most once, membership is an array read,
-   and nothing is allocated inside the loop. The original
-   implementations are retained below as [*_reference] oracles for the
-   randomized cross-check suite. *)
+   and nothing is allocated inside the loop. The set-frontier
+   originals are the oracles of the randomized cross-check suite
+   ([test/kernel_reference.ml]). *)
 
 module Flags = struct
   type set = Bytes.t
 
   let mem fl q = Bytes.unsafe_get fl q <> '\000'
-
-  let cardinal fl =
-    let count = ref 0 in
-    Bytes.iter (fun c -> if c <> '\000' then incr count) fl;
-    !count
 end
 
 let flags_to_set fl =
@@ -312,23 +307,6 @@ let eps_closure m set =
          ~iter_succ:(fun q push -> List.iter push m.eps.(q))
          ())
 
-let eps_closure_reference m set =
-  let rec go frontier acc =
-    if StateSet.is_empty frontier then acc
-    else
-      let next =
-        StateSet.fold
-          (fun q acc' ->
-            List.fold_left
-              (fun acc'' q' ->
-                if StateSet.mem q' acc then acc'' else StateSet.add q' acc'')
-              acc' m.eps.(q))
-          frontier StateSet.empty
-      in
-      go next (StateSet.union acc next)
-  in
-  go set set
-
 let step m set c =
   let moved =
     StateSet.fold
@@ -359,50 +337,6 @@ let coreachable_flags m q0 =
   bfs ~observe:true ~n:m.n ~roots:[ q0 ]
     ~iter_succ:(fun q push -> List.iter push preds.(q))
     ()
-
-let reachable_from m q0 = flags_to_set (reachable_flags m q0)
-
-let coreachable_to m q0 = flags_to_set (coreachable_flags m q0)
-
-let reachable_from_reference m q0 =
-  let rec go frontier acc =
-    if StateSet.is_empty frontier then acc
-    else
-      let next =
-        StateSet.fold
-          (fun q acc' ->
-            let push q' acc'' =
-              if StateSet.mem q' acc then acc'' else StateSet.add q' acc''
-            in
-            let acc' = List.fold_left (fun a (_, q') -> push q' a) acc' m.delta.(q) in
-            List.fold_left (fun a q' -> push q' a) acc' m.eps.(q))
-          frontier StateSet.empty
-      in
-      go next (StateSet.union acc next)
-  in
-  go (StateSet.singleton q0) (StateSet.singleton q0)
-
-let coreachable_to_reference m q0 =
-  let preds = Array.make m.n [] in
-  for q = 0 to m.n - 1 do
-    List.iter (fun (_, q') -> preds.(q') <- q :: preds.(q')) m.delta.(q);
-    List.iter (fun q' -> preds.(q') <- q :: preds.(q')) m.eps.(q)
-  done;
-  let rec go frontier acc =
-    if StateSet.is_empty frontier then acc
-    else
-      let next =
-        StateSet.fold
-          (fun q acc' ->
-            List.fold_left
-              (fun acc'' p ->
-                if StateSet.mem p acc then acc'' else StateSet.add p acc'')
-              acc' preds.(q))
-          frontier StateSet.empty
-      in
-      go next (StateSet.union acc next)
-  in
-  go (StateSet.singleton q0) (StateSet.singleton q0)
 
 (* Emptiness needs no full closure: stop the moment the final state is
    flagged. *)
@@ -436,9 +370,6 @@ let is_empty_lang m =
     Telemetry.Metrics.Histogram.observe h_bfs_frontier (float_of_int !peak);
     not !found
   end
-
-let is_empty_lang_reference m =
-  not (StateSet.mem m.final (reachable_from_reference m m.start))
 
 let shortest_word m =
   (* BFS over single states; ε-edges cost nothing but BFS layers are
@@ -553,37 +484,11 @@ let trim m =
     (machine, rename)
   end
 
-let reverse m =
-  let b = Builder.create () in
-  let _ = Builder.add_states b m.n in
-  for q = 0 to m.n - 1 do
-    List.iter (fun (cs, q') -> Builder.add_trans b q' cs q) m.delta.(q);
-    List.iter (fun q' -> Builder.add_eps b q' q) m.eps.(q)
-  done;
-  Builder.finish b ~start:m.final ~final:m.start
-
 let embed_two m1 m2 =
   let b = Builder.create () in
   let _ = Builder.add_machine b m1 in
   let offset = Builder.add_machine b m2 in
   (b, offset)
-
-let to_dot ?(name = "nfa") ?(highlight = []) m =
-  let buf = Buffer.create 256 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "digraph %s {\n  rankdir=LR;\n  node [shape=circle];\n" name;
-  pf "  __start [shape=point];\n  __start -> q%d;\n" m.start;
-  pf "  q%d [shape=doublecircle];\n" m.final;
-  List.iter (fun q -> pf "  q%d [shape=doublecircle, color=blue];\n" q) highlight;
-  for q = 0 to m.n - 1 do
-    List.iter
-      (fun (cs, q') ->
-        pf "  q%d -> q%d [label=\"%s\"];\n" q q' (String.escaped (Charset.to_string cs)))
-      m.delta.(q);
-    List.iter (fun q' -> pf "  q%d -> q%d [label=\"ε\"];\n" q q') m.eps.(q)
-  done;
-  pf "}\n";
-  Buffer.contents buf
 
 let pp_summary ppf m =
   let trans = Array.fold_left (fun acc l -> acc + List.length l) 0 m.delta in

@@ -109,47 +109,24 @@ val accepts : t -> string -> bool
 (** [true] iff the machine accepts no string. *)
 val is_empty_lang : t -> bool
 
-(** States reachable from [q] (inclusive) following any transition. *)
-val reachable_from : t -> state -> StateSet.t
-
-(** States from which [q] is reachable (inclusive). *)
-val coreachable_to : t -> state -> StateSet.t
-
 (** {1 Dense reachability}
 
-    The flag variants answer the same queries as {!reachable_from} /
-    {!coreachable_to} but return a byte-per-state visited vector
-    instead of a functional set — O(1) membership, no per-query
-    ordered-set construction. Callers that answer many membership
-    questions against one BFS (the solver's ε-cut emptiness filter)
-    should use these. *)
+    Breadth-first searches that return a byte-per-state visited
+    vector — O(1) membership, no per-query ordered-set construction.
+    Callers that answer many membership questions against one search
+    (the solver's ε-cut emptiness filter) use these. *)
 
 module Flags : sig
   type set
 
   val mem : set -> state -> bool
-
-  val cardinal : set -> int
 end
 
+(** States reachable from [q] (inclusive) following any transition. *)
 val reachable_flags : t -> state -> Flags.set
 
+(** States from which [q] is reachable (inclusive). *)
 val coreachable_flags : t -> state -> Flags.set
-
-(** {1 Reference implementations}
-
-    The original [Set.Make(Int)]-frontier traversals, retained
-    verbatim as oracles for the randomized cross-check suite
-    ([test/test_crosscheck.ml]). Semantically identical to their
-    unsuffixed counterparts; do not use on hot paths. *)
-
-val eps_closure_reference : t -> StateSet.t -> StateSet.t
-
-val reachable_from_reference : t -> state -> StateSet.t
-
-val coreachable_to_reference : t -> state -> StateSet.t
-
-val is_empty_lang_reference : t -> bool
 
 (** A shortest accepted string, or [None] if the language is empty.
     Charset labels are concretized with {!Charset.choose}. *)
@@ -168,9 +145,6 @@ val sample_words : t -> max_len:int -> max_count:int -> string list
     state. *)
 val trim : t -> t * state array
 
-(** Machine for the reversed language. *)
-val reverse : t -> t
-
 (** Disjoint embedding of [m2]'s states after [m1]'s: returns a
     builder preloaded with both machines' transitions and the offset
     added to [m2]'s state ids. Shared by the concat/union/product
@@ -178,10 +152,6 @@ val reverse : t -> t
 val embed_two : t -> t -> Builder.b * int
 
 (** {1 Output} *)
-
-(** Graphviz DOT rendering. [highlight] states get a double border in
-    addition to the final state. *)
-val to_dot : ?name:string -> ?highlight:state list -> t -> string
 
 (** One-line summary: state/transition/ε-edge counts. *)
 val pp_summary : t Fmt.t

@@ -273,20 +273,3 @@ let repeat_untimed m ~min_count ~max_count =
 let repeat m ~min_count ~max_count =
   Telemetry.Metrics.Timer.time t_repeat (fun () ->
       repeat_untimed m ~min_count ~max_count)
-
-(* The original quadratic construction, retained as the language
-   oracle for the cross-check suite. *)
-let repeat_reference m ~min_count ~max_count =
-  if min_count < 0 then invalid_arg "Ops.repeat: negative min";
-  (match max_count with
-  | Some mx when mx < min_count -> invalid_arg "Ops.repeat: max < min"
-  | _ -> ());
-  let rec copies k = if k = 0 then Nfa.epsilon_lang else concat_lang m (copies (k - 1)) in
-  match max_count with
-  | None -> concat_lang (copies min_count) (star m)
-  | Some mx ->
-      (* mandatory prefix followed by (max-min) optional copies *)
-      let rec optionals k =
-        if k = 0 then Nfa.epsilon_lang else opt (concat_lang m (optionals (k - 1)))
-      in
-      concat_lang (copies min_count) (optionals (mx - min_count))

@@ -53,8 +53,3 @@ val opt : Nfa.t -> Nfa.t
     means unbounded. Builds Θ((min + extras)·|m|) states in a single
     builder pass. *)
 val repeat : Nfa.t -> min_count:int -> max_count:int option -> Nfa.t
-
-(** The original O(k²·|m|) construction (re-embedding the accumulated
-    prefix per copy); retained as the language oracle for the
-    cross-check suite. Accepts the same language as {!repeat}. *)
-val repeat_reference : Nfa.t -> min_count:int -> max_count:int option -> Nfa.t

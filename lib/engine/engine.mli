@@ -62,9 +62,6 @@ type stats = {
           directly into the caller's trace) *)
 }
 
-(** [Domain.recommended_domain_count ()] — the default pool size. *)
-val default_jobs : unit -> int
-
 (** Persistent worker pool: the domains (and their domain-local
     intern/memo stores) survive across {!Pool.map} calls, so constants
     shared by consecutive batches are warm-cache hits instead of
@@ -123,9 +120,9 @@ end
 
 (** [map ~f items] runs [f worker item] for every item.
 
-    [jobs] (default {!default_jobs}) caps the pool; a pool larger than
-    the job list is trimmed. With [jobs = 1] everything runs inline in
-    the calling domain. [budget] (default {!Budget.unlimited}) is
+    [jobs] (default [Domain.recommended_domain_count ()]) caps the
+    pool; a pool larger than the job list is trimmed. With [jobs = 1]
+    everything runs inline in the calling domain. [budget] (default {!Budget.unlimited}) is
     installed afresh around {e each} job, so a wall-clock deadline is
     per-job, not per-batch. [name] (default ["batch"]) prefixes worker
     span names. [weight] orders the claim queue as in {!Pool.map}.

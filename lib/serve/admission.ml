@@ -10,8 +10,6 @@ let observe t ~service_ns =
   t.ewma_ns <-
     (if t.samples = 1 then s else (alpha *. s) +. ((1. -. alpha) *. t.ewma_ns))
 
-let ewma_ns t = t.ewma_ns
-
 let projected_wait_ms t ~queue_depth ~workers =
   if t.samples = 0 || queue_depth <= 0 then 0
   else

@@ -22,9 +22,6 @@ val create : unit -> t
 (** Fold one completed request's service time into the EWMA. *)
 val observe : t -> service_ns:int64 -> unit
 
-(** Current EWMA in nanoseconds (0 before any observation). *)
-val ewma_ns : t -> float
-
 (** Projected queue wait for a request arriving behind [queue_depth]
     pending requests on [workers] workers, in milliseconds (rounded
     up; 0 before any observation). *)

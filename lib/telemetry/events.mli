@@ -11,18 +11,12 @@ val schema : string
 type t
 
 val create : out_channel -> t
-val open_file : string -> t
 
 (** [emit t ~kind fields] writes one line; [schema], [event], and
     [seq] are prepended to [fields]. *)
 val emit : t -> kind:string -> (string * Json.t) list -> unit
 
 val close : t -> unit
-
-(** Process-global sink used by library instrumentation points.
-    Set it before spawning worker domains. *)
-
-val set_global : t option -> unit
 
 (** No-op when no global sink is installed. *)
 val emit_global : kind:string -> (string * Json.t) list -> unit

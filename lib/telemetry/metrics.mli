@@ -67,9 +67,7 @@ end
 module Histogram : sig
   type t
 
-  (** 1-2-5 decades from 1 to 10⁶. *)
-  val default_buckets : float array
-
+  (** [buckets] defaults to 1-2-5 decades from 1 to 10⁶. *)
   val make : ?registry:registry -> ?buckets:float array -> string -> t
   val observe : ?labels:labels -> t -> float -> unit
 end

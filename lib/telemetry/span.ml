@@ -11,7 +11,6 @@ type t = {
 let name s = s.name
 let attrs s = s.attrs
 let duration_ns s = s.dur_ns
-let start_ns s = s.start_ns
 let children s = List.rev s.children_rev
 
 (* The open-span stack, one per domain: each engine worker collects

@@ -24,9 +24,6 @@ val name : t -> string
 val attrs : t -> (string * attr) list
 val duration_ns : t -> int64
 
-(** Absolute start timestamp ({!Clock.now_ns} at span open). *)
-val start_ns : t -> int64
-
 val children : t -> t list
 
 (** [true] while a {!collect} scope is open in the calling domain. *)
@@ -75,5 +72,3 @@ val to_chrome_json_lanes : ?pid:int -> lanes:(string * t) list -> t -> Json.t
 (** Indented text tree: one line per span with duration and
     attributes, children indented two spaces. *)
 val pp_tree : t Fmt.t
-
-val pp_duration : int64 Fmt.t

@@ -78,8 +78,6 @@ val sink_id : program -> stmt -> int option
 val loc : program -> int
 
 val pp_expr : expr Fmt.t
-val pp_cond : cond Fmt.t
-val pp_program : program Fmt.t
 
 (** Render as concrete mini-PHP syntax (reparseable). *)
 val to_source : program -> string

@@ -17,9 +17,6 @@ val tautology : Automata.Nfa.t
     ([; DROP …]). *)
 val stacked_drop : Automata.Nfa.t
 
-(** SQL comment-tail truncation ([-- …] at the end). *)
-val comment_tail : Automata.Nfa.t
-
 (** Strings with an odd number of {e unescaped} single quotes: the
     value breaks out of a quote-delimited SQL literal. The right
     attack language for sinks that interpolate {e inside} quotes,
@@ -27,10 +24,9 @@ val comment_tail : Automata.Nfa.t
     delimiters. *)
 val unbalanced_quote : Automata.Nfa.t
 
-(** Union of all of the above. *)
-val any_attack : Automata.Nfa.t
-
-(** Named registry for the CLI/corpus: [lookup "quote"] etc. *)
+(** Named registry for the CLI/corpus: [lookup "quote"] etc. Besides
+    the languages above it names ["comment"], an SQL comment tail
+    ([-- …] at the end), and ["any"], the union of all of them. *)
 val lookup : string -> Automata.Nfa.t option
 
 val names : string list

@@ -108,3 +108,8 @@ let sink_free_suffix_gen : Webapp.Ast.program QCheck2.Gen.t =
         Ast.Exit;
         Ast.Query (Ast.Input "a");
       ])
+
+(* Language inclusion and equality, over the one inclusion search the
+   program runs. *)
+let lang_subset a b = Option.is_none (Automata.Lang.counterexample a b)
+let lang_equal a b = lang_subset a b && lang_subset b a

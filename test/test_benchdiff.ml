@@ -1,6 +1,8 @@
 (* bench/benchdiff: the parallel arms are diffed and speed-gated only
    on hosts with at least 4 cores. The core count is an argument, so
-   both sides are checked on any host. *)
+   both sides are checked on any host. The facts hold on the
+   checked-in baseline, and a record that loses what a fact reads
+   breaks it. *)
 
 open Helpers
 module Json = Telemetry.Json
@@ -44,6 +46,42 @@ let parallel_findings ~cores ~old_doc ~new_doc =
 
 let check_findings = Alcotest.(check (list string))
 
+(* the experiments of the checked-in baseline *)
+let baseline () =
+  match
+    Json.of_string (In_channel.with_open_text "../BENCH_dprle.json" In_channel.input_all)
+  with
+  | Ok doc -> (
+      match Json.member "experiments" doc with
+      | Some (Json.List items) -> items
+      | _ -> Alcotest.fail "baseline has no experiments array")
+  | Error msg -> Alcotest.fail msg
+
+(* [experiment] with the histogram series [h] dropped from its metrics *)
+let drop_histogram experiment h items =
+  let edit key f = function
+    | Json.Obj fields ->
+        Json.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+    | j -> j
+  in
+  let drop = function
+    | Json.List series ->
+        Json.List
+          (List.filter (fun s -> Json.member "name" s <> Some (Json.String h)) series)
+    | j -> j
+  in
+  List.map
+    (fun e ->
+      if Json.member "name" e = Some (Json.String experiment) then
+        edit "metrics" (edit "histograms" drop) e
+      else e)
+    items
+
+let fact_findings items =
+  List.map
+    (fun (f : Benchdiff.finding) -> f.experiment ^ " " ^ f.detail)
+    (Benchdiff.facts items)
+
 let suite =
   [
     ( "bench:diff",
@@ -73,5 +111,15 @@ let suite =
                   [ "parallel/jobs4 note" ]
                   (parallel_findings ~cores ~old_doc ~new_doc))
               [ 2; 4 ]);
+        test "the baseline keeps every fact; fig12 must populate the histograms"
+          (fun () ->
+            let items = baseline () in
+            check_findings "baseline" [] (fact_findings items);
+            List.iter
+              (fun h ->
+                check_findings h
+                  [ "fig12/solving histogram " ^ h ^ " populated" ]
+                  (fact_findings (drop_histogram "fig12/solving" h items)))
+              [ "automata.subset.visited"; "automata.bfs.frontier" ]);
       ] );
   ]

@@ -1,15 +1,16 @@
 (* Randomized cross-checks for the hot-path automata rewrites: the
    bitset BFS family, the on-the-fly subset check, the provenance
    product, and the single-pass [repeat] are each compared against
-   retained [*_reference] implementations or a DFA oracle on a
-   deterministic, seeded stream of random machines. QCheck is deliberately not used here —
-   the stream must be identical on every run so a failure reproduces
+   [Kernel_reference]'s oracles on a deterministic, seeded stream of
+   random machines. QCheck is deliberately not used here — the stream
+   must be identical on every run so a failure reproduces
    byte-for-byte. *)
 
 open Helpers
 module Nfa = Automata.Nfa
 module Ops = Automata.Ops
 module Lang = Automata.Lang
+module Ref = Kernel_reference
 module Dfa = Automata.Dfa
 module SS = Nfa.StateSet
 
@@ -77,28 +78,22 @@ let bfs_tests =
           let m = rand_nfa rng in
           let n = Nfa.num_states m in
           let q0 = Random.State.int rng n in
-          check_set_eq "reachable_from" i
-            (Nfa.reachable_from_reference m q0)
-            (Nfa.reachable_from m q0);
-          check_set_eq "coreachable_to" i
-            (Nfa.coreachable_to_reference m q0)
-            (Nfa.coreachable_to m q0);
           let set = rand_state_set rng n in
           check_set_eq "eps_closure" i
-            (Nfa.eps_closure_reference m set)
+            (Ref.eps_closure m set)
             (Nfa.eps_closure m set);
-          check_bool "is_empty_lang" (Nfa.is_empty_lang_reference m)
-            (Nfa.is_empty_lang m);
-          (* flag variants answer the same membership questions *)
-          let reach = Nfa.reachable_flags m q0 in
-          let reach_ref = Nfa.reachable_from_reference m q0 in
-          List.iter
-            (fun q ->
-              check_bool "reachable_flags" (SS.mem q reach_ref)
-                (Nfa.Flags.mem reach q))
-            (Nfa.states m);
-          check_int "flags cardinal" (SS.cardinal reach_ref)
-            (Nfa.Flags.cardinal reach);
+          check_bool "is_empty_lang" (Ref.is_empty_lang m) (Nfa.is_empty_lang m);
+          (* the flag searches answer the reference's membership
+             questions *)
+          let check_flags what flags expected =
+            List.iter
+              (fun q -> check_bool what (SS.mem q expected) (Nfa.Flags.mem flags q))
+              (Nfa.states m)
+          in
+          check_flags "reachable_flags" (Nfa.reachable_flags m q0)
+            (Ref.reachable_from m q0);
+          check_flags "coreachable_flags" (Nfa.coreachable_flags m q0)
+            (Ref.coreachable_to m q0);
           (* the hashed ε-index agrees with the adjacency lists *)
           let p = Random.State.int rng n and q = Random.State.int rng n in
           check_bool "has_eps_edge"
@@ -114,8 +109,8 @@ let subset_tests =
         for i = 1 to cases do
           let a = rand_nfa rng in
           let b = rand_nfa rng in
-          let expected = Lang.subset_reference a b in
-          if Lang.subset a b <> expected then
+          let expected = Ref.subset a b in
+          if lang_subset a b <> expected then
             Alcotest.failf "subset diverged from reference on case %d" i;
           (match Lang.counterexample a b with
           | Some w ->
@@ -124,7 +119,7 @@ let subset_tests =
           | None ->
               if not expected then
                 Alcotest.failf "missing counterexample on case %d" i);
-          if Lang.equal a b <> Lang.equal_reference a b then
+          if lang_equal a b <> Ref.equal a b then
             Alcotest.failf "equal diverged from reference on case %d" i
         done);
   ]
@@ -140,7 +135,7 @@ let intersect_tests =
           let m2 = gen rng in
           let p = Ops.intersect m1 m2 in
           let oracle = Dfa.inter (Dfa.of_nfa m1) (Dfa.of_nfa m2) in
-          if not (Dfa.equiv (Dfa.of_nfa p.Ops.machine) oracle) then
+          if not (Ref.dfa_equiv (Dfa.of_nfa p.Ops.machine) oracle) then
             Alcotest.failf "intersect language diverged on case %d" i;
           List.iter
             (fun q ->
@@ -167,8 +162,8 @@ let repeat_tests =
             else Some (min_count + Random.State.int rng 4)
           in
           let fast = Ops.repeat m ~min_count ~max_count in
-          let slow = Ops.repeat_reference m ~min_count ~max_count in
-          if not (Lang.equal_reference fast slow) then
+          let slow = Ref.repeat m ~min_count ~max_count in
+          if not (Ref.equal fast slow) then
             Alcotest.failf "repeat language diverged on case %d (min=%d max=%s)"
               i min_count
               (match max_count with None -> "inf" | Some k -> string_of_int k);
@@ -188,21 +183,21 @@ let store_tests =
           let h1 = Store.intern m1 and h2 = Store.intern m2 in
           (* key collision must mean language equality (the converse
              is not promised: different machines may hash apart) *)
-          if Store.id h1 = Store.id h2 && not (Lang.equal_reference m1 m2) then
+          if Store.id h1 = Store.id h2 && not (Ref.equal m1 m2) then
             Alcotest.failf "intern merged different languages on case %d" i;
           (* the representative a handle answers with is language-equal
              to the machine interned *)
-          if not (Lang.equal_reference m1 (Store.nfa h1)) then
+          if not (Ref.equal m1 (Store.nfa h1)) then
             Alcotest.failf "representative changed the language on case %d" i;
-          if Store.subset h1 h2 <> Lang.subset_reference m1 m2 then
+          if Store.subset h1 h2 <> Ref.subset m1 m2 then
             Alcotest.failf "store subset diverged from reference on case %d" i;
           if
             Store.disjoint h1 h2
-            <> Nfa.is_empty_lang_reference (Ops.inter_lang m1 m2)
+            <> Ref.is_empty_lang (Ops.inter_lang m1 m2)
           then Alcotest.failf "store disjoint diverged on case %d" i;
           if
             not
-              (Lang.equal_reference
+              (Ref.equal
                  (Store.nfa (Store.inter_lang h1 h2))
                  (Ops.inter_lang m1 m2))
           then Alcotest.failf "store inter_lang diverged on case %d" i

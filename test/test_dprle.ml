@@ -18,7 +18,7 @@ let lang_of s = Automata.Store.nfa (re s)
 let find a v = Automata.Store.nfa (Assignment.find a v)
 
 let check_lang name expected actual =
-  if not (Lang.equal (lang_of expected) actual) then
+  if not (lang_equal (lang_of expected) actual) then
     Alcotest.failf "%s: expected /%s/, got /%s/" name expected
       (Regex.State_elim.to_string actual)
 
@@ -229,8 +229,8 @@ let solver_tests =
             true
             (List.exists
                (fun a ->
-                 Lang.equal (find a "v1") (lang_of v1_re)
-                 && Lang.equal (find a "v2") (lang_of v2_re))
+                 lang_equal (find a "v1") (lang_of v1_re)
+                 && lang_equal (find a "v2") (lang_of v2_re))
                sols)
         in
         (* the paper's A1 and A2 verbatim *)
@@ -302,9 +302,9 @@ let solver_tests =
             true
             (List.exists
                (fun a ->
-                 Lang.equal (find a "va") (lang_of va)
-                 && Lang.equal (find a "vb") (lang_of vb)
-                 && Lang.equal (find a "vc") (lang_of vc))
+                 lang_equal (find a "va") (lang_of va)
+                 && lang_equal (find a "vb") (lang_of vb)
+                 && lang_equal (find a "vc") (lang_of vc))
                sols)
         in
         expect "op{2}" "p{3}q{2}" "q{2}r";
@@ -345,7 +345,7 @@ let solver_tests =
         List.iter
           (fun a ->
             check_bool "v1 bounded" true
-              (Lang.subset (find a "v1") (lang_of "a|aa")))
+              (lang_subset (find a "v1") (lang_of "a|aa")))
           sols);
     test "an empty temporary slice kills its combination" (fun () ->
         (* a combination leaves v1 and v2 a word each, but no path
@@ -632,7 +632,7 @@ let residual_tests =
                ~pre:(Automata.Store.intern Nfa.empty_lang)
                ~post:(re "b") ~upper:(re "ab"))
         in
-        check_bool "sigma-star" true (Lang.equal m Nfa.sigma_star));
+        check_bool "sigma-star" true (lang_equal m Nfa.sigma_star));
     test "run joins a literal run into one word" (fun () ->
         let h = Residual.run [ Store.of_word "nid"; Store.of_word "_"; Store.of_word "7" ] in
         check_bool "word" true (Store.word h = Some "nid_7");
@@ -806,7 +806,7 @@ module Reference = struct
           List.fold_left
             (fun acc q ->
               let from_q = Nfa.induce_from_start as_nfa q in
-              if Dfa.subset post_dfa (Dfa.of_nfa from_q) then IS.add q acc
+              if Kernel_reference.dfa_subset post_dfa (Dfa.of_nfa from_q) then IS.add q acc
               else acc)
             IS.empty
             (List.init (Dfa.num_states dfa) Fun.id)
@@ -1152,7 +1152,7 @@ let solver_props =
                        (find a "v2")))
                 Nfa.empty_lang sols
             in
-            Lang.equal covered target);
+            lang_equal covered target);
     qtest ~count:40 "solver: unsat iff concat language empty" sys_gen (fun s ->
         let const c = Automata.Store.nfa (System.const_handle s c) in
         let c1 = const "c1" and c2 = const "c2" and c3 = const "c3" in

@@ -4,7 +4,6 @@
 
 open Helpers
 module Nfa = Automata.Nfa
-module Lang = Automata.Lang
 module Ast = Webapp.Ast
 module Lang_parser = Webapp.Lang_parser
 module Eval = Webapp.Eval
@@ -38,7 +37,7 @@ let relabel_tests =
         check_bool "out of class" false (Nfa.accepts m "aD"));
     test "identity relabel preserves language" (fun () ->
         let m = re "x(yz)*" in
-        check_bool "equal" true (Lang.equal m (preimage Fun.id m)));
+        check_bool "equal" true (lang_equal m (preimage Fun.id m)));
   ]
 
 let relabel_props =
@@ -241,7 +240,7 @@ let fst_tests =
           re "[^\\\\']*'.*" (* a quote not preceded by a backslash at the front *)
         in
         let pre = Fst.preimage Fst.addslashes bare_quote in
-        check_bool "unreachable" true (Automata.Lang.is_empty pre));
+        check_bool "unreachable" true (Nfa.is_empty_lang pre));
     test "image of a language" (fun () ->
         let img = Fst.image Fst.addslashes (re "a'|b") in
         check_bool "a\\'" true (Nfa.accepts img "a\\'");

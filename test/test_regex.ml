@@ -5,7 +5,6 @@ module Compile = Regex.Compile
 module Derivative = Regex.Derivative
 module State_elim = Regex.State_elim
 module Nfa = Automata.Nfa
-module Lang = Automata.Lang
 
 let parse = Parser.parse_exn
 
@@ -180,12 +179,12 @@ let prop_tests =
       (fun re ->
         match Parser.parse (Ast.to_string re) with
         | Error _ -> false
-        | Ok re' -> Lang.equal (Compile.to_nfa re) (Compile.to_nfa re'));
+        | Ok re' -> lang_equal (Compile.to_nfa re) (Compile.to_nfa re'));
     qtest ~count:80 "state elimination preserves language" Helpers.nfa_gen
-      (fun m -> Lang.equal m (Compile.to_nfa (State_elim.to_regex m)));
+      (fun m -> lang_equal m (Compile.to_nfa (State_elim.to_regex m)));
     qtest ~count:80 "state elimination of compiled regex" ast_gen (fun re ->
         let m = Compile.to_nfa re in
-        Lang.equal m (Compile.to_nfa (State_elim.to_regex m)));
+        lang_equal m (Compile.to_nfa (State_elim.to_regex m)));
     qtest ~count:150 "nullable agrees with empty-string acceptance" ast_gen
       (fun re -> Derivative.nullable re = matches_via_nfa re "");
     qtest ~count:100 "smart constructors preserve derivative semantics"
@@ -217,30 +216,30 @@ let simplify_tests =
     test "prune subsumed alternative" (fun () ->
         let pruned = Regex.Pretty.prune_alternatives (parse "ab|a.*") in
         check_bool "language kept" true
-          (Lang.equal (Compile.to_nfa pruned) (Compile.to_nfa (parse "a.*")));
+          (lang_equal (Compile.to_nfa pruned) (Compile.to_nfa (parse "a.*")));
         check_bool "smaller" true (Ast.size pruned < Ast.size (parse "ab|a.*")));
     test "pretty on a machine" (fun () ->
         let m = Compile.to_nfa (parse "x(yy|yyyy)") in
         let printed = Regex.Pretty.pretty m in
         match Parser.parse printed with
-        | Ok re -> check_bool "language" true (Lang.equal m (Compile.to_nfa re))
+        | Ok re -> check_bool "language" true (lang_equal m (Compile.to_nfa re))
         | Error _ -> Alcotest.failf "unparseable output %S" printed);
   ]
 
 let simplify_props =
   [
     qtest ~count:150 "simplify preserves language" ast_gen (fun re ->
-        Lang.equal (Compile.to_nfa re) (Compile.to_nfa (Regex.Simplify.simplify re)));
+        lang_equal (Compile.to_nfa re) (Compile.to_nfa (Regex.Simplify.simplify re)));
     qtest ~count:150 "simplify never grows" ast_gen (fun re ->
         Ast.size (Regex.Simplify.simplify re) <= Ast.size re);
     qtest ~count:60 "prune_alternatives preserves language" ast_gen (fun re ->
-        Lang.equal (Compile.to_nfa re)
+        lang_equal (Compile.to_nfa re)
           (Compile.to_nfa (Regex.Pretty.prune_alternatives re)));
     qtest ~count:60 "pretty output reparses to the same language"
       Helpers.nfa_gen
       (fun m ->
         match Parser.parse (Regex.Pretty.pretty m) with
-        | Ok re -> Lang.equal m (Compile.to_nfa re)
+        | Ok re -> lang_equal m (Compile.to_nfa re)
         | Error _ -> false);
   ]
 

@@ -6,7 +6,6 @@
 open Helpers
 module Nfa = Automata.Nfa
 module Ops = Automata.Ops
-module Lang = Automata.Lang
 module Store = Automata.Store
 module Metrics = Telemetry.Metrics
 
@@ -26,41 +25,41 @@ let nfa_pair = QCheck2.Gen.pair nfa_gen nfa_gen
 let prop_tests =
   [
     qtest ~count:150 "interning preserves the language" nfa_gen (fun m ->
-        Lang.equal_reference m (Store.nfa (Store.intern m)));
+        Kernel_reference.equal m (Store.nfa (Store.intern m)));
     qtest ~count:150 "equal handle ids imply equal languages" nfa_pair
       (fun (m1, m2) ->
         Store.id (Store.intern m1) <> Store.id (Store.intern m2)
-        || Lang.equal_reference m1 m2);
+        || Kernel_reference.equal m1 m2);
     qtest ~count:150 "store subset/equal agree with the references" nfa_pair
       (fun (m1, m2) ->
         let h1 = Store.intern m1 and h2 = Store.intern m2 in
-        Store.subset h1 h2 = Lang.subset_reference m1 m2
-        && Store.equal h1 h2 = Lang.equal_reference m1 m2);
+        Store.subset h1 h2 = Kernel_reference.subset m1 m2
+        && Store.equal h1 h2 = Kernel_reference.equal m1 m2);
     qtest ~count:150 "store counterexamples are valid" nfa_pair
       (fun (m1, m2) ->
         let h1 = Store.intern m1 and h2 = Store.intern m2 in
         match Store.counterexample h1 h2 with
-        | None -> Lang.subset_reference m1 m2
+        | None -> Kernel_reference.subset m1 m2
         | Some w -> Nfa.accepts m1 w && not (Nfa.accepts m2 w));
     qtest ~count:100 "cached binary ops match the raw constructions"
       nfa_pair
       (fun (m1, m2) ->
         let h1 = Store.intern m1 and h2 = Store.intern m2 in
-        Lang.equal_reference
+        Kernel_reference.equal
           (Store.nfa (Store.inter_lang h1 h2))
           (Ops.inter_lang m1 m2)
-        && Lang.equal_reference
+        && Kernel_reference.equal
              (Store.nfa (Store.concat_lang h1 h2))
              (Ops.concat_lang m1 m2)
-        && Lang.equal_reference
+        && Kernel_reference.equal
              (Store.nfa (Store.union_lang h1 h2))
              (Ops.union_lang m1 m2));
     qtest ~count:150 "memoized unary ops match their definitions" nfa_gen
       (fun m ->
         let h = Store.intern m in
-        Store.is_empty h = Nfa.is_empty_lang_reference m
-        && Lang.equal_reference (Store.minimized h) m
-        && Lang.equal_reference (Automata.Dfa.to_nfa (Store.min_dfa h)) m);
+        Store.is_empty h = Kernel_reference.is_empty_lang m
+        && Kernel_reference.equal (Store.minimized h) m
+        && Kernel_reference.equal (Automata.Dfa.to_nfa (Store.min_dfa h)) m);
   ]
 
 let memo_tests =

@@ -36,7 +36,7 @@ let unit_tests =
     test "string escapes" (fun () ->
         let s = Sysparse.parse_exn {|let c = "a\n\t\"\\";  v <= c;|} in
         check_bool "lang" true
-          (Automata.Lang.equal (Automata.Store.nfa (System.const_handle s "c")) (Nfa.of_word "a\n\t\"\\")));
+          (lang_equal (Automata.Store.nfa (System.const_handle s "c")) (Nfa.of_word "a\n\t\"\\")));
     test "escaped slash in pattern" (fun () ->
         let s = Sysparse.parse_exn {|let c = /^a\/b$/; v <= c;|} in
         check_bool "a/b" true (Nfa.accepts (Automata.Store.nfa (System.const_handle s "c")) "a/b"));
