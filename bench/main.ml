@@ -515,9 +515,8 @@ let pool_reuse_report () =
 
 (* ------------------------------------------------------------------ *)
 (* On/off ablations: one back-to-back pair of walls drifts with the
-   host's load, so each arm runs [ablation_trials] times (unless it
-   costs seconds), alternating on and off, and the JSON records the
-   per-arm median.                                                    *)
+   host's load, so each arm runs [ablation_trials] times, alternating
+   on and off, and the JSON records the per-arm median.               *)
 
 let ablation_trials = 5
 
@@ -526,9 +525,10 @@ let median xs =
   Array.sort Float.compare a;
   a.(Array.length a / 2)
 
-(* [on] and [off] results of [trials] alternating runs *)
-let alternate ?(trials = ablation_trials) ~on ~off () =
-  List.split (List.init trials (fun _ -> let r = on () in (r, off ())))
+(* [on] and [off] results of [ablation_trials] alternating runs *)
+let alternate ~on ~off () =
+  List.split
+    (List.init ablation_trials (fun _ -> let r = on () in (r, off ())))
 
 (* ------------------------------------------------------------------ *)
 (* DFA minimization on literal chains: the DFA of one word over 26
@@ -620,7 +620,7 @@ let pipeline_arm ~static_prune ~config ~passes files =
 
 (* Both arms of the ablation of [layer]; the other layer stays off in
    both, so each experiment isolates one layer. *)
-let pipeline_ablation layer ~trials ~passes files =
+let pipeline_ablation layer ~passes files =
   let prefix =
     match layer with `Static_prune -> "static_prune" | `Analyze -> "analyze"
   in
@@ -654,8 +654,8 @@ let pipeline_ablation layer ~trials ~passes files =
     verdicts
   in
   Fmt.pr "%d files x %d passes per arm, median of %d trial(s)@."
-    (List.length files) passes trials;
-  let ons, offs = alternate ~trials ~on:(run true) ~off:(run false) () in
+    (List.length files) passes ablation_trials;
+  let ons, offs = alternate ~on:(run true) ~off:(run false) () in
   let on = arm "on" ons in
   let off = arm "off" offs in
   if on <> off then failwith (prefix ^ ": arms disagree on a verdict");
@@ -667,7 +667,7 @@ let pipeline_ablation layer ~trials ~passes files =
 let static_prune_report () =
   hr "Static-prune ablation — dataflow analysis vs symbolic execution alone";
   Fmt.pr "eve corpus: ";
-  pipeline_ablation `Static_prune ~trials:ablation_trials ~passes:32
+  pipeline_ablation `Static_prune ~passes:32
     (Corpus.Fig11.generate (List.hd Corpus.Fig11.apps));
   Fmt.pr "(pruning skips path enumeration and the per-candidate RMA solves@.";
   Fmt.pr " for sinks the fixpoint proved safe; it must never change a@.";
@@ -685,8 +685,7 @@ let analyze_report () =
       Corpus.Fig12.rows
   in
   Fmt.pr "fig12 + eve corpus: ";
-  (* one trial: each arm takes seconds, and the gate has headroom *)
-  pipeline_ablation `Analyze ~trials:1 ~passes:8
+  pipeline_ablation `Analyze ~passes:8
     (fig12 @ Corpus.Fig11.generate (List.hd Corpus.Fig11.apps));
   Fmt.pr "(bounds propagation refutes statically-safe candidates before any@.";
   Fmt.pr " group machine is built — those never reach solve_graph, so the@.";

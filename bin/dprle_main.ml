@@ -186,8 +186,8 @@ let analyze_cmd path goals dot verbose =
           let n_in = List.length (Dprle.System.constraints system) in
           Fmt.pr "system: %d constraint(s), %d variable(s)@." n_in
             (List.length (Dprle.System.variables system));
-          Fmt.pr "normalize: %d aliased, %d folded, %d deduped@." stats.aliased
-            stats.folded stats.deduped;
+          Fmt.pr "normalize: %d folded, %d deduped@." stats.folded
+            stats.deduped;
           List.iter
             (fun (v, b) ->
               Fmt.pr "bound: %s <- %d contribution(s)%a@." v b.contributions
@@ -787,9 +787,9 @@ let analyze_term =
 let analyze_cmd_info =
   Cmd.info "analyze" ~exits:lint_exits
     ~doc:
-      "Run only the pre-solve static analysis — union-find alias \
-       collapse, constant folding, regular bounds propagation, implied- \
-       constraint discharge, and goal-directed slicing — and report what \
+      "Run only the pre-solve static analysis — constant folding and \
+       duplicate dedup, regular bounds propagation, implied-constraint \
+       discharge, and goal-directed slicing — and report what \
        each pass did. A statically refuted system exits 1 and prints its \
        1-minimal unsatisfiable core; anything else exits 0 with the \
        residue the solver proper would receive."

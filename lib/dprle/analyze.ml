@@ -13,7 +13,6 @@ let c_sliced_constraints =
 let c_discharged = Telemetry.Metrics.Counter.make "analyze.discharged"
 let c_deduped = Telemetry.Metrics.Counter.make "analyze.deduped"
 let c_folded = Telemetry.Metrics.Counter.make "analyze.folded"
-let c_aliased = Telemetry.Metrics.Counter.make "analyze.aliased"
 let c_refuted = Telemetry.Metrics.Counter.make "analyze.refuted"
 
 (* One timer series per pass, so `dprle profile` and --metrics say
@@ -41,7 +40,6 @@ type refute = { cause : cause; core : System.constr list }
 type bound = { contributions : int; witness : string option }
 
 type stats = {
-  aliased : int;
   folded : int;
   deduped : int;
   discharged : int;
@@ -100,62 +98,17 @@ let minimize_core ~check core =
   go [] core
 
 (* ------------------------------------------------------------------ *)
-(* Pass 1 — normalization: alias collapse, constant-run folding,
-   duplicate-constraint dedup.                                        *)
-
-(* Constants with equal languages (decided by the store's memoized
-   equality) all rewrite to the earliest-declared representative. *)
-let alias_cap = 64
-
-let alias_map system =
-  let referenced =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun c ->
-        List.iter
-          (function
-            | System.Const name -> Hashtbl.replace tbl name ()
-            | _ -> ())
-          (List.concat_map System.leaves (System.expand_unions c.System.lhs));
-        Hashtbl.replace tbl c.System.rhs ())
-      (System.constraints system);
-    tbl
-  in
-  let names =
-    List.filter (fun (n, _) -> Hashtbl.mem referenced n) (System.constants system)
-  in
-  let map = Hashtbl.create 8 in
-  if List.length names <= alias_cap then begin
-    let reps = ref [] in
-    List.iter
-      (fun (name, _) ->
-        Budget.tick ();
-        let h = System.const_handle system name in
-        match List.find_opt (fun (_, rh) -> Store.equal h rh) !reps with
-        | Some (rep, _) -> Hashtbl.replace map name rep
-        | None -> reps := !reps @ [ (name, h) ])
-      names
-  end;
-  map
+(* Pass 1 — normalization: constant-run folding, duplicate-constraint
+   dedup.                                                             *)
 
 type norm = {
   norm_constrs : System.constr list;
   extra_consts : (string * Store.handle) list;
-  norm_aliased : int;
   norm_folded : int;
   norm_deduped : int;
 }
 
 let normalize system =
-  let aliases = alias_map system in
-  let aliased = ref 0 in
-  let rename name =
-    match Hashtbl.find_opt aliases name with
-    | Some rep ->
-        incr aliased;
-        rep
-    | None -> name
-  in
   (* fresh constants for folded runs must clash with nothing *)
   let taken = Hashtbl.create 16 in
   List.iter (fun (n, _) -> Hashtbl.replace taken n ()) (System.constants system);
@@ -178,12 +131,6 @@ let normalize system =
         name
   in
   let rebuild_alt alt =
-    let ls =
-      List.map
-        (function
-          | System.Const c -> System.Const (rename c) | leaf -> leaf)
-        (System.leaves alt)
-    in
     let flush acc run =
       match List.rev run with
       | [] -> acc
@@ -197,16 +144,16 @@ let normalize system =
       | System.Const c :: rest -> go acc (c :: run) rest
       | leaf :: rest -> go (leaf :: flush acc run) [] rest
     in
-    expr_of_leaves (go [] [] ls)
+    expr_of_leaves (go [] [] (System.leaves alt))
   in
-  let rebuild { System.lhs; rhs } =
+  let rebuild c =
     Budget.tick ();
     let lhs =
-      match List.map rebuild_alt (System.expand_unions lhs) with
+      match List.map rebuild_alt (System.expand_unions c.System.lhs) with
       | [] -> assert false
       | a :: rest -> List.fold_left (fun acc x -> System.Union (acc, x)) a rest
     in
-    { System.lhs; rhs = rename rhs }
+    { c with System.lhs }
   in
   let rebuilt = List.map rebuild (System.constraints system) in
   let seen = Hashtbl.create 16 in
@@ -228,7 +175,6 @@ let normalize system =
   {
     norm_constrs = uniq;
     extra_consts = List.rev !extra;
-    norm_aliased = !aliased;
     norm_folded = !folded;
     norm_deduped = !deduped;
   }
@@ -544,8 +490,7 @@ let slice ~goals system contribs constrs =
 
 let run ?(goals = []) system =
   match timed "normalize" (fun () -> normalize system) with
-  | { norm_constrs; extra_consts; norm_aliased; norm_folded; norm_deduped } -> (
-      Telemetry.Metrics.Counter.incr c_aliased norm_aliased;
+  | { norm_constrs; extra_consts; norm_folded; norm_deduped } -> (
       Telemetry.Metrics.Counter.incr c_folded norm_folded;
       Telemetry.Metrics.Counter.incr c_deduped norm_deduped;
       let norm_sys =
@@ -569,7 +514,6 @@ let run ?(goals = []) system =
       let stats ?(discharged = 0) ?(sliced_vars = []) ?(sliced_constraints = 0)
           () =
         {
-          aliased = norm_aliased;
           folded = norm_folded;
           deduped = norm_deduped;
           discharged;

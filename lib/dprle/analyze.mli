@@ -5,11 +5,12 @@
 
     Four passes, in order:
 
-    + {b normalization} — constants denoting equal languages collapse
-      to one representative (union-find flavoured, decided by
-      {!Automata.Store.equal}), maximal runs of ≥2 constant leaves in an alternative
-      fold into one fresh constant, and structurally duplicate
-      constraints dedup;
+    + {b normalization} — maximal runs of ≥2 constant leaves in an
+      alternative fold into one fresh constant, and structurally
+      duplicate constraints dedup. Constants keep the names they were
+      written with: two differently written constants with one
+      language stay two names (the bounds pass meets them), so an
+      unsat core names the constraints as written;
     + {b bounds propagation} — a worklist fixpoint computes a regular
       upper bound per variable: the meet of its direct ⊆-edge
       constants together with the universal residuals
@@ -75,7 +76,6 @@ type bound = {
 }
 
 type stats = {
-  aliased : int;  (** constant references rewritten to a representative *)
   folded : int;  (** constant-run leaves folded into fresh constants *)
   deduped : int;  (** duplicate constraints dropped *)
   discharged : int;  (** trivially-satisfied constraints dropped *)

@@ -32,22 +32,6 @@ let is_sat = function Solver.Sat _ -> true | Solver.Unsat _ -> false
 
 let unit_tests =
   [
-    test "alias collapse merges equal-language constants" (fun () ->
-        (* c_re and c_lit denote the same language through different
-           ASTs; after aliasing, the two constraints are duplicates *)
-        let s =
-          mk_system
-            [ ("c_re", "ab"); ("c_lit", "ab|ab") ]
-            [
-              { System.lhs = Var "v"; rhs = "c_re" };
-              { System.lhs = Var "v"; rhs = "c_lit" };
-            ]
-        in
-        let a = Analyze.run s in
-        check_int "aliased" 1 a.Analyze.stats.Analyze.aliased;
-        check_int "deduped" 1 a.Analyze.stats.Analyze.deduped;
-        check_int "one constraint left" 1
-          (List.length (System.constraints a.Analyze.system)));
     test "constant runs fold into one constant" (fun () ->
         let s =
           mk_system
@@ -163,6 +147,24 @@ let unit_tests =
             | c ->
                 Alcotest.failf "wrong cause: %a" (fun ppf ->
                     Analyze.pp_cause ppf) c));
+    test "a core names the constraints as written" (fun () ->
+        (* a and b are written alike, so they share one store handle;
+           the core still names b, the constant v's constraint reads *)
+        let s =
+          mk_system
+            [ ("a", "x+"); ("b", "x+"); ("c", "y+") ]
+            [
+              { System.lhs = Var "w"; rhs = "a" };
+              { System.lhs = Var "v"; rhs = "b" };
+              { System.lhs = Var "v"; rhs = "c" };
+            ]
+        in
+        match (Analyze.run s).Analyze.refute with
+        | None -> Alcotest.fail "expected a refutation"
+        | Some { Analyze.core; _ } ->
+            Alcotest.(check (list string))
+              "core" [ "v <= b"; "v <= c" ]
+              (List.map (Fmt.str "%a" System.pp_constr) core));
     test "analyzer run is idempotent on its own output" (fun () ->
         let s =
           mk_system
@@ -181,8 +183,7 @@ let unit_tests =
         (* a second pass finds nothing left to do: the fixpoint is
            reached after one run *)
         check_int "no further rewrites" 0
-          (b.Analyze.stats.Analyze.aliased + b.Analyze.stats.Analyze.folded
-         + b.Analyze.stats.Analyze.deduped
+          (b.Analyze.stats.Analyze.folded + b.Analyze.stats.Analyze.deduped
          + b.Analyze.stats.Analyze.discharged);
         check_int "same constraint count"
           (List.length (System.constraints a.Analyze.system))
@@ -205,7 +206,7 @@ let unit_tests =
 (* Random small systems over a pool of regexes whose pairwise
    intersections are sometimes empty, so both verdicts occur: direct
    bounds, a shared-variable meet, and a two-variable concatenation. *)
-let sys_gen =
+let sys_parts_gen =
   QCheck2.Gen.(
     let pool =
       [ "a*"; "a+b"; "(ab)*"; "a|bb"; "[ab]+"; "b(a|b)*"; "[0-9]+"; "'.*";
@@ -235,10 +236,38 @@ let sys_gen =
         ]
       else [ { System.lhs = System.Var "v2"; rhs = "c3" } ]
     in
-    return
-      (mk_system
-         [ ("c1", r1); ("c2", r2); ("c3", r3); ("c4", r4) ]
-         constrs))
+    return ([ ("c1", r1); ("c2", r2); ("c3", r3); ("c4", r4) ], constrs))
+
+let sys_gen =
+  QCheck2.Gen.map
+    (fun (consts, constrs) -> mk_system consts constrs)
+    sys_parts_gen
+
+(* An equisatisfiable variant: one constraint of a [sys_gen] system
+   has its right-hand side pointed at a fresh twin [t] of its constant
+   [r], built as the union of [r]'s machine with itself. That is the
+   machine [(r)|(r)] would compile to if the regex layer did not fold
+   it: another machine, so another store handle, with the same
+   language. Gives (original, variant, the two handles). *)
+let twin_gen =
+  QCheck2.Gen.(
+    let* consts, constrs = sys_parts_gen in
+    let* i = int_bound (List.length constrs - 1) in
+    let original = mk_system consts constrs in
+    let h = System.const_handle original (List.nth constrs i).System.rhs in
+    let twin =
+      let m = Automata.Store.nfa h in
+      Automata.Store.intern (Automata.Ops.union_lang m m)
+    in
+    let variant =
+      System.make_exn
+        ~consts:(System.constants original @ [ ("t", twin) ])
+        ~constraints:
+          (List.mapi
+             (fun j c -> if j = i then { c with System.rhs = "t" } else c)
+             constrs)
+    in
+    return (original, variant, h, twin))
 
 (* [sys_gen] plus, optionally, a constant-only constraint [c4 ⊆ ci],
    which the analyzer decides by one inclusion *)
@@ -287,6 +316,21 @@ let prop_tests =
                      (Analyze.run (System.with_constraints norm rest))
                        .Analyze.refute)
                  core);
+    qtest ~count:60 "an equal-language twin constant changes nothing"
+      twin_gen (fun (original, variant, h, h_twin) ->
+        let outcome = run_with ~analyze:true variant in
+        Automata.Store.id h <> Automata.Store.id h_twin
+        && is_sat (run_with ~analyze:true original) = is_sat outcome
+        &&
+        match outcome with
+        | Solver.Unsat _ -> true
+        | Solver.Sat sols ->
+            List.for_all
+              (fun a ->
+                match Assignment.witness a with
+                | None -> false
+                | Some words -> Dprle.Bounded.check variant words)
+              sols);
     qtest ~count:60 "analysis result is a sound rewrite" sys_gen (fun s ->
         (* solving the analyzer's residual system (plus its recorded
            witnesses) agrees with solving the original *)
